@@ -27,14 +27,21 @@
 //! With the default `1 × 1` topology every position routes to channel 0,
 //! rank 0 and the wrapped scheme's exact single-channel address — the legacy
 //! path is reproduced bit-identically.
+//!
+//! A [`ChannelCursor`] walks one channel's share of an access phase:
+//! [`ChannelMapping::route_next`] inverts the router's lane function so the
+//! walk visits only that channel's positions, in phase order, and routes
+//! each of them once (partitioned address generation in the sense of
+//! Chavet et al., *Static Address Generation Easing*).
 
 use tbi_dram::{
     AddressBatch, AddressDecoder, ChannelTopology, DramConfig, PhysicalAddress, Request,
-    RequestSource,
+    RequestKind, RequestSource,
 };
 
 use crate::config::InterleaverSpec;
 use crate::mapping::{DramMapping, MappingKind, PermutedMapping, BATCH_CHUNK};
+use crate::trace::AccessPhase;
 use crate::triangular::TriangularInterleaver;
 use crate::InterleaverError;
 
@@ -120,6 +127,14 @@ impl TileOrder {
             TileOrder::Rotated(r) => ti.wrapping_add(r.wrapping_mul(tj)),
         };
         mixed & lanes_mask
+    }
+
+    /// Lane of tile coordinates on whichever path `shifts` selects.
+    fn lane(self, i: u32, j: u32, tile: u32, lanes: u32, shifts: Option<StripeShifts>) -> u32 {
+        match shifts {
+            Some(s) => self.lane_shift(i, j, s.tile, lanes - 1),
+            None => self.lane_generic(i, j, tile, lanes),
+        }
     }
 }
 
@@ -404,26 +419,13 @@ impl ChannelMapping {
                 interleaver,
                 decoder,
             } => {
-                let channels = u64::from(self.topology.channels);
                 let mut linear = [0u64; BATCH_CHUNK];
-                let mut channel = [0u32; BATCH_CHUNK];
                 for chunk in coords.chunks(BATCH_CHUNK) {
                     let staged = &mut linear[..chunk.len()];
                     for (slot, &(i, j)) in staged.iter_mut().zip(chunk) {
                         *slot = interleaver.write_rank(i, j);
                     }
-                    if channels > 1 {
-                        for (lane, slot) in channel.iter_mut().zip(staged.iter_mut()) {
-                            *lane = (*slot % channels) as u32;
-                            *slot /= channels;
-                        }
-                    }
-                    out.append_with(chunk.len(), |lanes| {
-                        if channels > 1 {
-                            lanes.channel.copy_from_slice(&channel[..chunk.len()]);
-                        }
-                        decoder.decode_slice(staged, lanes);
-                    });
+                    splice_decode(decoder, self.topology.channels, staged, out);
                 }
             }
             Router::TileRotate {
@@ -487,6 +489,263 @@ impl ChannelMapping {
             Router::Permuted { mapping } => mapping.route_batch(coords, out),
         }
     }
+
+    /// Routes the next positions of `cursor`'s walk — only those on the
+    /// cursor's channel, in phase order — and appends their `(channel,
+    /// address)` pairs to `out`: at most one batch chunk (256) per call.
+    /// Returns how many were appended; `0` if and only if the walk is over.
+    ///
+    /// Each router finds the channel's next position on the current line
+    /// without routing the foreign ones in between:
+    ///
+    /// * the stripe-tile router tests one position per tile, because the
+    ///   lane depends only on `(i/T, j/T)`, and skips whole foreign tiles;
+    /// * the linear splice jumps by `C` along a row (the linear index grows
+    ///   by one per position) and, down a column, steps the linear index by
+    ///   `n − i` and tests `linear mod C` (a mask for power-of-two `C`);
+    /// * the permutation router routes every position and keeps its own.
+    ///
+    /// Each owned position is routed once, with the
+    /// [`ChannelMapping::route_batch`] kernels, so the appended pairs are
+    /// bit-identical to filtering `route` over the whole phase order.  A
+    /// cursor for a channel outside the topology owns no position.
+    pub fn route_next(&self, cursor: &mut ChannelCursor, out: &mut AddressBatch) -> usize {
+        if cursor.channel >= self.topology.channels {
+            return 0;
+        }
+        match &self.router {
+            Router::LinearSplice {
+                interleaver,
+                decoder,
+            } => {
+                let mut linear = [0u64; BATCH_CHUNK];
+                let staged = self.owned_linear(interleaver, cursor, &mut linear);
+                splice_decode(decoder, self.topology.channels, &mut linear[..staged], out);
+                staged
+            }
+            Router::TileRotate {
+                tile,
+                shifts,
+                order,
+                ..
+            } => {
+                let mut coords = [(0u32, 0u32); BATCH_CHUNK];
+                let staged = self.owned_tiles(*tile, *shifts, *order, cursor, &mut coords);
+                self.route_batch(&coords[..staged], out);
+                staged
+            }
+            Router::Permuted { mapping } => {
+                let mut staged = 0;
+                while staged < BATCH_CHUNK && cursor.line_len(self.dimension).is_some() {
+                    let (i, j) = cursor.position();
+                    cursor.inner += 1;
+                    let (channel, address) = mapping.route(i, j);
+                    if channel == cursor.channel {
+                        out.push(channel, address);
+                        staged += 1;
+                    }
+                }
+                staged
+            }
+        }
+    }
+
+    /// Stages the linear indices of the cursor's next (at most
+    /// [`BATCH_CHUNK`]) positions under the linear-splice router, where
+    /// `channel = linear mod C`.
+    fn owned_linear(
+        &self,
+        interleaver: &TriangularInterleaver,
+        cursor: &mut ChannelCursor,
+        linear: &mut [u64; BATCH_CHUNK],
+    ) -> usize {
+        let n = self.dimension;
+        let channels = u64::from(self.topology.channels);
+        let channel = u64::from(cursor.channel);
+        let mask = self
+            .topology
+            .channels
+            .is_power_of_two()
+            .then_some(channels - 1);
+        let mut staged = 0;
+        while staged < BATCH_CHUNK {
+            let Some(len) = cursor.line_len(n) else {
+                break;
+            };
+            match cursor.phase {
+                AccessPhase::Write => {
+                    // Row `outer` is a run of consecutive linear indices, so
+                    // the channel owns every C-th one.
+                    let row_start = interleaver.write_rank(cursor.outer, 0);
+                    let row_end = row_start + u64::from(len);
+                    let here = row_start + u64::from(cursor.inner);
+                    let mut l = here + (channel + channels - here % channels) % channels;
+                    while l < row_end && staged < BATCH_CHUNK {
+                        linear[staged] = l;
+                        staged += 1;
+                        l += channels;
+                    }
+                    cursor.inner = (l.min(row_end) - row_start) as u32;
+                }
+                AccessPhase::Read => {
+                    // Down column `outer`, write_rank(i + 1, j) =
+                    // write_rank(i, j) + n − i.  Staging is branch-free: every
+                    // index is written, only owned ones advance the count.
+                    let mut l = interleaver.write_rank(cursor.inner, cursor.outer);
+                    let mut i = cursor.inner;
+                    while i < len && staged < BATCH_CHUNK {
+                        let owned = match mask {
+                            Some(mask) => l & mask == channel,
+                            None => l % channels == channel,
+                        };
+                        linear[staged] = l;
+                        staged += usize::from(owned);
+                        l += u64::from(n - i);
+                        i += 1;
+                    }
+                    cursor.inner = i;
+                }
+            }
+        }
+        staged
+    }
+
+    /// Stages the coordinates of the cursor's next (at most [`BATCH_CHUNK`])
+    /// positions under the stripe-tile router.  The lane depends only on the
+    /// tile coordinates, so ownership is tested once per tile and a foreign
+    /// tile is skipped whole.
+    fn owned_tiles(
+        &self,
+        tile: u32,
+        shifts: Option<StripeShifts>,
+        order: TileOrder,
+        cursor: &mut ChannelCursor,
+        coords: &mut [(u32, u32); BATCH_CHUNK],
+    ) -> usize {
+        debug_assert!(tile.is_power_of_two());
+        let n = self.dimension;
+        let channels = self.topology.channels;
+        let lanes = channels * self.topology.ranks;
+        let mut staged = 0;
+        while staged < BATCH_CHUNK {
+            while cursor.inner == cursor.run_end {
+                let Some(len) = cursor.line_len(n) else {
+                    return staged;
+                };
+                let tile_end = ((cursor.inner | (tile - 1)) + 1).min(len);
+                let (i, j) = cursor.position();
+                if order.lane(i, j, tile, lanes, shifts) % channels == cursor.channel {
+                    cursor.run_end = tile_end;
+                } else {
+                    cursor.inner = tile_end;
+                    cursor.run_end = tile_end;
+                }
+            }
+            let take = ((cursor.run_end - cursor.inner) as usize).min(BATCH_CHUNK - staged);
+            let (outer, inner) = (cursor.outer, cursor.inner);
+            let slots = coords[staged..staged + take].iter_mut().zip(inner..);
+            match cursor.phase {
+                AccessPhase::Write => slots.for_each(|(slot, k)| *slot = (outer, k)),
+                AccessPhase::Read => slots.for_each(|(slot, k)| *slot = (k, outer)),
+            }
+            cursor.inner += take as u32;
+            staged += take;
+        }
+        staged
+    }
+}
+
+/// Splits staged linear-splice indices into the channel (the bottom of the
+/// linear space) and the per-channel index, decodes the latter and appends
+/// the pairs to `out`.
+fn splice_decode(
+    decoder: &AddressDecoder,
+    channels: u32,
+    linear: &mut [u64],
+    out: &mut AddressBatch,
+) {
+    let mut channel = [0u32; BATCH_CHUNK];
+    let channel = &mut channel[..linear.len()];
+    if channels.is_power_of_two() {
+        let (mask, shift) = (u64::from(channels - 1), channels.trailing_zeros());
+        for (lane, slot) in channel.iter_mut().zip(linear.iter_mut()) {
+            *lane = (*slot & mask) as u32;
+            *slot >>= shift;
+        }
+    } else {
+        let channels = u64::from(channels);
+        for (lane, slot) in channel.iter_mut().zip(linear.iter_mut()) {
+            *lane = (*slot % channels) as u32;
+            *slot /= channels;
+        }
+    }
+    out.append_with(linear.len(), |lanes| {
+        lanes.channel.copy_from_slice(channel);
+        decoder.decode_slice(linear, lanes);
+    });
+}
+
+/// Where one channel's walk through one access phase stands.
+///
+/// A fresh cursor starts at the phase's first position; each
+/// [`ChannelMapping::route_next`] call advances it past the positions it
+/// routes (and the foreign positions before them).  The state is a handful
+/// of integers, so a walk stays pull-driven and O(1) in memory however many
+/// channels or blocks are in flight.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ChannelCursor {
+    phase: AccessPhase,
+    channel: u32,
+    /// Row (write phase) or column (read phase) being walked.
+    outer: u32,
+    /// Next offset to visit on that line, `0..n - outer`.
+    inner: u32,
+    /// Stripe-tile router: offsets `inner..run_end` of the current line are
+    /// known to route to `channel`.
+    run_end: u32,
+}
+
+impl ChannelCursor {
+    /// A cursor at the start of `phase` for `channel`.
+    #[must_use]
+    pub fn new(phase: AccessPhase, channel: u32) -> Self {
+        Self {
+            phase,
+            channel,
+            outer: 0,
+            inner: 0,
+            run_end: 0,
+        }
+    }
+
+    /// The access phase being walked.
+    #[must_use]
+    pub fn phase(&self) -> AccessPhase {
+        self.phase
+    }
+
+    /// The index-space position at the cursor.
+    fn position(&self) -> (u32, u32) {
+        match self.phase {
+            AccessPhase::Write => (self.outer, self.inner),
+            AccessPhase::Read => (self.inner, self.outer),
+        }
+    }
+
+    /// Moves past finished lines and returns the current line's length,
+    /// or `None` once all `n` lines of the phase are walked.
+    fn line_len(&mut self, n: u32) -> Option<u32> {
+        while self.outer < n {
+            let len = n - self.outer;
+            if self.inner < len {
+                return Some(len);
+            }
+            self.outer += 1;
+            self.inner = 0;
+            self.run_end = 0;
+        }
+        None
+    }
 }
 
 /// Stripe-tile edge: [`STRIPE_TILE`] for large index spaces, shrunk (to at
@@ -504,25 +763,21 @@ fn stripe_tile(n: u32, lanes: u32) -> u32 {
 /// phase order — the per-channel front-end FIFO of a channel-interleaved
 /// interleaver buffer.
 ///
-/// Each channel's iterator walks the full index space and keeps only its
-/// own positions, so a phase costs `O(channels × positions)` routing calls
-/// in total.  That factor is deliberate: it keeps every channel's stream
+/// The trace steps a [`ChannelCursor`] through
+/// [`ChannelMapping::route_next`], so it visits and routes only its own
+/// channel's positions: a phase costs one route per position in total,
+/// however many channels split it.  Every channel's stream stays
 /// independently pull-driven (O(1) memory, per-channel back-pressure, no
-/// cross-channel buffering), and a `route` call is a handful of shifts —
-/// cheap next to the per-request controller work it feeds.
+/// cross-channel buffering).
 ///
 /// Produced by [`ChannelTraceGenerator::channel_requests`].
 pub struct ChannelTrace<'a> {
     mapping: &'a ChannelMapping,
-    phase: crate::trace::AccessPhase,
-    channel: u32,
-    n: u32,
-    outer: u32,
-    inner: u32,
-    remaining: u64,
-    /// Scratch SoA buffer for [`ChannelTrace::fill_batch`] (reused across
-    /// calls; empty until the batched path is used).
-    scratch: AddressBatch,
+    cursor: ChannelCursor,
+    /// The last [`ChannelMapping::route_next`] slice (reused across calls).
+    routed: AddressBatch,
+    /// Index of the first entry of `routed` not yet handed out.
+    next: usize,
 }
 
 impl ChannelTrace<'_> {
@@ -530,45 +785,40 @@ impl ChannelTrace<'_> {
     /// to `out` (fewer when the trace ends first; possibly a few more, up to
     /// the batch-chunk granularity) and returns how many were appended.
     ///
-    /// Positions are routed in [`ChannelMapping::route_batch`] slices and
-    /// filtered by the batch's channel lane, so the per-position mapping
-    /// cost is the batched kernel's instead of a scalar `route` call.  The
-    /// appended sequence is exactly the iterator's — mixing `next` and
-    /// `fill_batch` calls is allowed and never reorders or drops requests.
+    /// Positions are routed in [`ChannelMapping::route_next`] slices of the
+    /// channel's own positions, so the per-request mapping cost is one
+    /// batched route.  The appended sequence is exactly the iterator's —
+    /// mixing `next` and `fill_batch` calls is allowed and never reorders or
+    /// drops requests.
     ///
     /// Returns `0` if and only if the trace is exhausted.
     pub fn fill_batch(&mut self, out: &mut Vec<Request>, max: usize) -> usize {
-        use crate::trace::AccessPhase;
         let before = out.len();
-        let mut coords = [(0u32, 0u32); BATCH_CHUNK];
-        while out.len() - before < max && self.remaining > 0 {
-            let take = self.remaining.min(BATCH_CHUNK as u64) as usize;
-            for slot in coords.iter_mut().take(take) {
-                *slot = match self.phase {
-                    AccessPhase::Write => (self.outer, self.inner),
-                    AccessPhase::Read => (self.inner, self.outer),
-                };
-                self.inner += 1;
-                if self.inner >= self.n - self.outer {
-                    self.inner = 0;
-                    self.outer += 1;
-                }
-            }
-            self.remaining -= take as u64;
-            self.scratch.clear();
-            self.mapping.route_batch(&coords[..take], &mut self.scratch);
-            for (index, &channel) in self.scratch.channels().iter().enumerate() {
-                if channel != self.channel {
-                    continue;
-                }
-                let address = self.scratch.address(index);
-                out.push(match self.phase {
-                    AccessPhase::Write => Request::write(address),
-                    AccessPhase::Read => Request::read(address),
-                });
+        loop {
+            let kind = self.kind();
+            out.extend((self.next..self.routed.len()).map(|index| Request {
+                kind,
+                address: self.routed.address(index),
+            }));
+            self.next = self.routed.len();
+            if out.len() - before >= max || !self.route_more() {
+                return out.len() - before;
             }
         }
-        out.len() - before
+    }
+
+    /// Routes the next slice into `routed`; `false` once the walk is over.
+    fn route_more(&mut self) -> bool {
+        self.routed.clear();
+        self.next = 0;
+        self.mapping.route_next(&mut self.cursor, &mut self.routed) > 0
+    }
+
+    fn kind(&self) -> RequestKind {
+        match self.cursor.phase() {
+            AccessPhase::Write => RequestKind::Write,
+            AccessPhase::Read => RequestKind::Read,
+        }
     }
 }
 
@@ -579,31 +829,18 @@ impl RequestSource for ChannelTrace<'_> {
 }
 
 impl Iterator for ChannelTrace<'_> {
-    type Item = tbi_dram::Request;
+    type Item = Request;
 
-    fn next(&mut self) -> Option<tbi_dram::Request> {
-        use crate::trace::AccessPhase;
-        while self.remaining > 0 {
-            self.remaining -= 1;
-            let (i, j) = match self.phase {
-                AccessPhase::Write => (self.outer, self.inner),
-                AccessPhase::Read => (self.inner, self.outer),
-            };
-            self.inner += 1;
-            if self.inner >= self.n - self.outer {
-                self.inner = 0;
-                self.outer += 1;
-            }
-            let (channel, address) = self.mapping.route(i, j);
-            if channel != self.channel {
-                continue;
-            }
-            return Some(match self.phase {
-                AccessPhase::Write => tbi_dram::Request::write(address),
-                AccessPhase::Read => tbi_dram::Request::read(address),
-            });
+    fn next(&mut self) -> Option<Request> {
+        if self.next == self.routed.len() && !self.route_more() {
+            return None;
         }
-        None
+        let address = self.routed.address(self.next);
+        self.next += 1;
+        Some(Request {
+            kind: self.kind(),
+            address,
+        })
     }
 }
 
@@ -649,20 +886,12 @@ impl<'a> ChannelTraceGenerator<'a> {
 
     /// The stream of `phase` requests routed to `channel`, in phase order.
     #[must_use]
-    pub fn channel_requests(
-        &self,
-        phase: crate::trace::AccessPhase,
-        channel: u32,
-    ) -> ChannelTrace<'a> {
+    pub fn channel_requests(&self, phase: AccessPhase, channel: u32) -> ChannelTrace<'a> {
         ChannelTrace {
             mapping: self.mapping,
-            phase,
-            channel,
-            n: self.mapping.dimension(),
-            outer: 0,
-            inner: 0,
-            remaining: self.len,
-            scratch: AddressBatch::new(),
+            cursor: ChannelCursor::new(phase, channel),
+            routed: AddressBatch::new(),
+            next: 0,
         }
     }
 
@@ -690,7 +919,6 @@ pub fn channel_mapping_for_spec(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::trace::AccessPhase;
     use std::collections::{HashMap, HashSet};
     use tbi_dram::DramStandard;
 

@@ -24,7 +24,8 @@ mod row_major;
 mod simple;
 
 pub use channel::{
-    channel_mapping_for_spec, ChannelMapping, ChannelTrace, ChannelTraceGenerator, TileOrder,
+    channel_mapping_for_spec, ChannelCursor, ChannelMapping, ChannelTrace, ChannelTraceGenerator,
+    TileOrder,
 };
 pub use general_tiled::GeneralTiledMapping;
 pub use optimized::OptimizedMapping;
@@ -69,7 +70,8 @@ pub trait DramMapping: Send + Sync {
     /// The default implementation maps one element at a time; schemes with a
     /// linear decode stage ([`RowMajorMapping`], [`PermutedMapping`])
     /// override it with slice kernels that amortize the per-element decode
-    /// work.
+    /// work, and [`OptimizedMapping`] with a branch-free per-lane kernel on
+    /// power-of-two geometries.
     ///
     /// # Panics
     ///

@@ -28,7 +28,7 @@
 //!    group are already staggered naturally because they own different tiles
 //!    along the diagonal.
 
-use tbi_dram::{DeviceGeometry, PhysicalAddress};
+use tbi_dram::{AddressBatch, DeviceGeometry, PhysicalAddress};
 
 use crate::mapping::DramMapping;
 use crate::InterleaverError;
@@ -294,6 +294,48 @@ impl DramMapping for OptimizedMapping {
         }
     }
 
+    /// Batched optimized mapping: on the power-of-two fast path every lane
+    /// is filled in one branch-free pass (the stagger wrap is a select, not
+    /// a jump) through [`AddressBatch::append_with`]; other geometries map
+    /// one element at a time.
+    fn map_batch(&self, coords: &[(u32, u32)], out: &mut AddressBatch) {
+        let Some(s) = self.shifts else {
+            out.reserve(coords.len());
+            for &(i, j) in coords {
+                out.push(0, self.map(i, j));
+            }
+            return;
+        };
+        let group_mask = (1u32 << s.groups) - 1;
+        let (tile_h_mask, tile_w_mask) = ((1u32 << s.tile_h) - 1, (1u32 << s.tile_w) - 1);
+        let bank_mask = (1u32 << s.banks_per_group) - 1;
+        // A zero stagger multiplier turns the bank-group offsets off.
+        let stagger = u32::from(self.stagger);
+        let (height, width) = (self.padded_height, self.padded_width);
+        out.append_with(coords.len(), |lanes| {
+            let slots = lanes
+                .bank_group
+                .iter_mut()
+                .zip(lanes.bank.iter_mut())
+                .zip(lanes.row.iter_mut())
+                .zip(lanes.column.iter_mut());
+            for ((((group_slot, bank_slot), row_slot), column_slot), &(i, j)) in slots.zip(coords) {
+                debug_assert!(i < self.n && j < self.n, "({i},{j}) outside index space");
+                let group = (i + j) & group_mask;
+                let i_shifted = i + stagger * (group << (s.tile_h - s.groups));
+                let i_shifted = i_shifted - height * u32::from(i_shifted >= height);
+                let j_shifted = j + stagger * (group << (s.tile_w - s.groups));
+                let j_shifted = j_shifted - width * u32::from(j_shifted >= width);
+                let (ti, tj) = (i_shifted >> s.tile_h, j_shifted >> s.tile_w);
+                *group_slot = group;
+                *bank_slot = (ti + tj) & bank_mask;
+                *row_slot = ti * s.row_stride + (tj >> s.banks_per_group);
+                *column_slot = (i_shifted & tile_h_mask) * s.col_stride
+                    + ((j_shifted & tile_w_mask) >> s.groups);
+            }
+        });
+    }
+
     fn name(&self) -> &'static str {
         if self.stagger {
             "optimized"
@@ -342,6 +384,18 @@ mod tests {
                             generic.map(i, j),
                             "({i},{j}) stagger={stagger} {standard_rate:?}"
                         );
+                    }
+                }
+                // Both batch kernels agree with the scalar map on the whole
+                // square (the stagger wraps past the padded edges here).
+                let coords: Vec<(u32, u32)> = (0..300)
+                    .flat_map(|i| (0..300).map(move |j| (i, j)))
+                    .collect();
+                for mapping in [&fast, &generic] {
+                    let mut batch = AddressBatch::new();
+                    mapping.map_batch(&coords, &mut batch);
+                    for (index, &(i, j)) in coords.iter().enumerate() {
+                        assert_eq!(batch.get(index), (0, fast.map(i, j)), "({i},{j})");
                     }
                 }
             }

@@ -34,12 +34,8 @@ use tbi_dram::{
     AddressBatch, ChannelRouter, CombinedStats, ControllerConfig, DeviceGeometry, DramConfig,
     Request,
 };
-use tbi_interleaver::mapping::{channel_mapping_for_spec, ChannelMapping};
+use tbi_interleaver::mapping::{channel_mapping_for_spec, ChannelCursor, ChannelMapping};
 use tbi_interleaver::AccessPhase;
-
-/// Coordinate-staging chunk for the batched routing kernel (matches the
-/// interleaver crate's internal batch granularity).
-const COORD_CHUNK: usize = 256;
 
 /// Target queue depth (requests) a per-channel refill generates at once.
 /// Generation is batched and cheap; the target bounds per-stream queue
@@ -55,37 +51,20 @@ struct Tagged {
 }
 
 /// Per-channel generation cursor of one stream: which admitted block it is
-/// walking and where in that block's triangular index space it stands.
+/// walking and where this channel's walk through that block stands.
 ///
-/// This replicates `ChannelTrace`'s coordinate walk exactly (every channel
-/// walks the full triangle and keeps only its own positions), which is
+/// The walk is the [`ChannelCursor`] a `ChannelTrace` steps, so it visits
+/// only this channel's positions and yields exactly the trace's sequence —
 /// what makes the single-stream case bit-identical to the phase drivers.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default)]
 struct PhaseCursor {
     /// Index into the stream's admitted-block list of the **next** block
     /// to start once the current one is exhausted.
     idx: usize,
-    /// Block number currently being generated.
-    block: u64,
-    /// Pool slot of that block.
+    /// Pool slot of the block being generated.
     slot: u32,
-    outer: u32,
-    inner: u32,
-    /// Positions of the current block not yet walked on this channel.
-    remaining: u64,
-}
-
-impl PhaseCursor {
-    fn new() -> Self {
-        Self {
-            idx: 0,
-            block: 0,
-            slot: 0,
-            outer: 0,
-            inner: 0,
-            remaining: 0,
-        }
-    }
+    /// This channel's walk through that block (`None` before the first).
+    walk: Option<ChannelCursor>,
 }
 
 /// Runtime state of one stream.
@@ -274,7 +253,7 @@ impl StreamScheduler {
                     mapping,
                     row_offset: (index as u32).wrapping_mul(stride) % geometry.rows,
                     queues: (0..channels).map(|_| VecDeque::new()).collect(),
-                    cursors: vec![PhaseCursor::new(); channels as usize],
+                    cursors: vec![PhaseCursor::default(); channels as usize],
                     admitted: Vec::new(),
                     next_block: 0,
                     latency: LatencyHistogram::new(),
@@ -457,10 +436,10 @@ impl StreamScheduler {
         }
     }
 
-    /// Generates up to [`GEN_CHUNK`] more of `state`'s requests for
-    /// `channel`, walking admitted blocks in order with the exact
-    /// `ChannelTrace` coordinate walk and displacing rows by the stream's
-    /// offset.
+    /// Generates at least [`GEN_CHUNK`] more of `state`'s requests for
+    /// `channel` (fewer once its admitted blocks run out), stepping each
+    /// admitted block's channel walk in order and displacing rows by the
+    /// stream's offset.
     fn refill_channel(
         state: &mut StreamState,
         spec: &StreamSpec,
@@ -477,48 +456,31 @@ impl StreamScheduler {
             admitted,
             ..
         } = state;
-        let n = mapping.dimension();
-        let per_block = u64::from(n) * (u64::from(n) + 1) / 2;
         let row_offset = *row_offset;
         let cursor = &mut cursors[channel];
         let queue = &mut queues[channel];
         let before = queue.len();
-        let mut coords = [(0u32, 0u32); COORD_CHUNK];
         while queue.len() - before < GEN_CHUNK {
-            if cursor.remaining == 0 {
+            scratch.clear();
+            let routed = match &mut cursor.walk {
+                Some(walk) => mapping.route_next(walk, scratch),
+                None => 0,
+            };
+            let Some(walk) = cursor.walk.filter(|_| routed > 0) else {
+                // The block's walk is over (or none has started yet).
                 let Some(&(block, slot)) = admitted.get(cursor.idx) else {
                     break;
                 };
-                cursor.block = block;
+                let phase = spec.pattern.phase(block);
+                cursor.walk = Some(ChannelCursor::new(phase, channel as u32));
                 cursor.slot = slot;
-                cursor.outer = 0;
-                cursor.inner = 0;
-                cursor.remaining = per_block;
                 cursor.idx += 1;
-            }
-            let phase = spec.pattern.phase(cursor.block);
-            let take = cursor.remaining.min(COORD_CHUNK as u64) as usize;
-            for coord in coords.iter_mut().take(take) {
-                *coord = match phase {
-                    AccessPhase::Write => (cursor.outer, cursor.inner),
-                    AccessPhase::Read => (cursor.inner, cursor.outer),
-                };
-                cursor.inner += 1;
-                if cursor.inner >= n - cursor.outer {
-                    cursor.inner = 0;
-                    cursor.outer += 1;
-                }
-            }
-            cursor.remaining -= take as u64;
-            scratch.clear();
-            mapping.route_batch(&coords[..take], scratch);
-            for (index, &lane) in scratch.channels().iter().enumerate() {
-                if lane != channel as u32 {
-                    continue;
-                }
+                continue;
+            };
+            for index in 0..routed {
                 let mut address = scratch.address(index);
                 address.row = (address.row + row_offset) % rows;
-                let request = match phase {
+                let request = match walk.phase() {
                     AccessPhase::Write => Request::write(address),
                     AccessPhase::Read => Request::read(address),
                 };
@@ -526,8 +488,8 @@ impl StreamScheduler {
                     request,
                     slot: cursor.slot,
                 });
-                pool.get_mut(cursor.slot).generated += 1;
             }
+            pool.get_mut(cursor.slot).generated += routed as u64;
         }
     }
 

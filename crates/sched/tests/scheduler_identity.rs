@@ -47,32 +47,77 @@ fn reference_stats(
 
 #[test]
 fn single_stream_is_bit_identical_to_run_phase_sources() {
+    // Both channel routers (the optimized stripe tiles and the row-major
+    // linear splice) on a 2-channel topology with one and with two ranks.
     let spec = InterleaverSpec::from_burst_count(3_000);
-    let config = config(2, 1);
-    for engine in [TimingEngine::Cycle, TimingEngine::Event] {
-        for phase in AccessPhase::ALL {
-            let reference =
-                reference_stats(&config, ctrl(engine), &spec, MappingKind::Optimized, phase);
-            for policy in SchedPolicyKind::ALL {
-                let pattern = match phase {
-                    AccessPhase::Write => tbi_sched::PhasePattern::Write,
-                    AccessPhase::Read => tbi_sched::PhasePattern::Read,
-                };
-                let report = StreamScheduler::new(
-                    config.clone(),
-                    ctrl(engine),
-                    vec![StreamSpec::new("solo", spec).with_pattern(pattern)],
-                    SchedConfig::new(policy),
-                )
-                .unwrap()
-                .run();
-                assert_eq!(
-                    report.stats, reference,
-                    "engine {engine}, phase {phase:?}, policy {policy}"
-                );
-                assert_eq!(report.total_requests(), spec.total_positions());
+    for (channels, ranks) in [(2, 1), (2, 2)] {
+        let config = config(channels, ranks);
+        for kind in MappingKind::TABLE1 {
+            for engine in [TimingEngine::Cycle, TimingEngine::Event] {
+                for phase in AccessPhase::ALL {
+                    let reference = reference_stats(&config, ctrl(engine), &spec, kind, phase);
+                    for policy in SchedPolicyKind::ALL {
+                        let pattern = match phase {
+                            AccessPhase::Write => tbi_sched::PhasePattern::Write,
+                            AccessPhase::Read => tbi_sched::PhasePattern::Read,
+                        };
+                        let stream = StreamSpec::new("solo", spec)
+                            .with_mapping(kind)
+                            .with_pattern(pattern);
+                        let report = StreamScheduler::new(
+                            config.clone(),
+                            ctrl(engine),
+                            vec![stream],
+                            SchedConfig::new(policy),
+                        )
+                        .unwrap()
+                        .run();
+                        assert_eq!(
+                            report.stats, reference,
+                            "{kind} {channels}x{ranks}, engine {engine}, phase {phase:?}, \
+                             policy {policy}"
+                        );
+                        assert_eq!(report.total_requests(), spec.total_positions());
+                    }
+                }
             }
         }
+    }
+}
+
+#[test]
+fn single_stream_blocks_follow_each_other_like_chained_traces() {
+    // Two backlogged blocks are admitted together, so each channel's queue
+    // holds the write block's trace followed by the read block's: the
+    // scheduler's per-channel walks must hand over between blocks exactly
+    // where the chained phase traces do.
+    let spec = InterleaverSpec::from_burst_count(2_000);
+    let config = config(2, 2);
+    for kind in MappingKind::TABLE1 {
+        let mapping = channel_mapping_for_spec(kind, &config, &spec).unwrap();
+        let generator = ChannelTraceGenerator::new(&mapping);
+        let mut router = ChannelRouter::new(config.clone(), ctrl(TimingEngine::Event)).unwrap();
+        let chained: Vec<_> = (0..router.channels())
+            .map(|channel| {
+                generator
+                    .channel_requests(AccessPhase::Write, channel)
+                    .chain(generator.channel_requests(AccessPhase::Read, channel))
+            })
+            .collect();
+        let reference = router.run_phase(chained);
+        let report = StreamScheduler::new(
+            config.clone(),
+            ctrl(TimingEngine::Event),
+            vec![StreamSpec::new("solo", spec)
+                .with_mapping(kind)
+                .with_pattern(tbi_sched::PhasePattern::Alternating)
+                .with_blocks(2)],
+            SchedConfig::new(SchedPolicyKind::RoundRobin),
+        )
+        .unwrap()
+        .run();
+        assert_eq!(report.stats, reference, "{kind}");
+        assert_eq!(report.total_requests(), 2 * spec.total_positions());
     }
 }
 
