@@ -1,44 +1,42 @@
-//! Multi-channel scale-out: one [`Controller`] per channel under a shared
-//! clock.
+//! Multi-channel scale-out: one [`Controller`] per channel.
 //!
 //! DRAM channels are fully independent — each has its own command/address
 //! bus, data bus and controller — so a multi-channel subsystem multiplies
 //! peak bandwidth by the channel count.  The [`ChannelRouter`] owns one
 //! [`Controller`] per channel of the configuration's
-//! [`ChannelTopology`](crate::ChannelTopology) and drives them under a
-//! shared clock: each drive step advances the channel whose local clock is
-//! furthest behind, so no channel runs ahead of the others by more than one
-//! back-pressure window.
+//! [`ChannelTopology`](crate::ChannelTopology) and feeds each channel from
+//! its own [`RequestSource`].
 //!
-//! Because the channels do not interact, every channel's statistics are
-//! bit-identical to running that channel's request stream through a
-//! stand-alone [`MemorySystem`](crate::MemorySystem) — a property the
-//! multi-channel tests pin.  Aggregation happens in [`CombinedStats`]: byte
-//! counts and command counts sum across channels, while the elapsed time of
-//! the subsystem is the **maximum** over the per-channel elapsed times (the
+//! Every phase runs through one saturating loop per channel: admit exactly
+//! the free queue slots from a slice pulled off the channel's source, step
+//! the controller until it can accept again, repeat, then drain.
+//! [`MemorySystem::run_trace`](crate::MemorySystem::run_trace) runs the
+//! same loop, so a `1 × 1` router reproduces a stand-alone
+//! [`MemorySystem`](crate::MemorySystem) bit-identically on both timing
+//! engines.  Aggregation happens in [`CombinedStats`]: byte counts and
+//! command counts sum across channels, while the elapsed time of the
+//! subsystem is the **maximum** over the per-channel elapsed times (the
 //! slowest channel finishes last).
-//!
-//! With a `1 × 1` topology the router degenerates to exactly one controller
-//! and reproduces the legacy single-channel results bit-identically on both
-//! timing engines.
 //!
 //! # Threaded drive mode
 //!
-//! [`ChannelRouter::run_phase_threaded`] executes the same phase with each
-//! channel's controller on its own worker thread.  This is sound because the
-//! sequential loop's per-channel projection is already independent: the
-//! laggard-first clock only decides *which* channel bursts next, never what
-//! a burst does, and a channel's queue is refilled exactly when its own
-//! stepping frees slots.  Each worker therefore replays the projection
-//! `fill → (burst-until-accepting → fill)* → drain` verbatim, and the
-//! per-channel [`Stats`] — reassembled in channel order at the join — are
-//! **bit-identical to the sequential path for any thread count** (pinned by
-//! `tests/parallel_differential.rs`).  See `docs/ARCHITECTURE.md` for the
-//! barrier protocol and its determinism invariants.
+//! Because the channels share no state, a channel's statistics depend only
+//! on its own request stream — not on sibling traffic, nor on the order in
+//! which channels are driven.  [`ChannelRouter::run_phase_sources_threaded`]
+//! therefore drives the channels on worker threads and reassembles the
+//! per-channel [`Stats`] in channel order at the join: the result is
+//! **bit-identical for any thread count**.  The per-channel loop is also
+//! the projection of the laggard-first global schedule (always advance the
+//! channel whose clock is furthest behind) onto one channel;
+//! `tests/parallel_differential.rs` keeps that schedule as its oracle, and
+//! the `tbi_sched` stream scheduler, whose picks look across channels,
+//! still drives that way through [`ChannelRouter::laggard_channel`] and
+//! [`ChannelRouter::controller_mut`].  See `docs/ARCHITECTURE.md` for the
+//! worker protocol and its determinism invariants.
 
 use crate::controller::{Controller, ControllerConfig};
 use crate::error::ConfigError;
-use crate::request::{BufferedRequests, Request, RequestSource};
+use crate::request::RequestSource;
 use crate::standards::DramConfig;
 use crate::stats::Stats;
 
@@ -179,28 +177,31 @@ impl CombinedStats {
     }
 }
 
-/// One [`Controller`] per channel, stepped under a shared clock.
+/// One [`Controller`] per channel, each fed from its own request source.
 ///
 /// # Examples
 ///
 /// ```
 /// use tbi_dram::channel::ChannelRouter;
-/// use tbi_dram::{ChannelTopology, ControllerConfig, DramConfig, DramStandard, Request};
+/// use tbi_dram::{ChannelTopology, ControllerConfig, DramConfig, DramStandard};
+/// use tbi_dram::{IteratorSource, Request};
 ///
 /// # fn main() -> Result<(), tbi_dram::ConfigError> {
 /// let config = DramConfig::preset(DramStandard::Ddr4, 3200)?
 ///     .with_topology(ChannelTopology::new(2, 1));
 /// let mut router = ChannelRouter::new(config.clone(), ControllerConfig::default())?;
 /// // Stripe 4096 sequential bursts across both channels.
-/// let traces: Vec<Vec<Request>> = (0..2)
+/// let sources = (0..2u64)
 ///     .map(|c| {
-///         (0..4096u64)
-///             .filter(|i| i % 2 == c)
-///             .map(|i| Request::write(config.decode_linear(i / 2)))
-///             .collect()
+///         let config = config.clone();
+///         IteratorSource(
+///             (0..4096u64)
+///                 .filter(move |i| i % 2 == c)
+///                 .map(move |i| Request::write(config.decode_linear(i / 2))),
+///         )
 ///     })
 ///     .collect();
-/// let stats = router.run_phase(traces.into_iter().map(Vec::into_iter).collect());
+/// let stats = router.run_phase_sources_threaded(sources, 2);
 /// assert_eq!(stats.aggregate().completed_requests, 4096);
 /// assert!(stats.utilization() > 0.8);
 /// # Ok(())
@@ -255,11 +256,16 @@ impl ChannelRouter {
     }
 
     /// The channel whose local clock is furthest behind among channels with
-    /// pending requests — the channel [`ChannelRouter::step`] would advance —
+    /// pending requests — the next channel a laggard-first drive advances —
     /// or `None` when no channel has pending work.
     #[must_use]
     pub fn laggard_channel(&self) -> Option<u32> {
-        self.laggard().map(|channel| channel as u32)
+        self.controllers
+            .iter()
+            .enumerate()
+            .filter(|(_, c)| c.pending_requests() > 0)
+            .min_by_key(|(_, c)| c.now())
+            .map(|(channel, _)| channel as u32)
     }
 
     /// The DRAM configuration shared by every channel.
@@ -268,163 +274,17 @@ impl ChannelRouter {
         self.controllers[0].config()
     }
 
-    /// Enqueues `request` on `channel`, returning `false` when that
-    /// channel's transaction queue is full.
+    /// Feeds one [`RequestSource`] per channel through that channel's
+    /// controller, keeping its queue saturated, then drains every channel
+    /// and returns the per-channel statistics of the window.
     ///
-    /// # Panics
-    ///
-    /// Panics if `channel` is out of range.
-    pub fn enqueue(&mut self, channel: u32, request: Request) -> bool {
-        self.controllers[channel as usize].enqueue(request)
-    }
-
-    /// Advances the shared clock by one step: the channel whose local clock
-    /// is furthest behind (among channels with pending work) takes one step
-    /// of its configured timing engine.  Returns `true` while any channel
-    /// has work left.
-    pub fn step(&mut self) -> bool {
-        if let Some(channel) = self.laggard() {
-            self.controllers[channel].step();
-        }
-        self.controllers.iter().any(|c| c.pending_requests() > 0)
-    }
-
-    /// The channel with the smallest local clock among those with pending
-    /// requests.
-    fn laggard(&self) -> Option<usize> {
-        self.controllers
-            .iter()
-            .enumerate()
-            .filter(|(_, c)| c.pending_requests() > 0)
-            .min_by_key(|(_, c)| c.now())
-            .map(|(i, _)| i)
-    }
-
-    /// Feeds one per-channel request stream through each channel under the
-    /// shared clock, keeping every channel's queues saturated
-    /// (back-pressure per channel), then drains all channels and returns the
-    /// per-channel statistics of the window.
-    ///
-    /// `traces` must hold exactly one iterator per channel, in channel
-    /// order.  Because channels do not interact, each channel's statistics
-    /// equal a stand-alone [`MemorySystem`](crate::MemorySystem) run of the
-    /// same stream; the shared clock only bounds how far channels drift
-    /// apart during the computation.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `traces.len()` differs from the channel count.
-    pub fn run_phase<I>(&mut self, traces: Vec<I>) -> CombinedStats
-    where
-        I: Iterator<Item = Request>,
-    {
-        assert_eq!(
-            traces.len(),
-            self.controllers.len(),
-            "one trace per channel required"
-        );
-        let mut traces: Vec<std::iter::Fuse<I>> = traces.into_iter().map(Iterator::fuse).collect();
-        loop {
-            // Fill each channel's free queue slots from its own stream.
-            for (controller, trace) in self.controllers.iter_mut().zip(&mut traces) {
-                let mut free = controller.free_slots();
-                while free > 0 {
-                    match trace.next() {
-                        Some(request) => {
-                            let accepted = controller.enqueue(request);
-                            debug_assert!(accepted, "enqueue within free_slots cannot fail");
-                            free -= 1;
-                        }
-                        None => break,
-                    }
-                }
-            }
-            // Advance the laggard channel until it can accept again (its
-            // stream cannot progress before then, and the other channels
-            // advance on their own turns).
-            match self.laggard() {
-                None => break,
-                Some(channel) => {
-                    let controller = &mut self.controllers[channel];
-                    controller.step();
-                    while !controller.can_accept() && controller.pending_requests() > 0 {
-                        controller.step();
-                    }
-                }
-            }
-        }
-        for controller in &mut self.controllers {
-            controller.drain();
-        }
-        self.stats()
-    }
-
-    /// Runs the same phase as [`ChannelRouter::run_phase`] with each
-    /// channel's controller on its own worker thread, producing
-    /// **bit-identical** [`CombinedStats`] (and, when completion logging is
-    /// enabled, bit-identical per-channel completion logs) for any
-    /// `threads` value.
-    ///
-    /// Channels never read each other's state, so the sequential laggard
-    /// clock only interleaves — it never alters — each channel's operation
-    /// sequence.  Every worker replays that per-channel projection
-    /// independently: fill the queue from the channel's own stream, burst
-    /// until the queue can accept again, refill, and finally drain.  The
-    /// per-channel statistics are reassembled in channel order at the join,
-    /// so the result does not depend on thread count, channel-to-worker
-    /// assignment, or completion order of the workers.
-    ///
-    /// `threads` is clamped to `1..=channels`; with a single thread the
-    /// channels are driven inline on the calling thread (still using the
-    /// per-channel projection, which is equivalent to the interleaved
-    /// sequential loop).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `traces.len()` differs from the channel count.
-    pub fn run_phase_threaded<I>(&mut self, traces: Vec<I>, threads: usize) -> CombinedStats
-    where
-        I: Iterator<Item = Request> + Send,
-    {
-        assert_eq!(
-            traces.len(),
-            self.controllers.len(),
-            "one trace per channel required"
-        );
-        let threads = threads.clamp(1, self.controllers.len().max(1));
-        if threads <= 1 {
-            for (controller, trace) in self.controllers.iter_mut().zip(traces) {
-                drive_channel(controller, trace);
-            }
-            return self.stats();
-        }
-        // Split the channels into `threads` contiguous chunks; the chunking
-        // is irrelevant to the result (each channel's work is independent),
-        // it only balances the load.
-        let chunk = self.controllers.len().div_ceil(threads);
-        let mut trace_chunks: Vec<Vec<I>> = Vec::new();
-        let mut traces = traces;
-        while !traces.is_empty() {
-            let rest = traces.split_off(chunk.min(traces.len()));
-            trace_chunks.push(std::mem::replace(&mut traces, rest));
-        }
-        std::thread::scope(|scope| {
-            for (controllers, chunk_traces) in self.controllers.chunks_mut(chunk).zip(trace_chunks)
-            {
-                scope.spawn(move || {
-                    for (controller, trace) in controllers.iter_mut().zip(chunk_traces) {
-                        drive_channel(controller, trace);
-                    }
-                });
-            }
-        });
-        self.stats()
-    }
-
-    /// The batched counterpart of [`ChannelRouter::run_phase_threaded`]:
-    /// one [`RequestSource`] per channel, each drained through a
-    /// [`BufferedRequests`] adapter on its worker thread.  Bit-identical to
-    /// [`ChannelRouter::run_phase_sources`] for any `threads` value.
+    /// The channels are driven in channel order on `threads` workers
+    /// (clamped to `1..=channels`; one thread drives them inline on the
+    /// calling thread).  Channels never read each other's state, so the
+    /// result is **bit-identical for any `threads` value**: it does not
+    /// depend on the thread count, the channel-to-worker assignment or the
+    /// order in which workers finish, and with completion logging enabled
+    /// the per-channel completion logs are identical too.
     ///
     /// # Panics
     ///
@@ -434,10 +294,41 @@ impl ChannelRouter {
         sources: Vec<S>,
         threads: usize,
     ) -> CombinedStats {
-        self.run_phase_threaded(
-            sources.into_iter().map(BufferedRequests::new).collect(),
-            threads,
-        )
+        let threads = threads.clamp(1, self.controllers.len().max(1));
+        if threads == 1 {
+            return self.run_phase_sources(sources);
+        }
+        assert_sources(sources.len(), self.controllers.len());
+        // Contiguous chunks of channels per worker: the chunking only
+        // balances the load, each channel's work is independent of it.
+        let chunk = self.controllers.len().div_ceil(threads);
+        let mut sources = sources.into_iter();
+        std::thread::scope(|scope| {
+            for controllers in self.controllers.chunks_mut(chunk) {
+                let chunk_sources: Vec<S> = sources.by_ref().take(controllers.len()).collect();
+                scope.spawn(move || {
+                    for (controller, source) in controllers.iter_mut().zip(chunk_sources) {
+                        drive_channel(controller, source);
+                    }
+                });
+            }
+        });
+        self.stats()
+    }
+
+    /// [`ChannelRouter::run_phase_sources_threaded`] on one thread: drives
+    /// the channels inline, in channel order.  Unlike the threaded entry
+    /// point it accepts sources that cannot cross threads.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `sources.len()` differs from the channel count.
+    pub fn run_phase_sources<S: RequestSource>(&mut self, sources: Vec<S>) -> CombinedStats {
+        assert_sources(sources.len(), self.controllers.len());
+        for (controller, source) in self.controllers.iter_mut().zip(sources) {
+            drive_channel(controller, source);
+        }
+        self.stats()
     }
 
     /// Drains every channel to completion, optionally in parallel.
@@ -468,23 +359,6 @@ impl ChannelRouter {
         });
     }
 
-    /// Feeds one batched [`RequestSource`] per channel through the shared
-    /// clock — the slice-at-a-time counterpart of
-    /// [`ChannelRouter::run_phase`].
-    ///
-    /// Each source is drained through a [`BufferedRequests`] adapter, so the
-    /// per-channel request sequences (and therefore the statistics) are
-    /// bit-identical to `run_phase` over the equivalent scalar iterators
-    /// while the mapping work runs in
-    /// [`BufferedRequests::DEFAULT_CHUNK`]-sized slices.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `sources.len()` differs from the channel count.
-    pub fn run_phase_sources<S: RequestSource>(&mut self, sources: Vec<S>) -> CombinedStats {
-        self.run_phase(sources.into_iter().map(BufferedRequests::new).collect())
-    }
-
     /// Snapshot of every channel's current statistics window.
     #[must_use]
     pub fn stats(&self) -> CombinedStats {
@@ -501,32 +375,46 @@ impl ChannelRouter {
     }
 }
 
-/// Drives one channel to completion: the per-channel projection of the
-/// sequential [`ChannelRouter::run_phase`] loop.
+fn assert_sources(sources: usize, channels: usize) {
+    assert_eq!(sources, channels, "one request source per channel required");
+}
+
+/// Requests a drive pulls from its source per refill.
+const REFILL: usize = 4096;
+
+/// Drives one channel through a phase — the crate's only fill-and-step
+/// loop, shared by [`ChannelRouter`] and
+/// [`MemorySystem::run_trace`](crate::MemorySystem::run_trace).
 ///
-/// Equivalence argument (pinned by `tests/parallel_differential.rs`): in the
-/// sequential loop a channel is refilled at the top of every outer
-/// iteration, but a refill only admits requests when the channel's own
-/// stepping freed queue slots — for every other channel the pass is a no-op
-/// (its queue is still full, or its trace is exhausted).  Projected onto one
-/// channel the sequential schedule is therefore exactly
-/// `fill, (burst-until-accepting, fill)*, drain`, which is what this loop
-/// executes.  The loop exits when a fill leaves the channel with no pending
-/// work, which in the sequential loop is exactly when the channel drops out
-/// of the laggard candidate set for good.
-fn drive_channel<I: Iterator<Item = Request>>(controller: &mut Controller, trace: I) {
-    let mut trace = trace.fuse();
+/// Each pass admits exactly the controller's free queue slots from a slice
+/// pulled off `source` ([`REFILL`] requests at a time), then steps the
+/// controller until it can accept again: while the queue is full no
+/// request can arrive, so stepping on is indistinguishable from
+/// re-entering the loop.  The source is never asked again after its first
+/// `fill` returning 0; the loop ends when a pass leaves the channel with no
+/// pending work, and the controller then drains.  The admitted sequence is
+/// the source's sequence whatever its slice sizes, so the statistics do not
+/// depend on how the source batches its work.
+pub(crate) fn drive_channel<S: RequestSource>(controller: &mut Controller, mut source: S) {
+    let mut slice = Vec::with_capacity(REFILL);
+    let mut next = 0;
+    let mut exhausted = false;
     loop {
         let mut free = controller.free_slots();
-        while free > 0 {
-            match trace.next() {
-                Some(request) => {
-                    let accepted = controller.enqueue(request);
-                    debug_assert!(accepted, "enqueue within free_slots cannot fail");
-                    free -= 1;
-                }
-                None => break,
+        while free > 0 && !exhausted {
+            if next == slice.len() {
+                slice.clear();
+                next = 0;
+                exhausted = source.fill(&mut slice, REFILL) == 0;
+                continue;
             }
+            let admit = free.min(slice.len() - next);
+            for &request in &slice[next..next + admit] {
+                let accepted = controller.enqueue(request);
+                debug_assert!(accepted, "enqueue within free_slots cannot fail");
+            }
+            next += admit;
+            free -= admit;
         }
         if controller.pending_requests() == 0 {
             break;
@@ -543,8 +431,10 @@ fn drive_channel<I: Iterator<Item = Request>>(controller: &mut Controller, trace
 mod tests {
     use super::*;
     use crate::geometry::ChannelTopology;
+    use crate::request::{IteratorSource, Request};
     use crate::sim::MemorySystem;
     use crate::standards::DramStandard;
+    use std::cell::Cell;
 
     fn config(channels: u32, ranks: u32) -> DramConfig {
         DramConfig::preset(DramStandard::Ddr4, 3200)
@@ -552,8 +442,12 @@ mod tests {
             .with_topology(ChannelTopology::new(channels, ranks))
     }
 
-    fn sequential(config: &DramConfig, n: u64) -> impl Iterator<Item = Request> + '_ {
+    fn sequential(config: &DramConfig, n: u64) -> impl Iterator<Item = Request> + Send + '_ {
         (0..n).map(|i| Request::write(config.decode_linear(i)))
+    }
+
+    fn sources<I: Iterator<Item = Request>>(traces: Vec<I>) -> Vec<IteratorSource<I>> {
+        traces.into_iter().map(IteratorSource).collect()
     }
 
     #[test]
@@ -561,7 +455,7 @@ mod tests {
         let cfg = config(1, 1);
         let n = 20_000u64;
         let mut router = ChannelRouter::new(cfg.clone(), ControllerConfig::default()).unwrap();
-        let combined = router.run_phase(vec![sequential(&cfg, n)]);
+        let combined = router.run_phase_sources(sources(vec![sequential(&cfg, n)]));
         let mut system = MemorySystem::new(cfg.clone()).unwrap();
         let reference = system.run_trace(sequential(&cfg, n));
         assert_eq!(combined.per_channel(), std::slice::from_ref(&reference));
@@ -574,11 +468,14 @@ mod tests {
         let single_cfg = config(1, 1);
         let mut single =
             ChannelRouter::new(single_cfg.clone(), ControllerConfig::default()).unwrap();
-        let single_stats = single.run_phase(vec![sequential(&single_cfg, n)]);
+        let single_stats = single.run_phase_sources(sources(vec![sequential(&single_cfg, n)]));
 
         let dual_cfg = config(2, 1);
         let mut dual = ChannelRouter::new(dual_cfg.clone(), ControllerConfig::default()).unwrap();
-        let dual_stats = dual.run_phase(vec![sequential(&dual_cfg, n), sequential(&dual_cfg, n)]);
+        let dual_stats = dual.run_phase_sources(sources(vec![
+            sequential(&dual_cfg, n),
+            sequential(&dual_cfg, n),
+        ]));
 
         assert_eq!(
             dual_stats.aggregate().completed_requests,
@@ -600,21 +497,6 @@ mod tests {
     }
 
     #[test]
-    fn run_phase_sources_matches_run_phase_bit_exactly() {
-        use crate::request::IteratorSource;
-        let cfg = config(2, 1);
-        let n = 10_000u64;
-        let mut scalar = ChannelRouter::new(cfg.clone(), ControllerConfig::default()).unwrap();
-        let scalar_stats = scalar.run_phase(vec![sequential(&cfg, n), sequential(&cfg, n / 2)]);
-        let mut batched = ChannelRouter::new(cfg.clone(), ControllerConfig::default()).unwrap();
-        let batched_stats = batched.run_phase_sources(vec![
-            IteratorSource(sequential(&cfg, n)),
-            IteratorSource(sequential(&cfg, n / 2)),
-        ]);
-        assert_eq!(scalar_stats, batched_stats);
-    }
-
-    #[test]
     fn per_channel_stats_are_independent_of_sibling_traffic() {
         // Channel 0 gets the same stream in both runs; channel 1's load must
         // not change channel 0's statistics.
@@ -622,11 +504,8 @@ mod tests {
         let n = 8_000u64;
         let run = |sibling: u64| {
             let mut router = ChannelRouter::new(cfg.clone(), ControllerConfig::default()).unwrap();
-            let traces: Vec<Box<dyn Iterator<Item = Request>>> = vec![
-                Box::new(sequential(&cfg, n)),
-                Box::new(sequential(&cfg, sibling)),
-            ];
-            router.run_phase(traces).per_channel()[0].clone()
+            let traces = vec![sequential(&cfg, n), sequential(&cfg, sibling)];
+            router.run_phase_sources(sources(traces)).per_channel()[0].clone()
         };
         assert_eq!(run(0), run(3 * n));
     }
@@ -647,7 +526,9 @@ mod tests {
         let run = |alternate: bool| {
             let mut router = ChannelRouter::new(cfg.clone(), ControllerConfig::default()).unwrap();
             router
-                .run_phase(vec![(0..n).map(move |i| Request::write(addr(i, alternate)))])
+                .run_phase_sources(sources(vec![
+                    (0..n).map(move |i| Request::write(addr(i, alternate)))
+                ]))
                 .aggregate()
         };
         let same = run(false);
@@ -751,7 +632,7 @@ mod tests {
     fn threaded_run_phase_is_bit_identical_for_any_thread_count() {
         // Four channels with deliberately unbalanced streams; every thread
         // count (including one that does not divide the channel count) must
-        // reproduce the sequential CombinedStats bit-exactly.
+        // reproduce the inline one-thread CombinedStats bit-exactly.
         let cfg = config(4, 1);
         let lengths = [9_000u64, 500, 4_321, 7];
         let traces = |cfg: &DramConfig| -> Vec<_> {
@@ -759,16 +640,16 @@ mod tests {
                 .iter()
                 .map(|&n| {
                     let cfg = cfg.clone();
-                    (0..n).map(move |i| Request::write(cfg.decode_linear(i)))
+                    IteratorSource((0..n).map(move |i| Request::write(cfg.decode_linear(i))))
                 })
                 .collect()
         };
-        let mut sequential = ChannelRouter::new(cfg.clone(), ControllerConfig::default()).unwrap();
-        let reference = sequential.run_phase(traces(&cfg));
+        let mut inline = ChannelRouter::new(cfg.clone(), ControllerConfig::default()).unwrap();
+        let reference = inline.run_phase_sources(traces(&cfg));
         for threads in [1usize, 2, 3, 4, 16] {
             let mut threaded =
                 ChannelRouter::new(cfg.clone(), ControllerConfig::default()).unwrap();
-            let stats = threaded.run_phase_threaded(traces(&cfg), threads);
+            let stats = threaded.run_phase_sources_threaded(traces(&cfg), threads);
             assert_eq!(stats, reference, "threads={threads}");
         }
     }
@@ -777,7 +658,7 @@ mod tests {
     fn threaded_run_phase_preserves_completion_log_ordering() {
         // With completion logging on, the per-channel completion logs (the
         // per-request ordering the stream scheduler observes) must match the
-        // sequential path exactly, channel by channel.
+        // inline drive exactly, channel by channel.
         let cfg = config(2, 1);
         let n = 3_000u64;
         let run = |threads: Option<usize>| {
@@ -785,13 +666,10 @@ mod tests {
             for channel in 0..2 {
                 router.controller_mut(channel).set_completion_logging(true);
             }
-            let traces = vec![
-                Box::new(sequential(&cfg, n)) as Box<dyn Iterator<Item = Request> + Send>,
-                Box::new(sequential(&cfg, n / 3)),
-            ];
+            let traces = sources(vec![sequential(&cfg, n), sequential(&cfg, n / 3)]);
             let stats = match threads {
-                None => router.run_phase(traces),
-                Some(t) => router.run_phase_threaded(traces, t),
+                None => router.run_phase_sources(traces),
+                Some(t) => router.run_phase_sources_threaded(traces, t),
             };
             let logs: Vec<Vec<_>> = (0..2)
                 .map(|c| router.controller_mut(c).drain_completions().collect())
@@ -815,7 +693,8 @@ mod tests {
             let mut router = ChannelRouter::new(cfg.clone(), ControllerConfig::default()).unwrap();
             for channel in 0..4u32 {
                 for i in 0..(16 * (u64::from(channel) + 1)) {
-                    router.enqueue(channel, Request::write(cfg.decode_linear(i)));
+                    let controller = router.controller_mut(channel);
+                    assert!(controller.enqueue(Request::write(cfg.decode_linear(i))));
                 }
             }
             router
@@ -834,11 +713,11 @@ mod tests {
         let cfg = config(1, 1);
         let n = 5_000u64;
         let mut plain = ChannelRouter::new(cfg.clone(), ControllerConfig::default()).unwrap();
-        let plain_stats = plain.run_phase(vec![sequential(&cfg, n)]);
+        let plain_stats = plain.run_phase_sources(sources(vec![sequential(&cfg, n)]));
 
         let mut logged = ChannelRouter::new(cfg.clone(), ControllerConfig::default()).unwrap();
         logged.controller_mut(0).set_completion_logging(true);
-        let logged_stats = logged.run_phase(vec![sequential(&cfg, n)]);
+        let logged_stats = logged.run_phase_sources(sources(vec![sequential(&cfg, n)]));
         assert_eq!(plain_stats, logged_stats, "logging must not perturb timing");
 
         let completions: Vec<_> = logged.controller_mut(0).drain_completions().collect();
@@ -878,7 +757,6 @@ mod tests {
 
     #[test]
     fn mid_phase_source_exhaustion_terminates_and_matches_iterator_path() {
-        use crate::request::IteratorSource;
         // One channel's source dries up mid-phase (fill returns 0 after 1000
         // requests while the sibling channel still has work): the run must
         // terminate cleanly and stay bit-identical to scalar iterators
@@ -887,9 +765,9 @@ mod tests {
         let n = 6_000u64;
         let cut = 1_000usize;
         let mut scalar = ChannelRouter::new(cfg.clone(), ControllerConfig::default()).unwrap();
-        let scalar_stats = scalar.run_phase(vec![
-            Box::new(sequential(&cfg, n)) as Box<dyn Iterator<Item = Request>>,
-            Box::new(sequential(&cfg, n).take(cut)),
+        let scalar_stats = scalar.run_phase_sources(vec![
+            IteratorSource(Box::new(sequential(&cfg, n)) as Box<dyn Iterator<Item = Request>>),
+            IteratorSource(Box::new(sequential(&cfg, n).take(cut))),
         ]);
         let mut batched = ChannelRouter::new(cfg.clone(), ControllerConfig::default()).unwrap();
         let batched_stats = batched.run_phase_sources(vec![
@@ -907,5 +785,66 @@ mod tests {
             batched_stats.per_channel()[1].completed_requests,
             cut as u64
         );
+    }
+
+    /// Appends the scripted slice sizes in order, whatever `max` asks for,
+    /// and counts its `fill` calls; a 0 entry reports exhaustion even when
+    /// later entries remain.
+    struct ScriptedSource<'a, I> {
+        inner: I,
+        slices: std::vec::IntoIter<usize>,
+        calls: &'a Cell<usize>,
+    }
+
+    impl<I: Iterator<Item = Request>> RequestSource for ScriptedSource<'_, I> {
+        fn fill(&mut self, out: &mut Vec<Request>, _max: usize) -> usize {
+            self.calls.set(self.calls.get() + 1);
+            let before = out.len();
+            let size = self.slices.next().unwrap_or(0);
+            out.extend(self.inner.by_ref().take(size));
+            out.len() - before
+        }
+    }
+
+    #[test]
+    fn drive_admits_the_same_sequence_for_any_source_slice_size() {
+        // Slices smaller than a queue, straddling the free-slot boundary,
+        // and larger than the drive's own refill (a source may overshoot
+        // `max`) all admit the source's sequence unchanged.
+        let cfg = config(1, 1);
+        let n = 12_000u64;
+        let mut reference = ChannelRouter::new(cfg.clone(), ControllerConfig::default()).unwrap();
+        let expected = reference.run_phase_sources(sources(vec![sequential(&cfg, n)]));
+        for size in [1usize, 7, 65, REFILL + 255, 3 * REFILL] {
+            let calls = Cell::new(0);
+            let source = ScriptedSource {
+                inner: sequential(&cfg, n),
+                slices: vec![size; n as usize].into_iter(),
+                calls: &calls,
+            };
+            let mut router = ChannelRouter::new(cfg.clone(), ControllerConfig::default()).unwrap();
+            assert_eq!(
+                router.run_phase_sources(vec![source]),
+                expected,
+                "slice size {size}"
+            );
+        }
+    }
+
+    #[test]
+    fn drive_never_refills_after_the_source_reports_exhaustion() {
+        // The source serves 5 then 3 requests, then reports exhaustion; a
+        // later slice must never be requested or admitted.
+        let cfg = config(1, 1);
+        let calls = Cell::new(0);
+        let source = ScriptedSource {
+            inner: sequential(&cfg, 100),
+            slices: vec![5, 3, 0, 4].into_iter(),
+            calls: &calls,
+        };
+        let mut router = ChannelRouter::new(cfg.clone(), ControllerConfig::default()).unwrap();
+        let stats = router.run_phase_sources(vec![source]);
+        assert_eq!(stats.aggregate().completed_requests, 8);
+        assert_eq!(calls.get(), 3);
     }
 }

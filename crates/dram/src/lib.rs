@@ -55,7 +55,7 @@
 //! | module | contents |
 //! |---|---|
 //! | [`geometry`] | [`DeviceGeometry`] (banks, bank groups, rows, columns, burst length) and [`ChannelTopology`] (channels × ranks) |
-//! | [`channel`] | [`ChannelRouter`]: one controller per channel under a shared clock, with aggregated [`CombinedStats`] |
+//! | [`channel`] | [`ChannelRouter`]: one controller per channel, each fed from its own request source, with aggregated [`CombinedStats`] |
 //! | [`timing`] | [`TimingParams`]: all timing constraints in device clock cycles |
 //! | [`standards`] | presets for the ten configurations evaluated in the paper |
 //! | [`address`] | [`PhysicalAddress`] and linear-address decoding schemes |
@@ -105,7 +105,7 @@ pub use geometry::{ChannelTopology, DeviceGeometry};
 pub use permutation::{
     AddressField, BitPermutation, FoldOp, FoldStep, PermutationMapping, XorFold,
 };
-pub use request::{BufferedRequests, IteratorSource, Request, RequestKind, RequestSource};
+pub use request::{IteratorSource, Request, RequestKind, RequestSource};
 pub use sim::MemorySystem;
 pub use standards::{DramConfig, DramStandard};
 pub use stats::Stats;

@@ -54,11 +54,12 @@ impl Request {
 /// A pull-driven producer of request batches — the slice-at-a-time
 /// counterpart of an `Iterator<Item = Request>` front-end.
 ///
-/// Batched trace generators implement this so the controller fill loops can
+/// Batched trace generators implement this so the controller fill loop can
 /// amortize per-request mapping work over whole slices (see
-/// [`MemorySystem::run_source`](crate::MemorySystem::run_source) and
-/// [`ChannelRouter::run_phase_sources`](crate::ChannelRouter::run_phase_sources)).
-/// The requests produced across successive `fill` calls must form the same
+/// [`ChannelRouter::run_phase_sources_threaded`](crate::ChannelRouter::run_phase_sources_threaded));
+/// scalar iterators reach the same loop through [`IteratorSource`], as
+/// [`MemorySystem::run_trace`](crate::MemorySystem::run_trace) does.  The
+/// requests produced across successive `fill` calls must form the same
 /// sequence the equivalent scalar iterator would yield, so driver statistics
 /// stay bit-identical between the two paths.
 pub trait RequestSource {
@@ -84,69 +85,6 @@ impl<I: Iterator<Item = Request>> RequestSource for IteratorSource<I> {
         out.len() - before
     }
 }
-
-/// Drains a [`RequestSource`] one request at a time through an internal
-/// chunk buffer.
-///
-/// This is how the batched sources plug into the existing saturation loops:
-/// the per-element cost collapses to a buffered `Vec` read while the mapping
-/// work happens in [`RequestSource::fill`]-sized slices.  Because the
-/// sequence is unchanged, statistics are bit-identical to the scalar path.
-#[derive(Debug)]
-pub struct BufferedRequests<S> {
-    source: S,
-    buffer: Vec<Request>,
-    position: usize,
-    chunk: usize,
-    exhausted: bool,
-}
-
-impl<S: RequestSource> BufferedRequests<S> {
-    /// Default refill size in requests.
-    pub const DEFAULT_CHUNK: usize = 4096;
-
-    /// Wraps `source` with the default chunk size.
-    #[must_use]
-    pub fn new(source: S) -> Self {
-        Self::with_chunk(source, Self::DEFAULT_CHUNK)
-    }
-
-    /// Wraps `source`, refilling `chunk` requests at a time (clamped to at
-    /// least 1).
-    #[must_use]
-    pub fn with_chunk(source: S, chunk: usize) -> Self {
-        Self {
-            source,
-            buffer: Vec::new(),
-            position: 0,
-            chunk: chunk.max(1),
-            exhausted: false,
-        }
-    }
-}
-
-impl<S: RequestSource> Iterator for BufferedRequests<S> {
-    type Item = Request;
-
-    fn next(&mut self) -> Option<Request> {
-        if self.position == self.buffer.len() {
-            if self.exhausted {
-                return None;
-            }
-            self.buffer.clear();
-            self.position = 0;
-            if self.source.fill(&mut self.buffer, self.chunk) == 0 {
-                self.exhausted = true;
-                return None;
-            }
-        }
-        let request = self.buffer[self.position];
-        self.position += 1;
-        Some(request)
-    }
-}
-
-impl<S: RequestSource> std::iter::FusedIterator for BufferedRequests<S> {}
 
 #[cfg(test)]
 mod tests {
@@ -176,57 +114,5 @@ mod tests {
         assert_eq!(source.fill(&mut out, 4), 2);
         assert_eq!(source.fill(&mut out, 4), 0);
         assert_eq!(out, requests);
-    }
-
-    /// Serves scripted chunk sizes, then reports exhaustion (`fill`
-    /// returning 0) even though more requests could exist — models a source
-    /// that dries up mid-phase.
-    struct ScriptedSource {
-        chunks: Vec<usize>,
-        next: u32,
-    }
-
-    impl RequestSource for ScriptedSource {
-        fn fill(&mut self, out: &mut Vec<Request>, _max: usize) -> usize {
-            match self.chunks.pop() {
-                None | Some(0) => 0,
-                Some(count) => {
-                    for _ in 0..count {
-                        out.push(Request::write(PhysicalAddress::new(0, 0, self.next, 0)));
-                        self.next += 1;
-                    }
-                    count
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn buffered_requests_terminate_cleanly_on_mid_stream_exhaustion() {
-        // The source serves 5 then 3 requests, then returns 0: the adapter
-        // must yield exactly those 8 in order, report exhaustion, stay
-        // fused, and never call `fill` again after the first 0.
-        let mut buffered = BufferedRequests::new(ScriptedSource {
-            chunks: vec![3, 5], // popped back-to-front
-            next: 0,
-        });
-        let drained: Vec<Request> = buffered.by_ref().collect();
-        assert_eq!(drained, numbered(8));
-        assert_eq!(buffered.next(), None, "fused after mid-stream exhaustion");
-        assert_eq!(buffered.next(), None);
-    }
-
-    #[test]
-    fn buffered_requests_preserve_the_sequence_for_any_chunk_size() {
-        let requests = numbered(23);
-        for chunk in [1usize, 2, 7, 23, 100] {
-            let drained: Vec<Request> =
-                BufferedRequests::with_chunk(IteratorSource(requests.iter().copied()), chunk)
-                    .collect();
-            assert_eq!(drained, requests, "chunk={chunk}");
-        }
-        let mut empty = BufferedRequests::new(IteratorSource(std::iter::empty()));
-        assert_eq!(empty.next(), None);
-        assert_eq!(empty.next(), None, "fused after exhaustion");
     }
 }

@@ -1,9 +1,10 @@
 //! The user-facing memory system: a thin driver around [`Controller`].
 
+use crate::channel::drive_channel;
 use crate::controller::{Controller, ControllerConfig, TimingEngine};
 use crate::energy::{EnergyParams, EnergyReport};
 use crate::error::ConfigError;
-use crate::request::{BufferedRequests, Request, RequestSource};
+use crate::request::{IteratorSource, Request};
 use crate::standards::DramConfig;
 use crate::stats::Stats;
 
@@ -110,52 +111,15 @@ impl MemorySystem {
     ///
     /// This models the paper's measurement setup: the interleaver front-end
     /// always has the next burst ready, so the achieved bandwidth is limited
-    /// only by the DRAM.
+    /// only by the DRAM.  The trace runs through the same per-channel loop
+    /// as [`ChannelRouter`](crate::ChannelRouter), adapted by
+    /// [`IteratorSource`].
     pub fn run_trace<I>(&mut self, trace: I) -> Stats
     where
         I: IntoIterator<Item = Request>,
     {
-        let mut trace = trace.into_iter();
-        let mut exhausted = false;
-        loop {
-            // Fill exactly the free queue slots (no failed-enqueue probing).
-            let mut free = self.controller.free_slots();
-            while free > 0 && !exhausted {
-                match trace.next() {
-                    Some(item) => {
-                        let accepted = self.controller.enqueue(item);
-                        debug_assert!(accepted, "enqueue within free_slots cannot fail");
-                        free -= 1;
-                    }
-                    None => exhausted = true,
-                }
-            }
-            if self.controller.pending_requests() == 0 {
-                break;
-            }
-            // While the queue is full no request can arrive, so stepping
-            // repeatedly is indistinguishable from re-entering this loop;
-            // batching until a slot frees up skips the refill bookkeeping.
-            self.controller.step();
-            while !self.controller.can_accept() && self.controller.pending_requests() > 0 {
-                self.controller.step();
-            }
-        }
-        self.controller.drain();
+        drive_channel(&mut self.controller, IteratorSource(trace.into_iter()));
         self.controller.stats().clone()
-    }
-
-    /// Feeds a batched [`RequestSource`] through the controller — the
-    /// slice-at-a-time counterpart of [`MemorySystem::run_trace`].
-    ///
-    /// The source's mapping work runs in
-    /// [`BufferedRequests::DEFAULT_CHUNK`]-sized slices (amortizing the
-    /// per-request address-generation cost) while the controller still sees
-    /// the identical request sequence with identical back-pressure, so the
-    /// returned statistics are bit-identical to `run_trace` over the
-    /// equivalent scalar iterator.
-    pub fn run_source<S: RequestSource>(&mut self, source: S) -> Stats {
-        self.run_trace(BufferedRequests::new(source))
     }
 
     /// Resets the statistics window (see [`Controller::reset_stats`]).
@@ -241,20 +205,6 @@ mod tests {
             rnd_stats.bus_utilization()
         );
         assert!(rnd_stats.row_hit_rate() < seq_stats.row_hit_rate());
-    }
-
-    #[test]
-    fn run_source_matches_run_trace_bit_exactly() {
-        use crate::request::IteratorSource;
-        let (config, mut scalar) = system(DramStandard::Ddr4, 3200);
-        let (_, mut batched) = system(DramStandard::Ddr4, 3200);
-        let n = 10_000u64;
-        let scalar_stats =
-            scalar.run_trace((0..n).map(|i| Request::write(config.decode_linear(i))));
-        let batched_stats = batched.run_source(IteratorSource(
-            (0..n).map(|i| Request::write(config.decode_linear(i))),
-        ));
-        assert_eq!(scalar_stats, batched_stats);
     }
 
     #[test]

@@ -1,25 +1,30 @@
-//! Randomized sequential-vs-threaded differential testing: for **random**
-//! small geometries, channel topologies, controller configurations, request
-//! patterns and worker counts, [`ChannelRouter::run_phase_threaded`] must
-//! produce [`CombinedStats`] bit-identical to the sequential
-//! [`ChannelRouter::run_phase`] — every per-channel field, including
-//! diagnostics such as `stall_cycles`.
+//! Randomized differential testing of the router's per-channel drive: for
+//! **random** small geometries, channel topologies, controller
+//! configurations, request patterns and worker counts,
+//! [`ChannelRouter::run_phase_sources_threaded`] must produce
+//! [`CombinedStats`] bit-identical to the laggard-first global schedule —
+//! every per-channel field, including diagnostics such as `stall_cycles`.
 //!
-//! The threaded drive replays each channel's projection of the sequential
-//! admission schedule (fill, burst-until-accepting, fill, …, drain) on its
-//! own worker; channels share no state, so the worker count and the
-//! channel-to-worker distribution must never leak into the results.  This
-//! suite pins that invariant the same way `engine_differential.rs` pins
-//! cycle/event equivalence.  The case count follows proptest's default (64)
-//! and is raised in CI via `PROPTEST_CASES`.
+//! The laggard-first schedule (fill every channel's free slots, advance the
+//! channel whose clock is furthest behind until it can accept again, repeat,
+//! drain) is kept here as the oracle, written against the router's
+//! `laggard_channel`/`controller_mut` seam that the `tbi_sched` stream
+//! scheduler drives through.  The router instead runs each channel's
+//! projection of that schedule (fill, burst-until-accepting, fill, …, drain)
+//! on its own, inline or on a worker; channels share no state, so neither
+//! the schedule, the worker count nor the channel-to-worker distribution may
+//! leak into the results.  This suite pins that invariant the same way
+//! `engine_differential.rs` pins cycle/event equivalence.  The case count
+//! follows proptest's default (64) and is raised in CI via
+//! `PROPTEST_CASES`.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use tbi_dram::{
-    ChannelRouter, ChannelTopology, CombinedStats, ControllerConfig, DramConfig, PagePolicy,
-    RefreshMode, Request, SchedulingPolicy, TimingEngine,
+    ChannelRouter, ChannelTopology, CombinedStats, ControllerConfig, DramConfig, IteratorSource,
+    PagePolicy, RefreshMode, Request, SchedulingPolicy, TimingEngine,
 };
 
 /// Builds a small, valid multi-channel DRAM configuration from sampled axis
@@ -47,7 +52,7 @@ fn small_config(
 
 /// Generates one channel's request pattern mixing sequential runs (row
 /// hits), strided jumps (conflicts, bank/rank switches) and direction
-/// changes — addresses are channel-local, as `run_phase` expects.
+/// changes — addresses are channel-local, as the router expects.
 fn pattern(config: &DramConfig, seed: u64, requests: usize) -> Vec<Request> {
     let mut rng = StdRng::seed_from_u64(seed);
     let capacity = config.geometry.total_bursts() * u64::from(config.topology.ranks);
@@ -89,8 +94,49 @@ fn traces(config: &DramConfig, seed: u64, base: usize) -> Vec<Vec<Request>> {
         .collect()
 }
 
-/// Drives a fresh router over `traces` with `threads` workers (0 selects
-/// the sequential `run_phase` path) and returns the combined statistics.
+/// The laggard-first global schedule over `traces`: fill every channel's
+/// free queue slots from its own trace, advance the channel whose local
+/// clock is furthest behind until it can accept again, repeat; finally
+/// drain every channel.
+fn laggard_first(router: &mut ChannelRouter, traces: &[Vec<Request>]) -> CombinedStats {
+    let mut admitted = vec![0usize; traces.len()];
+    loop {
+        for ((channel, trace), next) in (0u32..).zip(traces).zip(&mut admitted) {
+            let controller = router.controller_mut(channel);
+            let end = (*next + controller.free_slots()).min(trace.len());
+            for &request in &trace[*next..end] {
+                assert!(controller.enqueue(request), "enqueue within free_slots");
+            }
+            *next = end;
+        }
+        let Some(channel) = router.laggard_channel() else {
+            break;
+        };
+        let controller = router.controller_mut(channel);
+        controller.step();
+        while !controller.can_accept() && controller.pending_requests() > 0 {
+            controller.step();
+        }
+    }
+    router.drain_all(1);
+    router.stats()
+}
+
+/// Runs one phase of `traces` on `router` with `threads` workers (0 selects
+/// the laggard-first oracle) and returns the combined statistics.
+fn drive(router: &mut ChannelRouter, traces: &[Vec<Request>], threads: usize) -> CombinedStats {
+    if threads == 0 {
+        laggard_first(router, traces)
+    } else {
+        let sources = traces
+            .iter()
+            .map(|t| IteratorSource(t.iter().copied()))
+            .collect();
+        router.run_phase_sources_threaded(sources, threads)
+    }
+}
+
+/// Drives a fresh router over `traces` (see [`drive`]).
 fn run(
     config: &DramConfig,
     ctrl: ControllerConfig,
@@ -98,20 +144,15 @@ fn run(
     threads: usize,
 ) -> CombinedStats {
     let mut router = ChannelRouter::new(config.clone(), ctrl).expect("router builds");
-    let iters: Vec<_> = traces.iter().map(|t| t.iter().copied()).collect();
-    if threads == 0 {
-        router.run_phase(iters)
-    } else {
-        router.run_phase_threaded(iters, threads)
-    }
+    drive(&mut router, traces, threads)
 }
 
 proptest! {
     /// The headline differential property: identical `CombinedStats` from
-    /// the sequential and threaded drives for random (geometry × channel
-    /// topology × refresh × scheduling × page-policy × queue × engine ×
-    /// pattern × thread-count) combinations, including thread counts that
-    /// are odd or exceed the channel count.
+    /// the laggard-first oracle and the per-channel drive for random
+    /// (geometry × channel topology × refresh × scheduling × page-policy ×
+    /// queue × engine × pattern × thread-count) combinations, including
+    /// thread counts that are odd or exceed the channel count.
     #[test]
     fn threaded_drive_matches_sequential_on_random_configurations(
         preset_idx in 0usize..10,
@@ -208,13 +249,7 @@ proptest! {
                             .collect()
                     })
                     .collect();
-                let iters: Vec<_> =
-                    phase_traces.iter().map(|t| t.iter().copied()).collect();
-                windows.push(if threads == 0 {
-                    router.run_phase(iters)
-                } else {
-                    router.run_phase_threaded(iters, threads)
-                });
+                windows.push(drive(&mut router, &phase_traces, threads));
                 router.reset_stats();
             }
             windows

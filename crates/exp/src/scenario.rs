@@ -4,15 +4,15 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use tbi_dram::{
-    ControllerConfig, DramConfig, DramStandard, EnergyParams, EnergyReport, RefreshMode,
-    TimingEngine,
+    CombinedStats, ConfigError, ControllerConfig, DramConfig, DramStandard, EnergyParams,
+    EnergyReport, RefreshMode, TimingEngine,
 };
 use tbi_interleaver::mapping::DramMapping;
 use tbi_interleaver::{InterleaverSpec, MappingKind, ThroughputEvaluator};
 use tbi_satcom::{GilbertElliott, LinkConfig, LinkProfile, LinkSimulation};
 
 use tbi_sched::{
-    PhasePattern, QosClass, SchedConfig, SchedPolicyKind, StreamScheduler, StreamSpec,
+    PhasePattern, QosClass, SchedConfig, SchedError, SchedPolicyKind, StreamScheduler, StreamSpec,
 };
 
 use crate::record::{LinkRecord, Record, TenantLatency, TenantSummary};
@@ -415,130 +415,25 @@ impl Scenario {
     /// Returns [`ExpError`] if the mapping cannot be built, the interleaver
     /// does not fit the device, or the optional link stage fails.
     pub fn run(&self) -> Result<Record, ExpError> {
-        if self.tenants.is_some() {
-            self.run_tenant_mode()
-        } else if self.dram.topology.is_single() {
-            self.run_single_channel()
-        } else {
-            self.run_multi_channel()
+        match self.tenants {
+            Some(stage) => self.run_tenant_mode(stage),
+            None => self.run_phases(),
         }
     }
 
-    /// The legacy single-channel, single-rank path — kept verbatim so the
-    /// `1 × 1` topology reproduces the Table I records bit-identically.
-    fn run_single_channel(&self) -> Result<Record, ExpError> {
+    /// The write and read phase on any topology: traffic is striped across
+    /// the channels by the mapping's channel-aware variant, each channel
+    /// runs under its own controller, and the per-channel statistics are
+    /// aggregated (see [`ChannelRouter`](tbi_dram::channel::ChannelRouter)).
+    fn run_phases(&self) -> Result<Record, ExpError> {
         let started = std::time::Instant::now();
         let report = self.evaluator().evaluate(self.mapping)?;
         let wall_time_s = started.elapsed().as_secs_f64();
-        let mut totals = report.write.stats.clone();
-        totals.merge(&report.read.stats);
-        let simulated_cycles = totals.elapsed_cycles;
-        let sim_cycles_per_second = if wall_time_s > 0.0 {
-            simulated_cycles as f64 / wall_time_s
-        } else {
-            0.0
-        };
-        let energy =
-            EnergyReport::from_stats(&totals, &self.dram, &EnergyParams::for_config(&self.dram));
-        let link = self.link.as_ref().map(LinkStage::run).transpose()?;
-        Ok(Record {
-            scenario_id: self.id(),
-            dram_label: self.dram.label(),
-            mapping: self.mapping.label(),
-            bursts: self.spec.burst_count(),
-            dimension: self.spec.dimension(),
-            refresh_disabled: self.controller.refresh_mode == Some(RefreshMode::Disabled),
-            channels: 1,
-            ranks: 1,
-            write_utilization: report.write.utilization,
-            read_utilization: report.read.utilization,
-            min_utilization: report.min_utilization(),
-            sustained_gbps: report.sustained_throughput_gbps(),
-            aggregate_gbps: report.sustained_throughput_gbps(),
-            channel_utilization_spread: 0.0,
-            write_row_hit_rate: report.write.stats.row_hit_rate(),
-            read_row_hit_rate: report.read.stats.row_hit_rate(),
-            activates: totals.activates,
-            energy_total_mj: energy.total_mj,
-            energy_nj_per_byte: energy.nj_per_byte,
-            simulated_cycles,
-            threads: self.threads as u32,
+        self.record(
+            &[&report.write.stats, &report.read.stats],
             wall_time_s,
-            sim_cycles_per_second,
-            link,
-            tenants: None,
-        })
-    }
-
-    /// The multi-channel/multi-rank path: traffic is striped across the
-    /// channels by the mapping's channel-aware variant, each channel runs
-    /// under its own controller, and the per-channel statistics are
-    /// aggregated (see
-    /// [`ChannelRouter`](tbi_dram::channel::ChannelRouter)).
-    fn run_multi_channel(&self) -> Result<Record, ExpError> {
-        let started = std::time::Instant::now();
-        let report = self.evaluator().evaluate_channels(self.mapping)?;
-        let wall_time_s = started.elapsed().as_secs_f64();
-        let params = EnergyParams::for_config(&self.dram);
-        // Energy and counters per channel (each channel's device pays its
-        // own background power over its own elapsed window), summed into
-        // subsystem totals.
-        let mut energy_total_mj = 0.0;
-        let mut total_bytes = 0.0;
-        let mut activates = 0u64;
-        let mut simulated_cycles = 0u64;
-        let channels = self.dram.topology.channels as usize;
-        for channel in 0..channels {
-            let mut totals = report.write.stats.per_channel()[channel].clone();
-            totals.merge(&report.read.stats.per_channel()[channel]);
-            let energy = EnergyReport::from_stats(&totals, &self.dram, &params);
-            energy_total_mj += energy.total_mj;
-            total_bytes += (totals.read_bursts + totals.write_bursts) as f64
-                * f64::from(self.dram.geometry.burst_bytes());
-            activates += totals.activates;
-            simulated_cycles += totals.elapsed_cycles;
-        }
-        let energy_nj_per_byte = if total_bytes > 0.0 {
-            energy_total_mj * 1e6 / total_bytes
-        } else {
-            0.0
-        };
-        let sim_cycles_per_second = if wall_time_s > 0.0 {
-            simulated_cycles as f64 / wall_time_s
-        } else {
-            0.0
-        };
-        let aggregate_gbps = report.sustained_aggregate_gbps();
-        let link = self.link.as_ref().map(LinkStage::run).transpose()?;
-        let write_hit = report.write.stats.aggregate().row_hit_rate();
-        let read_hit = report.read.stats.aggregate().row_hit_rate();
-        Ok(Record {
-            scenario_id: self.id(),
-            dram_label: self.dram.label(),
-            mapping: self.mapping.label(),
-            bursts: self.spec.burst_count(),
-            dimension: self.spec.dimension(),
-            refresh_disabled: self.controller.refresh_mode == Some(RefreshMode::Disabled),
-            channels: self.dram.topology.channels,
-            ranks: self.dram.topology.ranks,
-            write_utilization: report.write.utilization,
-            read_utilization: report.read.utilization,
-            min_utilization: report.min_utilization(),
-            sustained_gbps: aggregate_gbps / f64::from(self.dram.topology.channels),
-            aggregate_gbps,
-            channel_utilization_spread: report.utilization_spread(),
-            write_row_hit_rate: write_hit,
-            read_row_hit_rate: read_hit,
-            activates,
-            energy_total_mj,
-            energy_nj_per_byte,
-            simulated_cycles,
-            threads: self.threads as u32,
-            wall_time_s,
-            sim_cycles_per_second,
-            link,
-            tenants: None,
-        })
+            None,
+        )
     }
 
     /// The multi-tenant path: `streams` concurrent copies of the
@@ -548,10 +443,7 @@ impl Scenario {
     /// per-phase utilization columns both carry the combined window's bus
     /// utilization), and the per-tenant latency metrics fill
     /// [`Record::tenants`].
-    fn run_tenant_mode(&self) -> Result<Record, ExpError> {
-        let stage = self
-            .tenants
-            .expect("run_tenant_mode requires a tenant stage");
+    fn run_tenant_mode(&self, stage: TenantStage) -> Result<Record, ExpError> {
         let started = std::time::Instant::now();
         let streams: Vec<StreamSpec> = (0..stage.streams)
             .map(|index| {
@@ -567,43 +459,15 @@ impl Scenario {
             .with_threads(self.threads);
         let scheduler = StreamScheduler::new(self.dram.clone(), self.controller, streams, sched)
             .map_err(|error| match error {
-                tbi_sched::SchedError::Config(e) => ExpError::Dram(e),
-                tbi_sched::SchedError::Interleaver(e) => ExpError::Interleaver(e),
-                tbi_sched::SchedError::NoStreams => {
-                    unreachable!("tenant stage always builds at least one stream")
-                }
+                SchedError::Config(e) => ExpError::Dram(e),
+                SchedError::Interleaver(e) => ExpError::Interleaver(e),
+                SchedError::NoStreams => ExpError::Dram(ConfigError::InvalidController {
+                    field: "tenant streams",
+                    reason: "a tenant stage needs at least one stream".to_string(),
+                }),
             })?;
         let report = scheduler.run();
         let wall_time_s = started.elapsed().as_secs_f64();
-        let params = EnergyParams::for_config(&self.dram);
-        let mut energy_total_mj = 0.0;
-        let mut total_bytes = 0.0;
-        let mut activates = 0u64;
-        let mut simulated_cycles = 0u64;
-        for stats in report.stats.per_channel() {
-            let energy = EnergyReport::from_stats(stats, &self.dram, &params);
-            energy_total_mj += energy.total_mj;
-            total_bytes += (stats.read_bursts + stats.write_bursts) as f64
-                * f64::from(self.dram.geometry.burst_bytes());
-            activates += stats.activates;
-            simulated_cycles += stats.elapsed_cycles;
-        }
-        let energy_nj_per_byte = if total_bytes > 0.0 {
-            energy_total_mj * 1e6 / total_bytes
-        } else {
-            0.0
-        };
-        let sim_cycles_per_second = if wall_time_s > 0.0 {
-            simulated_cycles as f64 / wall_time_s
-        } else {
-            0.0
-        };
-        let utilization = report.stats.utilization();
-        let aggregate_gbps = report
-            .stats
-            .aggregate_bandwidth_gbps(self.dram.clock_mhz(), self.dram.geometry.bus_width_bits);
-        let row_hit_rate = report.stats.aggregate().row_hit_rate();
-        let link = self.link.as_ref().map(LinkStage::run).transpose()?;
         let per_tenant = report
             .tenants
             .iter()
@@ -627,6 +491,53 @@ impl Scenario {
             deadline_misses: report.total_deadline_misses(),
             per_tenant,
         };
+        self.record(&[&report.stats], wall_time_s, Some(tenants))
+    }
+
+    /// Assembles the record of a run from its statistics windows, in order:
+    /// the write and the read phase, or a tenant run's one combined window.
+    /// The write columns come from the first window, the read columns from
+    /// the last and the limits from the worse window.  Energy and counters
+    /// are taken per channel over all windows (each channel's device pays
+    /// its own background power over its own elapsed window) and summed
+    /// into subsystem totals.  The optional link stage runs here, outside
+    /// the timed simulation.
+    fn record(
+        &self,
+        windows: &[&CombinedStats],
+        wall_time_s: f64,
+        tenants: Option<TenantSummary>,
+    ) -> Result<Record, ExpError> {
+        let (write, read) = (windows[0], windows[windows.len() - 1]);
+        let (clock, width) = (self.dram.clock_mhz(), self.dram.geometry.bus_width_bits);
+        let params = EnergyParams::for_config(&self.dram);
+        let mut energy_total_mj = 0.0;
+        let mut total_bytes = 0.0;
+        let mut activates = 0u64;
+        let mut simulated_cycles = 0u64;
+        for channel in 0..write.channels() {
+            let mut totals = write.per_channel()[channel].clone();
+            for window in &windows[1..] {
+                totals.merge(&window.per_channel()[channel]);
+            }
+            energy_total_mj += EnergyReport::from_stats(&totals, &self.dram, &params).total_mj;
+            total_bytes += (totals.read_bursts + totals.write_bursts) as f64
+                * f64::from(self.dram.geometry.burst_bytes());
+            activates += totals.activates;
+            simulated_cycles += totals.elapsed_cycles;
+        }
+        let min_utilization = windows
+            .iter()
+            .map(|w| w.utilization())
+            .fold(f64::INFINITY, f64::min);
+        let aggregate_gbps = windows
+            .iter()
+            .map(|w| w.aggregate_bandwidth_gbps(clock, width))
+            .fold(f64::INFINITY, f64::min);
+        let spread = windows
+            .iter()
+            .map(|w| w.utilization_spread())
+            .fold(0.0, f64::max);
         Ok(Record {
             scenario_id: self.id(),
             dram_label: self.dram.label(),
@@ -636,23 +547,31 @@ impl Scenario {
             refresh_disabled: self.controller.refresh_mode == Some(RefreshMode::Disabled),
             channels: self.dram.topology.channels,
             ranks: self.dram.topology.ranks,
-            write_utilization: utilization,
-            read_utilization: utilization,
-            min_utilization: utilization,
+            write_utilization: write.utilization(),
+            read_utilization: read.utilization(),
+            min_utilization,
             sustained_gbps: aggregate_gbps / f64::from(self.dram.topology.channels),
             aggregate_gbps,
-            channel_utilization_spread: report.stats.utilization_spread(),
-            write_row_hit_rate: row_hit_rate,
-            read_row_hit_rate: row_hit_rate,
+            channel_utilization_spread: spread,
+            write_row_hit_rate: write.aggregate().row_hit_rate(),
+            read_row_hit_rate: read.aggregate().row_hit_rate(),
             activates,
             energy_total_mj,
-            energy_nj_per_byte,
+            energy_nj_per_byte: if total_bytes > 0.0 {
+                energy_total_mj * 1e6 / total_bytes
+            } else {
+                0.0
+            },
             simulated_cycles,
             threads: self.threads as u32,
             wall_time_s,
-            sim_cycles_per_second,
-            link,
-            tenants: Some(tenants),
+            sim_cycles_per_second: if wall_time_s > 0.0 {
+                simulated_cycles as f64 / wall_time_s
+            } else {
+                0.0
+            },
+            link: self.link.as_ref().map(LinkStage::run).transpose()?,
+            tenants,
         })
     }
 }
@@ -881,6 +800,27 @@ mod tests {
         )
         .unwrap();
         assert!(matches!(s.run(), Err(ExpError::Interleaver(_))));
+    }
+
+    #[test]
+    fn zero_stream_tenant_stage_errors_cleanly() {
+        // The public fields bypass `TenantStage::new`'s clamp.
+        let stage = TenantStage {
+            streams: 0,
+            ..TenantStage::new(4, SchedPolicyKind::Edf)
+        };
+        let s = Scenario::preset(
+            DramStandard::Ddr4,
+            3200,
+            MappingKind::Optimized,
+            small_spec(),
+        )
+        .unwrap()
+        .with_tenants(stage);
+        assert!(matches!(
+            s.run(),
+            Err(ExpError::Dram(ConfigError::InvalidController { .. }))
+        ));
     }
 
     #[test]

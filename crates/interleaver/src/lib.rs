@@ -52,7 +52,7 @@
 //! | [`two_stage`] | SRAM + DRAM two-stage interleaver composition |
 //! | [`mapping`] | the [`DramMapping`] trait and all mapping schemes |
 //! | [`trace`] | write-phase / read-phase DRAM request generation |
-//! | [`throughput`] | drives `tbi-dram` and reports per-phase utilization |
+//! | [`throughput`] | drives `tbi-dram`'s channel router and reports per-phase utilization |
 //! | [`config`] | interleaver sizing helpers |
 //! | [`analysis`] | analytic access-pattern statistics (activations, hit rates, bank balance) |
 
@@ -74,10 +74,7 @@ pub use mapping::{
     ChannelMapping, ChannelTraceGenerator, DramMapping, MappingKind, OptimizedMapping,
     RowMajorMapping, TileOrder,
 };
-pub use throughput::{
-    ChannelPhaseReport, ChannelUtilizationReport, PhaseReport, ThroughputEvaluator,
-    UtilizationReport,
-};
+pub use throughput::{ChannelPhaseReport, ChannelUtilizationReport, ThroughputEvaluator};
 pub use trace::{AccessPhase, PhaseTrace, TraceGenerator};
 pub use triangular::TriangularInterleaver;
 pub use two_stage::TwoStageInterleaver;

@@ -25,8 +25,9 @@
 //! are equivalence-tested.
 //!
 //! With the default `1 × 1` topology every position routes to channel 0,
-//! rank 0 and the wrapped scheme's exact single-channel address — the legacy
-//! path is reproduced bit-identically.
+//! rank 0 and the wrapped scheme's exact single-channel address, so a
+//! `1 × 1` run feeds its one controller the scheme's plain
+//! [`TraceGenerator`](crate::TraceGenerator) stream.
 //!
 //! A [`ChannelCursor`] walks one channel's share of an access phase:
 //! [`ChannelMapping::route_next`] inverts the router's lane function so the
@@ -477,11 +478,18 @@ impl ChannelMapping {
                         lanes.bank.copy_from_slice(scratch.banks());
                         lanes.row.copy_from_slice(scratch.rows());
                         lanes.column.copy_from_slice(scratch.columns());
-                        for (slot, &l) in lanes.channel.iter_mut().zip(lanes_staged.iter()) {
-                            *slot = l % channels;
-                        }
-                        for (slot, &l) in lanes.rank.iter_mut().zip(lanes_staged.iter()) {
-                            *slot = l / channels;
+                        let lanes_staged = lanes_staged.iter();
+                        let channel_lane = lanes.channel.iter_mut().zip(lanes_staged.clone());
+                        let rank_lane = lanes.rank.iter_mut().zip(lanes_staged);
+                        match shifts {
+                            Some(s) => {
+                                channel_lane.for_each(|(slot, &l)| *slot = l & (channels - 1));
+                                rank_lane.for_each(|(slot, &l)| *slot = l >> s.channels);
+                            }
+                            None => {
+                                channel_lane.for_each(|(slot, &l)| *slot = l % channels);
+                                rank_lane.for_each(|(slot, &l)| *slot = l / channels);
+                            }
                         }
                     });
                 }

@@ -2,69 +2,14 @@
 //! traces and reports per-phase results (the machinery behind Table I).
 
 use tbi_dram::channel::{ChannelRouter, CombinedStats};
-use tbi_dram::{ControllerConfig, DramConfig, MemorySystem, RefreshMode, Stats};
+use tbi_dram::{ControllerConfig, DramConfig, RefreshMode};
 
 use crate::config::InterleaverSpec;
-use crate::mapping::{ChannelMapping, ChannelTraceGenerator, DramMapping, MappingKind};
-use crate::trace::{AccessPhase, TraceGenerator};
+use crate::mapping::{ChannelMapping, ChannelTraceGenerator, MappingKind};
+use crate::trace::AccessPhase;
 use crate::InterleaverError;
 
 /// Result of simulating one access phase.
-#[derive(Debug, Clone, PartialEq)]
-pub struct PhaseReport {
-    /// Which phase was simulated.
-    pub phase: AccessPhase,
-    /// Raw controller statistics for the phase.
-    pub stats: Stats,
-    /// Data-bus utilization in `[0, 1]`.
-    pub utilization: f64,
-    /// Achieved bandwidth in Gbit/s.
-    pub bandwidth_gbps: f64,
-}
-
-/// Result of simulating both phases of one (DRAM configuration, mapping)
-/// pair — one cell pair of the paper's Table I.
-#[derive(Debug, Clone, PartialEq)]
-pub struct UtilizationReport {
-    /// DRAM configuration label, e.g. `DDR4-3200`.
-    pub config_label: String,
-    /// Mapping scheme name.
-    pub mapping_name: String,
-    /// Write-phase (row-wise) result.
-    pub write: PhaseReport,
-    /// Read-phase (column-wise) result.
-    pub read: PhaseReport,
-}
-
-impl UtilizationReport {
-    /// Write-phase utilization in `[0, 1]`.
-    #[must_use]
-    pub fn write_utilization(&self) -> f64 {
-        self.write.utilization
-    }
-
-    /// Read-phase utilization in `[0, 1]`.
-    #[must_use]
-    pub fn read_utilization(&self) -> f64 {
-        self.read.utilization
-    }
-
-    /// The minimum of both phases — this is what limits the interleaver
-    /// throughput (bold column of Table I).
-    #[must_use]
-    pub fn min_utilization(&self) -> f64 {
-        self.write.utilization.min(self.read.utilization)
-    }
-
-    /// The sustained interleaver throughput in Gbit/s, i.e. the peak DRAM
-    /// bandwidth scaled by the minimum phase utilization.
-    #[must_use]
-    pub fn sustained_throughput_gbps(&self) -> f64 {
-        self.write.bandwidth_gbps.min(self.read.bandwidth_gbps)
-    }
-}
-
-/// Result of simulating one access phase on a multi-channel subsystem.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ChannelPhaseReport {
     /// Which phase was simulated.
@@ -81,7 +26,8 @@ pub struct ChannelPhaseReport {
 }
 
 /// Result of simulating both phases of one (DRAM configuration, mapping)
-/// pair on a multi-channel, multi-rank subsystem.
+/// pair — one cell pair of the paper's Table I, on any channel/rank
+/// topology.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ChannelUtilizationReport {
     /// DRAM configuration label, e.g. `DDR4-3200`.
@@ -99,16 +45,30 @@ pub struct ChannelUtilizationReport {
 }
 
 impl ChannelUtilizationReport {
-    /// The minimum of both phases' aggregate utilizations — what limits the
-    /// interleaver throughput.
+    /// Write-phase utilization in `[0, 1]`.
+    #[must_use]
+    pub fn write_utilization(&self) -> f64 {
+        self.write.utilization
+    }
+
+    /// Read-phase utilization in `[0, 1]`.
+    #[must_use]
+    pub fn read_utilization(&self) -> f64 {
+        self.read.utilization
+    }
+
+    /// The minimum of both phases' utilizations — what limits the
+    /// interleaver throughput (bold column of Table I).
     #[must_use]
     pub fn min_utilization(&self) -> f64 {
         self.write.utilization.min(self.read.utilization)
     }
 
-    /// The sustained aggregate interleaver throughput in Gbit/s.
+    /// The sustained interleaver throughput in Gbit/s over all channels,
+    /// i.e. the aggregate peak DRAM bandwidth scaled by the minimum phase
+    /// utilization.
     #[must_use]
-    pub fn sustained_aggregate_gbps(&self) -> f64 {
+    pub fn sustained_throughput_gbps(&self) -> f64 {
         self.write
             .aggregate_bandwidth_gbps
             .min(self.read.aggregate_bandwidth_gbps)
@@ -153,12 +113,7 @@ impl ThroughputEvaluator {
     /// standard's default refresh mode, FR-FCFS, open-page).
     #[must_use]
     pub fn new(dram: DramConfig, spec: InterleaverSpec) -> Self {
-        Self {
-            dram,
-            spec,
-            controller: ControllerConfig::default(),
-            threads: 1,
-        }
+        Self::with_controller(dram, spec, ControllerConfig::default())
     }
 
     /// Creates an evaluator with an explicit controller configuration.
@@ -176,10 +131,9 @@ impl ThroughputEvaluator {
         }
     }
 
-    /// Sets the worker-thread count used by
-    /// [`ThroughputEvaluator::evaluate_channels`] (clamped to at least 1).
-    /// Results are bit-identical for any value; threading only changes
-    /// wall-clock time.
+    /// Sets the worker-thread count the channels are driven on (clamped to
+    /// at least 1).  Results are bit-identical for any value; threading
+    /// only changes wall-clock time.
     #[must_use]
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = threads.max(1);
@@ -208,69 +162,24 @@ impl ThroughputEvaluator {
         clone
     }
 
-    /// Evaluates a named mapping scheme.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`InterleaverError`] if the mapping cannot be built for this
-    /// device/interleaver combination.
-    pub fn evaluate(&self, kind: MappingKind) -> Result<UtilizationReport, InterleaverError> {
-        let mapping = kind.build(&self.dram, self.spec.dimension())?;
-        self.evaluate_mapping(mapping.as_ref())
-    }
-
-    /// Evaluates an arbitrary mapping implementation.
+    /// Evaluates a named mapping scheme on the configuration's channel/rank
+    /// topology: traffic is striped over the channels by the scheme's
+    /// [`ChannelMapping`] variant, each channel runs its stream through its
+    /// own controller under the [`ChannelRouter`], and the per-channel
+    /// statistics are aggregated.
     ///
     /// The write phase is simulated first (row-wise writes), statistics are
     /// then reset while preserving bank state, and the read phase follows —
     /// matching the paper's measurement where both phases are reported
-    /// separately and the minimum limits throughput.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`InterleaverError`] if the index space does not fit the
-    /// device or the DRAM configuration is invalid.
-    pub fn evaluate_mapping(
-        &self,
-        mapping: &dyn DramMapping,
-    ) -> Result<UtilizationReport, InterleaverError> {
-        self.spec
-            .check_capacity(self.dram.geometry.total_bursts())?;
-        let interleaver = self.spec.triangular();
-        let generator = TraceGenerator::new(interleaver, mapping);
-        let mut system = MemorySystem::with_controller(self.dram.clone(), self.controller)?;
-
-        // The batched source path: mapping work runs in slices through
-        // `PhaseTrace::fill_batch`, with statistics bit-identical to feeding
-        // the scalar iterator (pinned by the source-equivalence tests).
-        let write_stats = system.run_source(generator.requests(AccessPhase::Write));
-        system.reset_stats();
-        let read_stats = system.run_source(generator.requests(AccessPhase::Read));
-
-        Ok(UtilizationReport {
-            config_label: self.dram.label(),
-            mapping_name: mapping.name().to_string(),
-            write: self.phase_report(AccessPhase::Write, write_stats),
-            read: self.phase_report(AccessPhase::Read, read_stats),
-        })
-    }
-
-    /// Evaluates a named mapping scheme on the configuration's full
-    /// channel/rank topology: traffic is striped over the channels by the
-    /// scheme's [`ChannelMapping`] variant, each channel runs its stream
-    /// through its own controller under the
-    /// [`ChannelRouter`]'s shared clock, and the per-channel statistics are
-    /// aggregated.
-    ///
-    /// With the default `1 × 1` topology this reproduces
-    /// [`ThroughputEvaluator::evaluate`] exactly (same addresses, same
-    /// single controller, same statistics).
+    /// separately and the minimum limits throughput.  With the default
+    /// `1 × 1` topology the single channel sees exactly the scheme's
+    /// single-channel address stream.
     ///
     /// # Errors
     ///
     /// Returns [`InterleaverError`] if the mapping cannot be built for this
     /// subsystem/interleaver combination.
-    pub fn evaluate_channels(
+    pub fn evaluate(
         &self,
         kind: MappingKind,
     ) -> Result<ChannelUtilizationReport, InterleaverError> {
@@ -280,49 +189,31 @@ impl ThroughputEvaluator {
         let mut router = ChannelRouter::new(self.dram.clone(), self.controller)
             .map_err(InterleaverError::Dram)?;
 
-        let threads = self.threads;
-        let phase_stats = |router: &mut ChannelRouter, phase: AccessPhase| {
-            let traces: Vec<_> = (0..topology.channels)
+        let (clock, width) = (self.dram.clock_mhz(), self.dram.geometry.bus_width_bits);
+        let phase_report = |router: &mut ChannelRouter, phase: AccessPhase| {
+            let sources = (0..topology.channels)
                 .map(|channel| generator.channel_requests(phase, channel))
                 .collect();
-            // Batched per-channel sources (`ChannelTrace::fill_batch`);
-            // request sequences and statistics match the scalar iterators.
-            // With `threads > 1` channels run on workers; the per-channel
-            // drive schedule — and therefore every statistic — is identical
-            // to the sequential laggard loop (see the threaded-drive notes
-            // on `ChannelRouter`).
-            if threads > 1 {
-                router.run_phase_sources_threaded(traces, threads)
-            } else {
-                router.run_phase_sources(traces)
+            let stats = router.run_phase_sources_threaded(sources, self.threads);
+            ChannelPhaseReport {
+                phase,
+                utilization: stats.utilization(),
+                aggregate_bandwidth_gbps: stats.aggregate_bandwidth_gbps(clock, width),
+                utilization_spread: stats.utilization_spread(),
+                stats,
             }
         };
-        let write_stats = phase_stats(&mut router, AccessPhase::Write);
+        let write = phase_report(&mut router, AccessPhase::Write);
         router.reset_stats();
-        let read_stats = phase_stats(&mut router, AccessPhase::Read);
-
+        let read = phase_report(&mut router, AccessPhase::Read);
         Ok(ChannelUtilizationReport {
             config_label: self.dram.label(),
             mapping_name: mapping.name().to_string(),
             channels: topology.channels,
             ranks: topology.ranks,
-            write: self.channel_phase_report(AccessPhase::Write, write_stats),
-            read: self.channel_phase_report(AccessPhase::Read, read_stats),
+            write,
+            read,
         })
-    }
-
-    fn channel_phase_report(&self, phase: AccessPhase, stats: CombinedStats) -> ChannelPhaseReport {
-        let utilization = stats.utilization();
-        let aggregate_bandwidth_gbps = stats
-            .aggregate_bandwidth_gbps(self.dram.clock_mhz(), self.dram.geometry.bus_width_bits);
-        let utilization_spread = stats.utilization_spread();
-        ChannelPhaseReport {
-            phase,
-            stats,
-            utilization,
-            aggregate_bandwidth_gbps,
-            utilization_spread,
-        }
     }
 
     /// Evaluates the paper's Table I pair (row-major and optimized) and
@@ -333,46 +224,12 @@ impl ThroughputEvaluator {
     /// See [`ThroughputEvaluator::evaluate`].
     pub fn evaluate_table1_pair(
         &self,
-    ) -> Result<(UtilizationReport, UtilizationReport), InterleaverError> {
+    ) -> Result<(ChannelUtilizationReport, ChannelUtilizationReport), InterleaverError> {
         Ok((
             self.evaluate(MappingKind::RowMajor)?,
             self.evaluate(MappingKind::Optimized)?,
         ))
     }
-
-    fn phase_report(&self, phase: AccessPhase, stats: Stats) -> PhaseReport {
-        let utilization = stats.bus_utilization();
-        let bandwidth_gbps =
-            stats.achieved_bandwidth_gbps(self.dram.clock_mhz(), self.dram.geometry.bus_width_bits);
-        PhaseReport {
-            phase,
-            stats,
-            utilization,
-            bandwidth_gbps,
-        }
-    }
-}
-
-/// Runs a sweep over several interleaver sizes for one mapping kind,
-/// returning `(burst_count, report)` pairs.  Used to reproduce the paper's
-/// remark that other interleaver dimensions "differ only slightly".
-///
-/// # Errors
-///
-/// Returns [`InterleaverError`] if any single evaluation fails.
-pub fn size_sweep(
-    dram: &DramConfig,
-    kind: MappingKind,
-    burst_counts: &[u64],
-) -> Result<Vec<(u64, UtilizationReport)>, InterleaverError> {
-    burst_counts
-        .iter()
-        .map(|&bursts| {
-            let evaluator =
-                ThroughputEvaluator::new(dram.clone(), InterleaverSpec::from_burst_count(bursts));
-            Ok((bursts, evaluator.evaluate(kind)?))
-        })
-        .collect()
 }
 
 #[cfg(test)]
@@ -407,11 +264,11 @@ mod tests {
         assert_eq!(report.config_label, "DDR3-800");
         assert_eq!(report.mapping_name, "optimized");
         assert_eq!(
-            report.write.stats.completed_requests,
+            report.write.stats.aggregate().completed_requests,
             eval.spec().total_positions()
         );
         assert_eq!(
-            report.read.stats.completed_requests,
+            report.read.stats.aggregate().completed_requests,
             eval.spec().total_positions()
         );
         assert!(report.sustained_throughput_gbps() > 0.0);
@@ -436,61 +293,25 @@ mod tests {
     }
 
     #[test]
-    fn size_sweep_returns_one_report_per_size() {
-        let dram = DramConfig::preset(DramStandard::Lpddr4, 2133).unwrap();
-        let sweep = size_sweep(&dram, MappingKind::Optimized, &[2_000, 8_000]).unwrap();
-        assert_eq!(sweep.len(), 2);
-        assert_eq!(sweep[0].0, 2_000);
-        assert!(sweep[1].1.min_utilization() > 0.0);
-    }
-
-    #[test]
-    fn single_topology_channel_evaluation_matches_legacy_path() {
-        let eval = evaluator(DramStandard::Ddr4, 3200, 20_000);
-        for kind in MappingKind::TABLE1 {
-            let legacy = eval.evaluate(kind).unwrap();
-            let channels = eval.evaluate_channels(kind).unwrap();
-            assert_eq!(channels.channels, 1);
-            assert_eq!(channels.ranks, 1);
-            // One channel: the per-channel stats are exactly the legacy
-            // single-controller stats, phase by phase.
-            assert_eq!(
-                channels.write.stats.per_channel(),
-                std::slice::from_ref(&legacy.write.stats)
-            );
-            assert_eq!(
-                channels.read.stats.per_channel(),
-                std::slice::from_ref(&legacy.read.stats)
-            );
-            assert_eq!(channels.min_utilization(), legacy.min_utilization());
-            assert_eq!(
-                channels.sustained_aggregate_gbps(),
-                legacy.sustained_throughput_gbps()
-            );
-            assert_eq!(channels.utilization_spread(), 0.0);
-        }
-    }
-
-    #[test]
     fn two_channels_nearly_double_aggregate_bandwidth() {
         let dram = DramConfig::preset(DramStandard::Ddr4, 3200).unwrap();
         let spec = InterleaverSpec::from_burst_count(100_000);
         let single = ThroughputEvaluator::new(dram.clone(), spec)
-            .evaluate_channels(MappingKind::Optimized)
+            .evaluate(MappingKind::Optimized)
             .unwrap();
         let dual = ThroughputEvaluator::new(
             dram.with_topology(tbi_dram::ChannelTopology::new(2, 1)),
             spec,
         )
-        .evaluate_channels(MappingKind::Optimized)
+        .evaluate(MappingKind::Optimized)
         .unwrap();
-        let scaling = dual.sustained_aggregate_gbps() / single.sustained_aggregate_gbps();
+        let scaling = dual.sustained_throughput_gbps() / single.sustained_throughput_gbps();
         assert!(
             scaling > 1.8,
             "2-channel aggregate bandwidth should scale ≥1.8x, got {scaling} \
              ({} vs {})",
-            single.sustained_aggregate_gbps(),
-            dual.sustained_aggregate_gbps()
+            single.sustained_throughput_gbps(),
+            dual.sustained_throughput_gbps()
         );
         assert!(
             dual.utilization_spread() < 0.1,
@@ -506,12 +327,12 @@ mod tests {
             .with_topology(tbi_dram::ChannelTopology::new(4, 1));
         let spec = InterleaverSpec::from_burst_count(40_000);
         let sequential = ThroughputEvaluator::new(dram.clone(), spec)
-            .evaluate_channels(MappingKind::Optimized)
+            .evaluate(MappingKind::Optimized)
             .unwrap();
         for threads in [2, 3, 4, 8] {
             let threaded = ThroughputEvaluator::new(dram.clone(), spec)
                 .with_threads(threads)
-                .evaluate_channels(MappingKind::Optimized)
+                .evaluate(MappingKind::Optimized)
                 .unwrap();
             assert_eq!(
                 threaded, sequential,

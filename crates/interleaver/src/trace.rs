@@ -1,8 +1,8 @@
 //! DRAM request trace generation for the two interleaver access phases.
 
-use tbi_dram::{AddressBatch, Request, RequestSource};
+use tbi_dram::Request;
 
-use crate::mapping::{DramMapping, BATCH_CHUNK};
+use crate::mapping::DramMapping;
 use crate::triangular::TriangularInterleaver;
 
 /// The two access phases of a triangular block interleaver.
@@ -37,7 +37,11 @@ impl std::fmt::Display for AccessPhase {
 /// Generates the burst-level DRAM request stream of an interleaver phase.
 ///
 /// The generator is lazy: requests are produced on the fly so even the
-/// paper's 12.5 M-burst interleaver does not need to be materialised.
+/// paper's 12.5 M-burst interleaver does not need to be materialised.  It
+/// is the scalar reference for one channel: one [`DramMapping::map`] call
+/// per position, no channel routing.  Simulations run through
+/// [`ChannelTraceGenerator`](crate::mapping::ChannelTraceGenerator), whose
+/// `1 × 1` stream the tests pin to this one.
 ///
 /// # Examples
 ///
@@ -115,7 +119,6 @@ impl<'a> TraceGenerator<'a> {
             outer: 0,
             inner: 0,
             remaining: self.interleaver.len(),
-            scratch: AddressBatch::new(),
         }
     }
 
@@ -163,59 +166,6 @@ pub struct PhaseTrace<'a> {
     /// Position within the current row/column, `0..n - outer`.
     inner: u32,
     remaining: u64,
-    /// Scratch SoA buffer for [`PhaseTrace::fill_batch`] (reused across
-    /// calls; empty until the batched path is used).
-    scratch: AddressBatch,
-}
-
-impl PhaseTrace<'_> {
-    /// Appends up to roughly `max` of the remaining requests to `out` (the
-    /// last mapping chunk may overshoot slightly; fewer when the trace ends
-    /// first) and returns how many were appended.
-    ///
-    /// Positions are mapped in [`DramMapping::map_batch`] slices, so the
-    /// per-request mapping cost is the batched kernel's instead of a scalar
-    /// `map` call.  The appended sequence is exactly the iterator's — mixing
-    /// `next` and `fill_batch` calls is allowed and never reorders or drops
-    /// requests.
-    ///
-    /// Returns `0` if and only if the trace is exhausted.
-    pub fn fill_batch(&mut self, out: &mut Vec<Request>, max: usize) -> usize {
-        let before = out.len();
-        let mut coords = [(0u32, 0u32); BATCH_CHUNK];
-        while out.len() - before < max && self.remaining > 0 {
-            let take = self.remaining.min(BATCH_CHUNK as u64) as usize;
-            for slot in coords.iter_mut().take(take) {
-                *slot = match self.phase {
-                    AccessPhase::Write => (self.outer, self.inner),
-                    AccessPhase::Read => (self.inner, self.outer),
-                };
-                self.inner += 1;
-                if self.inner >= self.n - self.outer {
-                    self.inner = 0;
-                    self.outer += 1;
-                }
-            }
-            self.remaining -= take as u64;
-            self.scratch.clear();
-            self.mapping.map_batch(&coords[..take], &mut self.scratch);
-            out.reserve(take);
-            for index in 0..take {
-                let address = self.scratch.address(index);
-                out.push(match self.phase {
-                    AccessPhase::Write => Request::write(address),
-                    AccessPhase::Read => Request::read(address),
-                });
-            }
-        }
-        out.len() - before
-    }
-}
-
-impl RequestSource for PhaseTrace<'_> {
-    fn fill(&mut self, out: &mut Vec<Request>, max: usize) -> usize {
-        self.fill_batch(out, max)
-    }
 }
 
 impl std::fmt::Debug for PhaseTrace<'_> {
@@ -277,7 +227,7 @@ impl std::iter::FusedIterator for PhaseTrace<'_> {}
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::mapping::MappingKind;
+    use crate::mapping::{ChannelMapping, ChannelTraceGenerator, MappingKind};
     use std::collections::HashSet;
     use tbi_dram::{DramConfig, DramStandard};
 
@@ -375,21 +325,21 @@ mod tests {
 
     #[test]
     fn fill_batch_yields_the_iterator_sequence() {
+        // The batched single-channel trace that drives every simulation
+        // emits exactly the scalar `PhaseTrace` sequence, whatever the
+        // slice size.
         let (config, interleaver) = setup(37);
         for kind in MappingKind::ALL {
             let mapping = kind.build(&config, 37).unwrap();
+            let channel = ChannelMapping::new(kind, &config, 37).unwrap();
             let gen = TraceGenerator::new(interleaver, mapping.as_ref());
+            let channel_gen = ChannelTraceGenerator::new(&channel);
             for phase in AccessPhase::ALL {
                 let scalar: Vec<_> = gen.requests(phase).collect();
                 for max in [1usize, 64, 1000] {
-                    let mut trace = gen.requests(phase);
+                    let mut trace = channel_gen.channel_requests(phase, 0);
                     let mut batched = Vec::new();
-                    loop {
-                        let appended = trace.fill_batch(&mut batched, max);
-                        if appended == 0 {
-                            break;
-                        }
-                    }
+                    while trace.fill_batch(&mut batched, max) > 0 {}
                     assert_eq!(batched, scalar, "{kind} {phase} max={max}");
                     assert_eq!(trace.fill_batch(&mut batched, max), 0, "stays exhausted");
                 }
@@ -401,9 +351,10 @@ mod tests {
     fn fill_batch_and_next_can_be_mixed() {
         let (config, interleaver) = setup(29);
         let mapping = MappingKind::Optimized.build(&config, 29).unwrap();
+        let channel = ChannelMapping::new(MappingKind::Optimized, &config, 29).unwrap();
         let gen = TraceGenerator::new(interleaver, mapping.as_ref());
         let scalar: Vec<_> = gen.requests(AccessPhase::Read).collect();
-        let mut trace = gen.requests(AccessPhase::Read);
+        let mut trace = ChannelTraceGenerator::new(&channel).channel_requests(AccessPhase::Read, 0);
         let mut mixed = Vec::new();
         while mixed.len() < scalar.len() {
             if let Some(request) = trace.next() {

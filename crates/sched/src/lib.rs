@@ -12,9 +12,9 @@
 //!   identity, triangular-block geometry, arrival model, QoS class, and
 //!   the policy plus in-flight budget.
 //! - [`StreamScheduler`] runs the streams over a
-//!   [`ChannelRouter`](tbi_dram::ChannelRouter) under the same
-//!   laggard-first clock as the single-stream phase drivers; with one
-//!   stream the result is bit-identical to
+//!   [`ChannelRouter`](tbi_dram::ChannelRouter) under a laggard-first
+//!   clock whose per-channel projection is the router's phase drive; with
+//!   one stream the result is bit-identical to
 //!   [`ChannelRouter::run_phase_sources`](tbi_dram::ChannelRouter::run_phase_sources).
 //! - [`SchedPolicy`] implementations (round-robin, weighted bandwidth
 //!   share, earliest-deadline-first) decide which ready stream feeds each

@@ -9,8 +9,9 @@
 //! 2. **fills** every channel's free queue slots, asking the active
 //!    [`SchedPolicy`](crate::SchedPolicy) which ready stream feeds each
 //!    slot,
-//! 3. **advances** the laggard channel exactly as
-//!    [`ChannelRouter::run_phase`] does, and
+//! 3. **advances** the laggard channel — the channel whose clock is
+//!    furthest behind ([`ChannelRouter::laggard_channel`]) — until it can
+//!    accept again, and
 //! 4. **collects** completions from the controllers' observational logs,
 //!    attributing each to its block via per-`(channel, bank)` FIFO tags
 //!    (per-bank service is strictly FIFO under FR-FCFS — only queue heads
@@ -120,7 +121,7 @@ pub struct SchedReport {
     /// Policy that produced this run.
     pub policy: SchedPolicyKind,
     /// Combined DRAM statistics of the run window (same shape as a
-    /// [`ChannelRouter::run_phase`] result).
+    /// [`ChannelRouter::run_phase_sources`] result).
     pub stats: CombinedStats,
     /// Per-tenant latency and completion accounting, in stream order.
     pub tenants: Vec<TenantReport>,
@@ -284,9 +285,11 @@ impl StreamScheduler {
     /// Runs all streams to completion and returns the per-tenant and
     /// combined-DRAM results.
     ///
-    /// The loop structure mirrors [`ChannelRouter::run_phase`]: fill free
-    /// slots in channel order, step the laggard until it can accept again,
-    /// repeat; finally drain every controller.
+    /// The loop is the laggard-first schedule: fill free slots in channel
+    /// order, step the laggard until it can accept again, repeat; finally
+    /// drain every controller.  Projected onto one channel it is the
+    /// router's per-channel drive, which is why a single stream reproduces
+    /// [`ChannelRouter::run_phase_sources`] exactly.
     #[must_use]
     pub fn run(mut self) -> SchedReport {
         loop {

@@ -1,14 +1,14 @@
 //! Bit-identity and determinism guarantees of the stream scheduler.
 //!
 //! The scheduler's single-stream case must be indistinguishable from the
-//! existing single-tenant phase drivers: same enqueue sequence per
+//! router's single-tenant phase drive: same enqueue sequence per
 //! channel, therefore bit-identical [`CombinedStats`] — for every policy,
 //! on both timing engines.  Multi-tenant runs must be deterministic and
 //! complete all admitted work even at thousands-of-streams scale.
 
 use tbi_dram::{
     ChannelRouter, ChannelTopology, CombinedStats, ControllerConfig, DramConfig, DramStandard,
-    TimingEngine,
+    IteratorSource, TimingEngine,
 };
 use tbi_interleaver::mapping::{channel_mapping_for_spec, ChannelTraceGenerator};
 use tbi_interleaver::{AccessPhase, InterleaverSpec, MappingKind};
@@ -99,12 +99,14 @@ fn single_stream_blocks_follow_each_other_like_chained_traces() {
         let mut router = ChannelRouter::new(config.clone(), ctrl(TimingEngine::Event)).unwrap();
         let chained: Vec<_> = (0..router.channels())
             .map(|channel| {
-                generator
-                    .channel_requests(AccessPhase::Write, channel)
-                    .chain(generator.channel_requests(AccessPhase::Read, channel))
+                IteratorSource(
+                    generator
+                        .channel_requests(AccessPhase::Write, channel)
+                        .chain(generator.channel_requests(AccessPhase::Read, channel)),
+                )
             })
             .collect();
-        let reference = router.run_phase(chained);
+        let reference = router.run_phase_sources(chained);
         let report = StreamScheduler::new(
             config.clone(),
             ctrl(TimingEngine::Event),

@@ -63,7 +63,7 @@ pub use tbi_exp::{
 pub use tbi_interleaver::{
     AccessPhase, BlockInterleaver, ChannelMapping, ChannelUtilizationReport, DramMapping,
     InterleaverSpec, MappingKind, OptimizedMapping, RowMajorMapping, ThroughputEvaluator,
-    TileOrder, TraceGenerator, TriangularInterleaver, TwoStageInterleaver, UtilizationReport,
+    TileOrder, TraceGenerator, TriangularInterleaver, TwoStageInterleaver,
 };
 pub use tbi_satcom::{
     BandwidthBudget, CoherenceFading, GilbertElliott, LinkConfig, LinkProfile, LinkReport,

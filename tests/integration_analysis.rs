@@ -35,8 +35,8 @@ fn analytic_activation_counts_match_the_simulator_without_refresh() {
         let report = evaluator.evaluate(kind).unwrap();
         // The simulator may perform a handful of extra activates because the
         // read phase starts with rows left open by the write phase.
-        let measured_write = report.write.stats.activates;
-        let measured_read = report.read.stats.activates;
+        let measured_write = report.write.stats.aggregate().activates;
+        let measured_read = report.read.stats.aggregate().activates;
         let close = |measured: u64, predicted: u64| {
             measured >= predicted.saturating_sub(dram.geometry.total_banks() as u64)
                 && measured <= predicted + dram.geometry.total_banks() as u64

@@ -8,13 +8,14 @@
 //!
 //! * identical [`Record`]s for every Table I preset at a reduced burst count
 //!   (both mappings, default refresh — the exact sweep behind Table I);
-//! * identical raw [`tbi::Stats`] (including diagnostic counters such as
-//!   `stall_cycles`) for a write-then-read phase pair, where any divergence
-//!   in absolute time would shift refresh deadlines and show up;
+//! * identical raw per-channel [`tbi::Stats`] (including diagnostic counters
+//!   such as `stall_cycles`) for a write-then-read phase pair, where any
+//!   divergence in absolute time would shift refresh deadlines and show up;
 //! * identical stats under every refresh mode and scheduling/page-policy
 //!   ablation, where the scheduler takes its rarer code paths.
 
 use tbi::dram::controller::TimingEngine;
+use tbi::dram::CombinedStats;
 use tbi::exp::SweepGrid;
 use tbi::{
     ControllerConfig, DramConfig, DramStandard, InterleaverSpec, MappingKind, PagePolicy, Record,
@@ -61,7 +62,7 @@ fn phase_stats(
     rate: u32,
     mapping: MappingKind,
     ctrl: ControllerConfig,
-) -> (tbi::Stats, tbi::Stats) {
+) -> (CombinedStats, CombinedStats) {
     let dram = DramConfig::preset(standard, rate).expect("preset exists");
     let evaluator = ThroughputEvaluator::with_controller(
         dram,
