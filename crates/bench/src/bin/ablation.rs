@@ -13,21 +13,10 @@
 use tbi_exp::SweepGrid;
 use tbi_interleaver::MappingKind;
 
-use tbi_bench::HarnessOptions;
+use tbi_bench::{HarnessOptions, ALL_FLAGS};
 
 fn main() {
-    let options = match HarnessOptions::parse(std::env::args().skip(1)) {
-        Ok(options) => options,
-        Err(message) => {
-            eprintln!("error: {message}");
-            eprintln!("{}", HarnessOptions::usage("ablation"));
-            std::process::exit(2);
-        }
-    };
-    if options.help {
-        println!("{}", HarnessOptions::usage("ablation"));
-        return;
-    }
+    let options = HarnessOptions::from_env("ablation", &ALL_FLAGS);
 
     let grid = match SweepGrid::new().all_presets() {
         Ok(grid) => grid

@@ -18,63 +18,24 @@
 use std::path::PathBuf;
 
 use tbi_bench::{
-    build_campaign, HarnessOptions, CAMPAIGN_PEAK_ELEVATION_DEG, CAMPAIGN_PRESETS, CAMPAIGN_WEATHER,
+    build_campaign, HarnessOptions, CAMPAIGN_PEAK_ELEVATION_DEG, CAMPAIGN_PRESETS, CAMPAIGN_TRIALS,
+    CAMPAIGN_WEATHER,
 };
-use tbi_dram::TimingEngine;
 use tbi_exp::campaign::{DEFAULT_CAMPAIGN_SEED, DEFAULT_CODE_RATES, DEFAULT_DEPTHS};
 use tbi_exp::serialize::{json_number, json_string, records_to_json};
 
 const DEFAULT_OUTPUT: &str = "BENCH_campaign.json";
 
-/// Independent link trials per cell: smooths the error-rate estimates so
-/// the depth waterfall is strict at every code rate.
-const CAMPAIGN_TRIALS: u32 = 8;
-
-fn usage() -> String {
-    HarnessOptions::usage_for(
-        "campaign_sweep",
-        &["--full", "--bursts", "--workers", "--json"],
-    )
-}
+const FLAGS: &[&str] = &["--full", "--bursts", "--workers", "--json"];
 
 fn main() {
-    let options = match HarnessOptions::parse(std::env::args().skip(1)) {
-        Ok(options) => options,
-        Err(message) => {
-            eprintln!("error: {message}");
-            eprintln!("{}", usage());
-            std::process::exit(2);
-        }
-    };
-    if options.help {
-        println!("{}", usage());
-        return;
-    }
-    if options.no_refresh
-        || options.csv.is_some()
-        || options.engine != TimingEngine::default()
-        || options.channels != 1
-        || options.ranks != 1
-    {
-        eprintln!(
-            "error: campaign_sweep owns its axes (presets keep their baked topologies, the \
-             event engine and default refresh are fixed); \
-             --channels/--ranks/--engine/--no-refresh/--csv are not supported"
-        );
-        eprintln!("{}", usage());
-        std::process::exit(2);
-    }
+    let options = HarnessOptions::from_env("campaign_sweep", FLAGS);
     let output = options
         .json
         .clone()
         .unwrap_or_else(|| PathBuf::from(DEFAULT_OUTPUT));
 
-    let campaign = match build_campaign(
-        options.bursts,
-        options.workers,
-        DEFAULT_CAMPAIGN_SEED,
-        CAMPAIGN_TRIALS,
-    ) {
+    let campaign = match build_campaign(options.bursts, options.workers) {
         Ok(campaign) => campaign,
         Err(error) => {
             eprintln!("error: {error}");

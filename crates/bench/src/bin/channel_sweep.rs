@@ -17,7 +17,7 @@
 use std::path::PathBuf;
 
 use tbi_bench::HarnessOptions;
-use tbi_dram::{DramStandard, TimingEngine};
+use tbi_dram::DramStandard;
 use tbi_exp::serialize::{json_number, json_string, records_to_json};
 use tbi_exp::{Record, SweepGrid};
 use tbi_interleaver::MappingKind;
@@ -27,12 +27,7 @@ const CHANNEL_AXIS: [u32; 3] = [1, 2, 4];
 const PRESETS: [(DramStandard, u32); 2] =
     [(DramStandard::Ddr4, 3200), (DramStandard::Lpddr4, 4266)];
 
-fn usage() -> String {
-    HarnessOptions::usage_for(
-        "channel_sweep",
-        &["--full", "--bursts", "--ranks", "--workers", "--json"],
-    )
-}
+const FLAGS: &[&str] = &["--full", "--bursts", "--ranks", "--workers", "--json"];
 
 /// One 1 → N scaling observation for the optimized mapping.
 struct Scaling {
@@ -49,31 +44,7 @@ fn find<'a>(records: &'a [Record], dram: &str, mapping: &str, channels: u32) -> 
 }
 
 fn main() {
-    let options = match HarnessOptions::parse(std::env::args().skip(1)) {
-        Ok(options) => options,
-        Err(message) => {
-            eprintln!("error: {message}");
-            eprintln!("{}", usage());
-            std::process::exit(2);
-        }
-    };
-    if options.help {
-        println!("{}", usage());
-        return;
-    }
-    if options.no_refresh
-        || options.csv.is_some()
-        || options.engine != TimingEngine::default()
-        || options.channels != 1
-    {
-        eprintln!(
-            "error: channel_sweep owns the channel axis ({CHANNEL_AXIS:?}) and always runs the \
-             default-refresh event-engine sweep; --channels/--engine/--no-refresh/--csv are not \
-             supported"
-        );
-        eprintln!("{}", usage());
-        std::process::exit(2);
-    }
+    let options = HarnessOptions::from_env("channel_sweep", FLAGS);
     let output = options
         .json
         .clone()

@@ -23,11 +23,18 @@ use tbi_exp::Record;
 
 const DEFAULT_OUTPUT: &str = "BENCH_engine.json";
 
+const FLAGS: &[&str] = &[
+    "--full",
+    "--bursts",
+    "--channels",
+    "--ranks",
+    "--workers",
+    "--json",
+];
+
 fn timed_sweep(base: &HarnessOptions, engine: TimingEngine) -> (Vec<Record>, f64) {
     let options = HarnessOptions {
         engine,
-        json: None,
-        csv: None,
         ..base.clone()
     };
     let started = Instant::now();
@@ -42,65 +49,7 @@ fn timed_sweep(base: &HarnessOptions, engine: TimingEngine) -> (Vec<Record>, f64
 }
 
 fn main() {
-    let options = match HarnessOptions::parse(std::env::args().skip(1)) {
-        Ok(options) => options,
-        Err(message) => {
-            eprintln!("error: {message}");
-            eprintln!(
-                "{}",
-                HarnessOptions::usage_for(
-                    "engine_speed",
-                    &[
-                        "--full",
-                        "--bursts",
-                        "--channels",
-                        "--ranks",
-                        "--workers",
-                        "--json"
-                    ]
-                )
-            );
-            std::process::exit(2);
-        }
-    };
-    if options.help {
-        println!(
-            "{}",
-            HarnessOptions::usage_for(
-                "engine_speed",
-                &[
-                    "--full",
-                    "--bursts",
-                    "--channels",
-                    "--ranks",
-                    "--workers",
-                    "--json"
-                ]
-            )
-        );
-        return;
-    }
-    if options.no_refresh || options.csv.is_some() || options.engine != TimingEngine::default() {
-        eprintln!(
-            "error: engine_speed always times both engines on the default-refresh sweep; \
-             --engine/--no-refresh/--csv are not supported"
-        );
-        eprintln!(
-            "{}",
-            HarnessOptions::usage_for(
-                "engine_speed",
-                &[
-                    "--full",
-                    "--bursts",
-                    "--channels",
-                    "--ranks",
-                    "--workers",
-                    "--json"
-                ]
-            )
-        );
-        std::process::exit(2);
-    }
+    let options = HarnessOptions::from_env("engine_speed", FLAGS);
 
     let output = options
         .json

@@ -64,59 +64,26 @@ const PANELS: [(&str, MappingKind, &str); 4] = [
     ),
 ];
 
-const SUPPORTED_FLAGS: [&str; 3] = ["--workers", "--json", "--csv"];
-
-fn usage_exit() -> ! {
-    eprintln!("usage: fig1 [a|b|c|d|all] [rows cols] [--workers <n>] [--json <p>] [--csv <p>]");
-    std::process::exit(2);
-}
-
-/// Splits the raw arguments into positionals and flag arguments, keeping a
-/// value-taking flag together with its value.
-fn split_args<I: Iterator<Item = String>>(args: I) -> (Vec<String>, Vec<String>) {
-    let mut positionals = Vec::new();
-    let mut flags = Vec::new();
-    let mut iter = args;
-    while let Some(arg) = iter.next() {
-        if arg.starts_with('-') {
-            let takes_value = matches!(arg.as_str(), "--bursts" | "--workers" | "--json" | "--csv");
-            flags.push(arg);
-            if takes_value {
-                if let Some(value) = iter.next() {
-                    flags.push(value);
-                }
-            }
-        } else {
-            positionals.push(arg);
-        }
-    }
-    (positionals, flags)
-}
+const FLAGS: &[&str] = &["--workers", "--json", "--csv"];
 
 fn main() {
-    let (positionals, flags) = split_args(std::env::args().skip(1));
-    let options = match HarnessOptions::parse(flags) {
-        Ok(options) => options,
-        Err(message) => {
-            eprintln!("error: {message}");
-            usage_exit();
-        }
+    let usage = HarnessOptions::usage_for("fig1", FLAGS)
+        + "\n\npositional arguments: [a|b|c|d|all] [rows cols] (grid corner size)";
+    let usage_exit = || -> ! {
+        eprintln!("{usage}");
+        std::process::exit(2);
     };
+    let (options, positionals) =
+        match HarnessOptions::parse_with_positionals(std::env::args().skip(1), FLAGS) {
+            Ok(parsed) => parsed,
+            Err(message) => {
+                eprintln!("error: {message}");
+                usage_exit();
+            }
+        };
     if options.help {
-        println!("{}", HarnessOptions::usage_for("fig1", &SUPPORTED_FLAGS));
-        println!("\npositional arguments: [a|b|c|d|all] [rows cols] (grid corner size)");
+        println!("{usage}");
         return;
-    }
-    if options.bursts != tbi_bench::DEFAULT_BURSTS
-        || options.no_refresh
-        || options.channels != 1
-        || options.ranks != 1
-    {
-        eprintln!(
-            "error: fig1 always uses the paper's miniature single-channel device; \
-             --full/--bursts/--no-refresh/--channels/--ranks are not supported"
-        );
-        usage_exit();
     }
     let which = positionals.first().map(String::as_str).unwrap_or("all");
     if !matches!(which, "a" | "b" | "c" | "d" | "all") {

@@ -26,9 +26,7 @@ use std::path::PathBuf;
 use std::time::Instant;
 
 use tbi_bench::HarnessOptions;
-use tbi_dram::{
-    AddressBatch, BitPermutation, ChannelTopology, DramConfig, PermutationMapping, TimingEngine,
-};
+use tbi_dram::{AddressBatch, BitPermutation, ChannelTopology, DramConfig, PermutationMapping};
 use tbi_exp::serialize::{json_number, json_string};
 use tbi_interleaver::mapping::{ChannelMapping, DramMapping, PermutedMapping};
 use tbi_interleaver::MappingKind;
@@ -39,7 +37,7 @@ const DEFAULT_OUTPUT: &str = "BENCH_mapgen.json";
 /// are repeated), keeping rates stable independent of `--bursts`.
 const TARGET_POSITIONS: u64 = 2_000_000;
 
-const USAGE_FLAGS: &[&str] = &["--full", "--bursts", "--channels", "--ranks", "--json"];
+const FLAGS: &[&str] = &["--full", "--bursts", "--channels", "--ranks", "--json"];
 
 /// Largest index-space dimension whose triangle fits in `bursts` positions
 /// (at least 2).
@@ -205,30 +203,7 @@ fn gather_permutation(scheme: BitPermutation) -> BitPermutation {
 }
 
 fn main() {
-    let options = match HarnessOptions::parse(std::env::args().skip(1)) {
-        Ok(options) => options,
-        Err(message) => {
-            eprintln!("error: {message}");
-            eprintln!("{}", HarnessOptions::usage_for("mapgen_speed", USAGE_FLAGS));
-            std::process::exit(2);
-        }
-    };
-    if options.help {
-        println!("{}", HarnessOptions::usage_for("mapgen_speed", USAGE_FLAGS));
-        return;
-    }
-    if options.no_refresh
-        || options.csv.is_some()
-        || options.workers != 0
-        || options.engine != TimingEngine::default()
-    {
-        eprintln!(
-            "error: mapgen_speed times the mapping kernels only; \
-             --engine/--no-refresh/--csv/--workers are not supported"
-        );
-        eprintln!("{}", HarnessOptions::usage_for("mapgen_speed", USAGE_FLAGS));
-        std::process::exit(2);
-    }
+    let options = HarnessOptions::from_env("mapgen_speed", FLAGS);
 
     let output = options
         .json

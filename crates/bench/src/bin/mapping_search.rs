@@ -29,25 +29,24 @@ use std::path::PathBuf;
 
 use tbi_bench::HarnessOptions;
 use tbi_dram::standards::ALL_CONFIGS;
-use tbi_dram::{BitPermutation, DramConfig, TimingEngine, XorFold};
+use tbi_dram::{BitPermutation, DramConfig, XorFold};
 use tbi_exp::search::{MappingSearch, SearchRecord, SearchSettings, MATCH_TOLERANCE};
 use tbi_exp::serialize::{json_number, json_string, search_records_to_json, write_search_csv};
 use tbi_interleaver::InterleaverSpec;
 
 const DEFAULT_OUTPUT: &str = "BENCH_dse.json";
 
+const FLAGS: &[&str] = &[
+    "--full",
+    "--bursts",
+    "--no-refresh",
+    "--workers",
+    "--json",
+    "--csv",
+];
+
 fn usage() -> String {
-    let shared = HarnessOptions::usage_for(
-        "mapping_search",
-        &[
-            "--full",
-            "--bursts",
-            "--no-refresh",
-            "--workers",
-            "--json",
-            "--csv",
-        ],
-    );
+    let shared = HarnessOptions::usage_for("mapping_search", FLAGS);
     format!(
         "{shared}\n\nsearch options:\n  \
          --seed <n>       RNG seed; fixed seeds reproduce bit-identical searches (default 0)\n  \
@@ -143,38 +142,13 @@ fn main() {
         ..SearchSettings::default()
     };
     let mut transfer = false;
-    let rest = match parse_search_flags(
+    let parsed = parse_search_flags(
         std::env::args().skip(1).collect(),
         &mut settings,
         &mut transfer,
-    ) {
-        Ok(rest) => rest,
-        Err(message) => {
-            eprintln!("error: {message}");
-            eprintln!("{}", usage());
-            std::process::exit(2);
-        }
-    };
-    let options = match HarnessOptions::parse(rest) {
-        Ok(options) => options,
-        Err(message) => {
-            eprintln!("error: {message}");
-            eprintln!("{}", usage());
-            std::process::exit(2);
-        }
-    };
-    if options.help {
-        println!("{}", usage());
-        return;
-    }
-    if options.channels != 1 || options.ranks != 1 || options.engine != TimingEngine::default() {
-        eprintln!(
-            "error: mapping_search explores the paper's single-channel, single-rank Table I \
-             device on the default engine; --channels/--ranks/--engine are not supported"
-        );
-        eprintln!("{}", usage());
-        std::process::exit(2);
-    }
+    )
+    .and_then(|rest| HarnessOptions::parse_for(rest, FLAGS));
+    let options = HarnessOptions::or_exit(parsed, &usage());
     settings.workers = options.workers;
     let output = options
         .json

@@ -31,7 +31,7 @@ use std::path::PathBuf;
 use std::time::Instant;
 
 use tbi_bench::HarnessOptions;
-use tbi_dram::{ChannelTopology, DramConfig, DramStandard, TimingEngine};
+use tbi_dram::{ChannelTopology, DramConfig, DramStandard};
 use tbi_exp::serialize::{json_number, json_string};
 use tbi_exp::{Experiment, Record, Scenario, TenantStage};
 use tbi_interleaver::{InterleaverSpec, MappingKind};
@@ -45,11 +45,7 @@ const STREAM_AXIS: [u32; 2] = [8, 64];
 /// `tenant_sweep`).
 const MIN_STREAM_BURSTS: u64 = 64;
 
-const USAGE_FLAGS: &[&str] = &["--full", "--bursts", "--json"];
-
-fn usage() -> String {
-    HarnessOptions::usage_for("parallel_sweep", USAGE_FLAGS)
-}
+const FLAGS: &[&str] = &["--full", "--bursts", "--json"];
 
 /// One measured (workload, channels, streams, threads) cell.
 struct Row {
@@ -138,34 +134,7 @@ fn sweep_threads(
 }
 
 fn main() {
-    let options = match HarnessOptions::parse(std::env::args().skip(1)) {
-        Ok(options) => options,
-        Err(message) => {
-            eprintln!("error: {message}");
-            eprintln!("{}", usage());
-            std::process::exit(2);
-        }
-    };
-    if options.help {
-        println!("{}", usage());
-        return;
-    }
-    if options.no_refresh
-        || options.csv.is_some()
-        || options.workers != 0
-        || options.threads != 1
-        || options.engine != TimingEngine::default()
-        || options.channels != 1
-        || options.ranks != 1
-    {
-        eprintln!(
-            "error: parallel_sweep owns the channel ({CHANNEL_AXIS:?}) and thread \
-             ({THREAD_AXIS:?}) axes and runs one scenario at a time; only --full/--bursts/--json \
-             are supported"
-        );
-        eprintln!("{}", usage());
-        std::process::exit(2);
-    }
+    let options = HarnessOptions::from_env("parallel_sweep", FLAGS);
     let output = options
         .json
         .clone()

@@ -1,575 +1,120 @@
-//! Performance-trajectory regression gate over the committed `BENCH_*.json`
-//! artifacts.
-//!
-//! For every artifact on the command line (default: all six committed
-//! benchmarks), re-runs a **scaled-down** version of the same workload and
-//! compares the headline metrics against the committed baseline with
-//! per-metric tolerances (see [`tbi_bench::gate`]).  Identity flags
-//! (`records_identical`, `all_identical`) must hold at any scale; ratio
-//! metrics get loose tolerances because the re-run is orders of magnitude
-//! smaller than the committed measurement.
+//! Performance-trajectory regression gate: compares each committed
+//! `BENCH_*.json` artifact with a fresh artifact that the same sweep binary
+//! wrote at smoke scale.
 //!
 //! ```text
 //! cargo run --release -p tbi_bench --bin perf_gate -- \
-//!     [--bursts <n>] [--workers <n>] [artifact.json ...]
+//!     <committed.json> <fresh.json> [<committed.json> <fresh.json> ...]
 //! ```
 //!
-//! Exits non-zero if any check fails, so CI can gate merges on the
-//! performance trajectory never silently regressing.
+//! Both files of a pair must carry the same `bench` tag, which selects the
+//! checks and tolerances of [`tbi_bench::gate::checks_for`].  The gate runs
+//! no workload of its own, so it judges the program that wrote the
+//! baseline.  CI writes the fresh files (`*_smoke.json`) with the sweep
+//! binaries in the steps before the gate and then runs:
+//!
+//! ```text
+//! perf_gate BENCH_engine.json engine_smoke.json BENCH_channels.json channels_smoke.json \
+//!     BENCH_dse.json dse_smoke.json BENCH_mapgen.json mapgen_smoke.json \
+//!     BENCH_tenants.json tenants_smoke.json BENCH_campaign.json campaign_smoke.json
+//! ```
+//!
+//! Exits 1 if any check fails or a pair cannot be read, parsed or matched,
+//! and 2 on a malformed command line.
 
-use std::path::PathBuf;
-use std::time::Instant;
+use std::path::{Path, PathBuf};
 
-use tbi_bench::gate::{evaluate, Check, CheckKind, GateReport};
-use tbi_bench::{build_campaign, run_table1, HarnessOptions};
-use tbi_dram::standards::ALL_CONFIGS;
-use tbi_dram::{
-    AddressBatch, BitPermutation, ChannelTopology, DramConfig, DramStandard, TimingEngine,
-};
-use tbi_exp::campaign::DEFAULT_CODE_RATES;
+use tbi_bench::gate::{checks_for, evaluate, GateReport};
 use tbi_exp::json::{parse, JsonValue};
-use tbi_exp::search::{MappingSearch, SearchSettings, SearchStrategy};
-use tbi_exp::serialize::json_number;
-use tbi_exp::{Experiment, Record, Scenario, SweepGrid, TenantStage};
-use tbi_interleaver::mapping::PermutedMapping;
-use tbi_interleaver::{InterleaverSpec, MappingKind};
-use tbi_sched::SchedPolicyKind;
 
-/// The committed artifacts gated when no paths are given.
-const DEFAULT_ARTIFACTS: [&str; 6] = [
-    "BENCH_engine.json",
-    "BENCH_channels.json",
-    "BENCH_dse.json",
-    "BENCH_mapgen.json",
-    "BENCH_tenants.json",
-    "BENCH_campaign.json",
-];
-
-/// Re-runs use this many bursts unless `--bursts` overrides it — a small
-/// fraction of the committed full-scale runs, sized so the whole gate stays
-/// in CI-smoke territory.
-const DEFAULT_GATE_BURSTS: u64 = 20_000;
-
-/// Address-generation re-runs map at least this many positions per
-/// measurement so the timed ratios stay stable.
-const GATE_TARGET_POSITIONS: u64 = 200_000;
-
-fn usage() -> String {
-    "usage: perf_gate [--bursts <n>] [--workers <n>] [artifact.json ...]\n\n\
-     Re-runs a scaled-down version of each committed BENCH_*.json workload and\n\
-     fails (exit 1) if any headline metric regressed beyond its tolerance.\n\n\
+const USAGE: &str =
+    "usage: perf_gate <committed.json> <fresh.json> [<committed.json> <fresh.json> ...]\n\n\
+     Compares each committed BENCH_*.json artifact with a fresh artifact written by\n\
+     the same sweep binary (both must carry the same `bench` tag) and fails (exit 1)\n\
+     if any headline metric regressed beyond its tolerance.\n\n\
      options:\n  \
-     --bursts <n>   interleaver size per re-run scenario (default 20000)\n  \
-     --workers <n>  worker threads for sweep re-runs, 0 = auto (default 0)\n  \
-     --help         print this help\n\n\
-     With no artifact paths, gates all six committed artifacts:\n  "
-        .to_string()
-        + &DEFAULT_ARTIFACTS.join(", ")
-}
+     -h, --help       print this help";
 
-struct GateOptions {
-    bursts: u64,
-    workers: usize,
-    artifacts: Vec<PathBuf>,
-    help: bool,
-}
-
-fn parse_args<I: IntoIterator<Item = String>>(args: I) -> Result<GateOptions, String> {
-    let mut options = GateOptions {
-        bursts: DEFAULT_GATE_BURSTS,
-        workers: 0,
-        artifacts: Vec::new(),
-        help: false,
-    };
-    let mut iter = args.into_iter();
-    while let Some(arg) = iter.next() {
-        let mut numeric = |name: &str| -> Result<u64, String> {
-            let value = iter
-                .next()
-                .ok_or_else(|| format!("{name} requires a value"))?;
-            value
-                .parse::<u64>()
-                .map_err(|e| format!("invalid {name} value `{value}`: {e}"))
-        };
+/// Splits the command line into `(committed, fresh)` pairs; `Ok(None)`
+/// means `--help`.
+fn parse_args<I: IntoIterator<Item = String>>(
+    args: I,
+) -> Result<Option<Vec<(PathBuf, PathBuf)>>, String> {
+    let mut paths = Vec::new();
+    for arg in args {
         match arg.as_str() {
-            "--bursts" => {
-                options.bursts = numeric("--bursts")?;
-                if options.bursts == 0 {
-                    return Err("--bursts must be at least 1".to_string());
-                }
-            }
-            "--workers" => {
-                options.workers = usize::try_from(numeric("--workers")?)
-                    .map_err(|_| "--workers out of range".to_string())?;
-            }
-            "--help" | "-h" => options.help = true,
-            flag if flag.starts_with('-') => return Err(format!("unknown flag `{flag}`")),
-            path => options.artifacts.push(PathBuf::from(path)),
+            "--help" | "-h" => return Ok(None),
+            flag if flag.starts_with('-') => return Err(format!("unknown option `{flag}`")),
+            path => paths.push(PathBuf::from(path)),
         }
     }
-    if options.artifacts.is_empty() {
-        options.artifacts = DEFAULT_ARTIFACTS.iter().map(PathBuf::from).collect();
-    }
-    Ok(options)
-}
-
-/// Shared harness options for the sweep-based re-runs.
-fn harness(options: &GateOptions) -> HarnessOptions {
-    HarnessOptions {
-        bursts: options.bursts,
-        workers: options.workers,
-        ..HarnessOptions::new()
-    }
-}
-
-/// Resolves a committed `dram_label` (e.g. `DDR4-3200`) back to its preset.
-fn preset_for_label(label: &str) -> Result<DramConfig, String> {
-    for (standard, rate) in ALL_CONFIGS {
-        if format!("{}-{rate}", standard.name()) == label {
-            return DramConfig::preset(*standard, *rate)
-                .map_err(|e| format!("preset {label}: {e}"));
-        }
-    }
-    Err(format!("committed artifact names unknown preset `{label}`"))
-}
-
-/// Builds the current-measurement document from hand-formatted JSON (the
-/// same serializer discipline as the bench binaries) via the crate's own
-/// validating parser.
-fn current_doc(text: &str) -> JsonValue {
-    parse(text).expect("gate re-run document is valid JSON")
-}
-
-/// `engine_speed`: times both timing engines on the reduced Table I sweep.
-/// The event engine must stay no slower than the cycle-accurate reference
-/// and the records must stay bit-identical.
-fn rerun_engine_speed(options: &GateOptions) -> Result<(JsonValue, Vec<Check>), String> {
-    let base = harness(options);
-    let timed = |engine: TimingEngine| -> Result<(Vec<Record>, f64), String> {
-        let options = HarnessOptions {
-            engine,
-            ..base.clone()
-        };
-        let started = Instant::now();
-        let records = run_table1(&options).map_err(|e| e.to_string())?;
-        Ok((records, started.elapsed().as_secs_f64()))
-    };
-    let (cycle_records, cycle_wall_s) = timed(TimingEngine::Cycle)?;
-    let (event_records, event_wall_s) = timed(TimingEngine::Event)?;
-    let identical = cycle_records == event_records;
-    let speedup = cycle_wall_s / event_wall_s.max(f64::MIN_POSITIVE);
-    let doc = current_doc(&format!(
-        "{{\"speedup\":{},\"records_identical\":{identical}}}",
-        json_number(speedup)
-    ));
-    Ok((
-        doc,
-        vec![
-            Check::new("records_identical", CheckKind::MustBeTrue),
-            Check::new("speedup", CheckKind::AbsFloor(1.0)),
-        ],
-    ))
-}
-
-/// `channel_sweep`: re-measures the optimized mapping's 1 → 2 channel
-/// bandwidth scaling on both committed presets.
-fn rerun_channel_sweep(options: &GateOptions) -> Result<(JsonValue, Vec<Check>), String> {
-    const PRESETS: [(DramStandard, u32); 2] =
-        [(DramStandard::Ddr4, 3200), (DramStandard::Lpddr4, 4266)];
-    let mut grid = SweepGrid::new()
-        .channels([1, 2])
-        .size(options.bursts)
-        .mappings([MappingKind::Optimized]);
-    for (standard, rate) in PRESETS {
-        grid = grid.preset(standard, rate).map_err(|e| e.to_string())?;
-    }
-    let records = harness(options).run_grid(grid).map_err(|e| e.to_string())?;
-    let mut min_scaling = f64::INFINITY;
-    for (standard, rate) in PRESETS {
-        let dram = format!("{}-{rate}", standard.name());
-        let at = |channels: u32| -> Result<f64, String> {
-            records
-                .iter()
-                .find(|r| r.dram_label == dram && r.channels == channels)
-                .map(|r| r.aggregate_gbps)
-                .ok_or_else(|| format!("re-run missing cell {dram}/c{channels}"))
-        };
-        min_scaling = min_scaling.min(at(2)? / at(1)?.max(f64::MIN_POSITIVE));
-    }
-    let doc = current_doc(&format!(
-        "{{\"min_scaling_1_to_2_optimized\":{}}}",
-        json_number(min_scaling)
-    ));
-    Ok((
-        doc,
-        vec![Check::new(
-            "min_scaling_1_to_2_optimized",
-            CheckKind::MinRatio(0.75),
-        )],
-    ))
-}
-
-/// Reads an integer setting from the committed artifact.
-fn committed_u64(committed: &JsonValue, key: &str) -> Result<u64, String> {
-    let n = committed
-        .get(key)
-        .and_then(JsonValue::as_f64)
-        .ok_or_else(|| format!("committed artifact has no numeric `{key}`"))?;
-    // The JSON layer carries numbers as f64, which is only exact for
-    // integers up to 2^53 — reject anything that cannot have survived the
-    // round-trip unchanged (a silently rounded seed would re-run the
-    // workload with different channel realisations).
-    if n.fract() != 0.0 || !(0.0..=9_007_199_254_740_992.0).contains(&n) {
+    if paths.is_empty() || paths.len() % 2 != 0 {
         return Err(format!(
-            "committed `{key}` ({n}) is not an exactly-representable integer"
+            "expected <committed> <fresh> pairs, got {} path(s)",
+            paths.len()
         ));
     }
-    #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
-    Ok(n as u64)
-}
-
-/// Replay budget cap for the mapping-search gate: the committed artifact
-/// may spend hundreds of full-size evaluations per preset, but the gate
-/// re-runs on a reduced index space where a slice of that budget already
-/// rediscovers competitive mappings.
-const GATE_SEARCH_BUDGET: u32 = 96;
-
-/// `mapping_search`: replays the committed search — same seed, restart
-/// count, neighbor count, strategy (greedy or portfolio, including the
-/// surrogate/annealing knobs) and refresh condition — on a reduced index
-/// space with a capped budget.  The committed permutations themselves are
-/// tuned to the full-size triangle, so the scaled-down gate re-runs the
-/// *search* and checks it still rediscovers mappings near the optimized
-/// row-hit rate.  Cross-preset transfer seeding is not replayed: the gate
-/// checks each preset's search in isolation.
-fn rerun_mapping_search(
-    options: &GateOptions,
-    committed: &JsonValue,
-) -> Result<(JsonValue, Vec<Check>), String> {
-    let refresh_disabled = matches!(
-        committed.get("refresh_disabled"),
-        Some(JsonValue::Bool(true))
-    );
-    // Portfolio keys default to the greedy artifact's implied values so the
-    // gate accepts both artifact generations.
-    let committed_u64_or = |key: &str, default: u64| -> Result<u64, String> {
-        match committed.get(key) {
-            None => Ok(default),
-            Some(value) => value
-                .as_f64()
-                .map(|n| n as u64)
-                .ok_or_else(|| format!("committed `{key}` is not numeric")),
-        }
-    };
-    let strategy = match committed.get("strategy") {
-        None => SearchStrategy::Greedy,
-        Some(JsonValue::String(s)) => s.parse::<SearchStrategy>()?,
-        Some(_) => return Err("committed `strategy` is not a string".to_string()),
-    };
-    let settings = SearchSettings {
-        seed: committed_u64(committed, "seed")?,
-        restarts: u32::try_from(committed_u64(committed, "restarts")?)
-            .map_err(|_| "committed `restarts` out of range".to_string())?,
-        budget: u32::try_from(committed_u64(committed, "budget")?)
-            .map_err(|_| "committed `budget` out of range".to_string())?
-            .min(GATE_SEARCH_BUDGET),
-        neighbors: u32::try_from(committed_u64(committed, "neighbors")?)
-            .map_err(|_| "committed `neighbors` out of range".to_string())?,
-        workers: options.workers,
-        strategy,
-        surrogate_divisor: u32::try_from(committed_u64_or("surrogate_divisor", 0)?)
-            .map_err(|_| "committed `surrogate_divisor` out of range".to_string())?,
-        promote: u32::try_from(committed_u64_or("promote", 2)?)
-            .map_err(|_| "committed `promote` out of range".to_string())?,
-        sa_temp_micro: u32::try_from(committed_u64_or("sa_temp_micro", 150)?)
-            .map_err(|_| "committed `sa_temp_micro` out of range".to_string())?,
-    };
-    let spec = InterleaverSpec::from_burst_count(options.bursts);
-    let controller = HarnessOptions {
-        no_refresh: refresh_disabled,
-        ..HarnessOptions::new()
-    }
-    .controller();
-    let mut min_gain = f64::INFINITY;
-    for (standard, rate) in ALL_CONFIGS {
-        let dram = DramConfig::preset(*standard, *rate).map_err(|e| e.to_string())?;
-        let label = dram.label();
-        let record = MappingSearch::new(dram, spec, settings)
-            .with_controller(controller)
-            .run()
-            .map_err(|e| e.to_string())?;
-        let gain = record.row_hit_gain();
-        eprintln!("  {label}: rediscovered row-hit gain {gain:.6}x");
-        min_gain = min_gain.min(gain);
-    }
-    let doc = current_doc(&format!(
-        "{{\"min_row_hit_gain\":{}}}",
-        json_number(min_gain)
-    ));
-    Ok((
-        doc,
-        vec![Check::new("min_row_hit_gain", CheckKind::MinRatio(0.95))],
+    Ok(Some(
+        paths
+            .chunks_exact(2)
+            .map(|pair| (pair[0].clone(), pair[1].clone()))
+            .collect(),
     ))
 }
 
-/// Largest index-space dimension whose triangle fits in `bursts` positions.
-fn dimension_for(bursts: u64) -> u32 {
-    let mut n = 2u64;
-    while (n + 1) * (n + 2) / 2 <= bursts {
-        n += 1;
-    }
-    u32::try_from(n).expect("dimension fits u32")
-}
-
-/// `mapgen_speed`: re-times the batched permutation kernels on the
-/// worst-case gather permutation of every preset — the row family behind
-/// the committed `min_permutation_gather_speedup` — and re-checks the
-/// scalar/batch bit-identity.
-fn rerun_mapgen_speed(options: &GateOptions) -> Result<(JsonValue, Vec<Check>), String> {
-    let n = dimension_for(options.bursts);
-    let positions = u64::from(n) * (u64::from(n) + 1) / 2;
-    let mut coords = Vec::with_capacity(usize::try_from(positions).expect("positions fit usize"));
-    for i in 0..n {
-        for j in 0..(n - i) {
-            coords.push((i, j));
-        }
-    }
-    let reps = GATE_TARGET_POSITIONS.div_ceil(positions);
-
-    let mut all_identical = true;
-    let mut min_speedup = f64::INFINITY;
-    for (standard, rate) in ALL_CONFIGS {
-        let config = DramConfig::preset(*standard, *rate).map_err(|e| e.to_string())?;
-        let scheme = BitPermutation::for_scheme(
-            config.decode_scheme,
-            &config.geometry,
-            ChannelTopology::default(),
-        )
-        .map_err(|e| format!("scheme permutation for {}: {e}", config.label()))?;
-        // The same deliberately non-contiguous permutation mapgen_speed
-        // benches: bottom bits swapped against high bits so the scalar
-        // decode takes the per-bit gather path.
-        let top = scheme.fields().len() - 1;
-        let gather = scheme.with_swap(0, top).with_swap(1, top / 2);
-        let mapping = PermutedMapping::new(config.geometry, ChannelTopology::default(), gather, n)
-            .map_err(|e| format!("gather mapping for {}: {e}", config.label()))?;
-
-        let mut scalar_out = AddressBatch::with_capacity(coords.len());
-        let mut batch_out = AddressBatch::with_capacity(coords.len());
-        let scalar = |out: &mut AddressBatch| {
-            out.clear();
-            out.reserve(coords.len());
-            for &(i, j) in &coords {
-                let (channel, address) = mapping.route(i, j);
-                out.push(channel, address);
-            }
-        };
-        scalar(&mut scalar_out);
-        mapping.route_batch(&coords, &mut batch_out);
-        if scalar_out != batch_out {
-            eprintln!("BATCH DIVERGENCE: {} gather permutation", config.label());
-            all_identical = false;
-        }
-
-        let started = Instant::now();
-        for _ in 0..reps {
-            scalar(&mut scalar_out);
-        }
-        std::hint::black_box(&scalar_out);
-        let scalar_s = started.elapsed().as_secs_f64();
-        let started = Instant::now();
-        for _ in 0..reps {
-            batch_out.clear();
-            mapping.route_batch(&coords, &mut batch_out);
-        }
-        std::hint::black_box(&batch_out);
-        let batch_s = started.elapsed().as_secs_f64();
-        min_speedup = min_speedup.min(scalar_s / batch_s.max(f64::MIN_POSITIVE));
-    }
-    let doc = current_doc(&format!(
-        "{{\"all_identical\":{all_identical},\
-         \"min_permutation_gather_speedup\":{}}}",
-        json_number(min_speedup)
-    ));
-    Ok((
-        doc,
-        vec![
-            Check::new("all_identical", CheckKind::MustBeTrue),
-            // The committed minimum is > 5x; even on a loaded CI box the
-            // batched kernel must never fall behind the scalar path.
-            Check::new("min_permutation_gather_speedup", CheckKind::AbsFloor(1.0)),
-        ],
-    ))
-}
-
-/// `tenant_sweep`: re-runs only the committed most-contended cells (max
-/// streams on one channel, all policies) and re-measures the premium-p99
-/// policy spread.
-fn rerun_tenant_sweep(
-    options: &GateOptions,
-    committed: &JsonValue,
-) -> Result<(JsonValue, Vec<Check>), String> {
-    let cells = committed
-        .get("contended_cells")
-        .and_then(JsonValue::as_array)
-        .ok_or("committed artifact has no `contended_cells` array")?;
-    let mut max_ratio: f64 = 0.0;
-    for cell in cells {
-        let label = cell
-            .get("dram")
-            .and_then(JsonValue::as_str)
-            .ok_or("contended cell has no `dram` label")?;
-        let streams = cell
-            .get("streams")
-            .and_then(JsonValue::as_f64)
-            .ok_or("contended cell has no `streams` count")?;
-        #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
-        let streams = streams as u32;
-        let dram = preset_for_label(label)?.with_topology(ChannelTopology::new(1, 1));
-        let per_stream = (options.bursts / u64::from(streams.max(1))).max(64);
-        let spec = InterleaverSpec::from_burst_count(per_stream);
-        let scenarios: Vec<Scenario> = SchedPolicyKind::ALL
-            .iter()
-            .map(|&policy| {
-                Scenario::custom(dram.clone(), MappingKind::Optimized, spec)
-                    .with_tenants(TenantStage::new(streams, policy))
-            })
-            .collect();
-        let experiment = Experiment::new(scenarios);
-        let experiment = if options.workers == 0 {
-            experiment.with_auto_workers()
-        } else {
-            experiment.with_workers(options.workers)
-        };
-        let records = experiment.run().map_err(|e| e.to_string())?;
-        let premium_p99 = |record: &Record| -> u64 {
-            record
-                .tenants
-                .as_ref()
-                .expect("tenant scenarios carry a summary")
-                .per_tenant
-                .iter()
-                .filter(|t| t.qos == "premium")
-                .map(|t| t.p99_latency_cycles)
-                .max()
-                .unwrap_or(0)
-        };
-        let p99s: Vec<u64> = records.iter().map(premium_p99).collect();
-        let best = p99s.iter().copied().min().unwrap_or(1).max(1);
-        let worst = p99s.iter().copied().max().unwrap_or(0);
-        #[allow(clippy::cast_precision_loss)]
-        let ratio = worst as f64 / best as f64;
-        eprintln!("  {label}: premium-p99 policy spread x{ratio:.3} at {streams} streams");
-        max_ratio = max_ratio.max(ratio);
-    }
-    let doc = current_doc(&format!(
-        "{{\"max_premium_p99_ratio\":{}}}",
-        json_number(max_ratio)
-    ));
-    Ok((
-        doc,
-        vec![Check::new(
-            "max_premium_p99_ratio",
-            CheckKind::AbsFloor(1.1),
-        )],
-    ))
-}
-
-/// `campaign_sweep`: replays the committed campaign — same seed and trial
-/// budget — at the gate's burst count.  The link simulations are sized by
-/// the campaign itself rather than the DRAM burst count, so the
-/// interleaving-gain waterfall and the frontier shape must reproduce
-/// exactly at any scale; only the DRAM-side bandwidth shrinks with
-/// `--bursts`, which is why the mapping-shift check is an absolute floor
-/// and the aggregate check a loose ratio.
-fn rerun_campaign_sweep(
-    options: &GateOptions,
-    committed: &JsonValue,
-) -> Result<(JsonValue, Vec<Check>), String> {
-    let seed = committed_u64(committed, "seed")?;
-    let trials = u32::try_from(committed_u64(committed, "trials")?)
-        .map_err(|_| "committed `trials` out of range".to_string())?;
-    let campaign =
-        build_campaign(options.bursts, options.workers, seed, trials).map_err(|e| e.to_string())?;
-    let report = campaign.run().map_err(|e| e.to_string())?;
-    let monotone = report.ber_strictly_decreases_with_depth(&DEFAULT_CODE_RATES);
-    let all_frontiers_nonempty = report.frontiers.iter().all(|f| !f.points.is_empty());
-    let mut min_shift = f64::INFINITY;
-    let mut max_aggregate: f64 = 0.0;
-    for frontier in &report.frontiers {
-        min_shift = min_shift.min(report.mapping_bandwidth_shift(&frontier.dram_label));
-    }
-    for record in &report.records {
-        max_aggregate = max_aggregate.max(record.aggregate_gbps);
-    }
-    eprintln!(
-        "  waterfall strict: {monotone}, min mapping shift x{:.3}, peak {max_aggregate:.2} Gb/s",
-        1.0 + min_shift
-    );
-    let doc = current_doc(&format!(
-        "{{\"ber_strictly_decreases_with_depth\":{monotone},\
-         \"all_frontiers_nonempty\":{all_frontiers_nonempty},\
-         \"min_mapping_bandwidth_shift\":{},\"max_aggregate_gbps\":{}}}",
-        json_number(min_shift),
-        json_number(max_aggregate)
-    ));
-    Ok((
-        doc,
-        vec![
-            Check::new("ber_strictly_decreases_with_depth", CheckKind::MustBeTrue),
-            Check::new("all_frontiers_nonempty", CheckKind::MustBeTrue),
-            // The mappings are distinguishable even at gate scale, but the
-            // absolute shift grows with burst count, so gate on a floor
-            // rather than a ratio against the full-size committed value.
-            Check::new("min_mapping_bandwidth_shift", CheckKind::AbsFloor(0.01)),
-            Check::new("max_aggregate_gbps", CheckKind::MinRatio(0.5)),
-        ],
-    ))
-}
-
-fn gate_artifact(options: &GateOptions, path: &PathBuf) -> Result<GateReport, String> {
+/// Reads and parses an artifact, returning it with its `bench` tag.
+fn load(path: &Path) -> Result<(JsonValue, String), String> {
     let text = std::fs::read_to_string(path)
         .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
-    let committed = parse(&text).map_err(|e| format!("cannot parse {}: {e}", path.display()))?;
-    let bench = committed
+    let doc = parse(&text).map_err(|e| format!("cannot parse {}: {e}", path.display()))?;
+    let bench = doc
         .get("bench")
         .and_then(JsonValue::as_str)
         .ok_or_else(|| format!("{} has no `bench` tag", path.display()))?
         .to_string();
-    eprintln!("gating {} ({bench}) ...", path.display());
-    let (current, checks) = match bench.as_str() {
-        "engine_speed" => rerun_engine_speed(options)?,
-        "channel_sweep" => rerun_channel_sweep(options)?,
-        "mapping_search" => rerun_mapping_search(options, &committed)?,
-        "mapgen_speed" => rerun_mapgen_speed(options)?,
-        "tenant_sweep" => rerun_tenant_sweep(options, &committed)?,
-        "campaign_sweep" => rerun_campaign_sweep(options, &committed)?,
-        other => return Err(format!("{}: unknown bench tag `{other}`", path.display())),
-    };
-    Ok(evaluate(&bench, &current, &committed, &checks))
+    Ok((doc, bench))
+}
+
+fn gate_pair(committed_path: &Path, fresh_path: &Path) -> Result<GateReport, String> {
+    let (committed, bench) = load(committed_path)?;
+    let (fresh, fresh_bench) = load(fresh_path)?;
+    if fresh_bench != bench {
+        return Err(format!(
+            "{} is a `{bench}` artifact but {} is a `{fresh_bench}` artifact",
+            committed_path.display(),
+            fresh_path.display()
+        ));
+    }
+    let checks = checks_for(&bench).ok_or_else(|| {
+        format!(
+            "{}: no checks for bench `{bench}`",
+            committed_path.display()
+        )
+    })?;
+    eprintln!(
+        "gating {} against {} ({bench}) ...",
+        fresh_path.display(),
+        committed_path.display()
+    );
+    Ok(evaluate(&bench, &fresh, &committed, &checks))
 }
 
 fn main() {
-    let options = match parse_args(std::env::args().skip(1)) {
-        Ok(options) => options,
+    let pairs = match parse_args(std::env::args().skip(1)) {
+        Ok(Some(pairs)) => pairs,
+        Ok(None) => {
+            println!("{USAGE}");
+            return;
+        }
         Err(message) => {
             eprintln!("error: {message}");
-            eprintln!("{}", usage());
+            eprintln!("{USAGE}");
             std::process::exit(2);
         }
     };
-    if options.help {
-        println!("{}", usage());
-        return;
-    }
-    eprintln!(
-        "perf_gate: {} artifact(s) at {} bursts per re-run scenario",
-        options.artifacts.len(),
-        options.bursts
-    );
     let mut all_passed = true;
-    for path in &options.artifacts {
-        match gate_artifact(&options, path) {
+    for (committed, fresh) in &pairs {
+        match gate_pair(committed, fresh) {
             Ok(report) => {
                 print!("{}", report.render());
                 all_passed &= report.passed();

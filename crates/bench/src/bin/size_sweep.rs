@@ -18,38 +18,10 @@ use tbi_bench::HarnessOptions;
 
 const SIZES: [u64; 4] = [100_000, 400_000, 1_600_000, 6_400_000];
 
-const SUPPORTED_FLAGS: [&str; 4] = ["--no-refresh", "--workers", "--json", "--csv"];
+const FLAGS: &[&str] = &["--no-refresh", "--workers", "--json", "--csv"];
 
 fn main() {
-    let options = match HarnessOptions::parse(std::env::args().skip(1)) {
-        Ok(options) => options,
-        Err(message) => {
-            eprintln!("error: {message}");
-            eprintln!(
-                "{}",
-                HarnessOptions::usage_for("size_sweep", &SUPPORTED_FLAGS)
-            );
-            std::process::exit(2);
-        }
-    };
-    if options.help {
-        println!(
-            "{}",
-            HarnessOptions::usage_for("size_sweep", &SUPPORTED_FLAGS)
-        );
-        return;
-    }
-    if options.bursts != tbi_bench::DEFAULT_BURSTS || options.channels != 1 || options.ranks != 1 {
-        eprintln!(
-            "error: size_sweep sweeps a fixed list of interleaver sizes on the \
-             single-channel device; --full/--bursts/--channels/--ranks are not supported"
-        );
-        eprintln!(
-            "{}",
-            HarnessOptions::usage_for("size_sweep", &SUPPORTED_FLAGS)
-        );
-        std::process::exit(2);
-    }
+    let options = HarnessOptions::from_env("size_sweep", FLAGS);
 
     // The sweep focuses on the most bandwidth-sensitive configurations.
     let configs = [

@@ -11,21 +11,10 @@
 //! Table I mapping pair) and executed in parallel; `--json`/`--csv` emit the
 //! records as machine-readable artifacts.
 
-use tbi_bench::{format_table1_row, run_table1, HarnessOptions};
+use tbi_bench::{format_table1_row, run_table1, HarnessOptions, ALL_FLAGS};
 
 fn main() {
-    let options = match HarnessOptions::parse(std::env::args().skip(1)) {
-        Ok(options) => options,
-        Err(message) => {
-            eprintln!("error: {message}");
-            eprintln!("{}", HarnessOptions::usage("table1"));
-            std::process::exit(2);
-        }
-    };
-    if options.help {
-        println!("{}", HarnessOptions::usage("table1"));
-        return;
-    }
+    let options = HarnessOptions::from_env("table1", &ALL_FLAGS);
 
     let records = match run_table1(&options) {
         Ok(records) => records,

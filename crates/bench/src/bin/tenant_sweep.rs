@@ -38,12 +38,7 @@ const PRESETS: [(DramStandard, u32); 2] =
 /// triangular block even when `--bursts` is small.
 const MIN_STREAM_BURSTS: u64 = 64;
 
-fn usage() -> String {
-    HarnessOptions::usage_for(
-        "tenant_sweep",
-        &["--bursts", "--engine", "--workers", "--json"],
-    )
-}
+const FLAGS: &[&str] = &["--bursts", "--engine", "--workers", "--json"];
 
 /// Per-policy tail-latency observation of one contended sweep cell.
 struct PolicyCell {
@@ -87,26 +82,7 @@ fn find<'a>(
 }
 
 fn main() {
-    let options = match HarnessOptions::parse(std::env::args().skip(1)) {
-        Ok(options) => options,
-        Err(message) => {
-            eprintln!("error: {message}");
-            eprintln!("{}", usage());
-            std::process::exit(2);
-        }
-    };
-    if options.help {
-        println!("{}", usage());
-        return;
-    }
-    if options.no_refresh || options.csv.is_some() || options.channels != 1 || options.ranks != 1 {
-        eprintln!(
-            "error: tenant_sweep owns the channel axis ({CHANNEL_AXIS:?}) and always runs the \
-             default-refresh sweep; --channels/--ranks/--no-refresh/--csv are not supported"
-        );
-        eprintln!("{}", usage());
-        std::process::exit(2);
-    }
+    let options = HarnessOptions::from_env("tenant_sweep", FLAGS);
     let output = options
         .json
         .clone()

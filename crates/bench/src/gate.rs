@@ -1,22 +1,24 @@
-//! Performance-trajectory gate: compares a freshly measured benchmark
-//! artifact against the committed `BENCH_*.json` baseline with per-metric
-//! tolerances.
+//! Performance-trajectory gate: compares a fresh benchmark artifact against
+//! the committed `BENCH_*.json` baseline with per-metric tolerances.
 //!
 //! The committed artifacts record the performance wins of past PRs (engine
-//! speedup, channel scaling, mapping-search gains, tenant QoS separation).
-//! The `perf_gate` binary re-runs a scaled-down version of each workload and
-//! calls [`evaluate`] to check that no metric has regressed beyond its
-//! tolerance; CI fails on any `FAIL` line.  The pass/fail logic lives here —
-//! in the library, not the binary — so the regression and tolerance-boundary
-//! fixtures can pin it byte-for-byte (see `tests/perf_gate_golden.rs`).
+//! speedup, channel scaling, mapping-search gains, tenant QoS separation,
+//! the downlink waterfall).  The fresh artifact comes from the same sweep
+//! binary at smoke scale; [`checks_for`] names the checks of each `bench`
+//! tag and [`evaluate`] judges them, so the `perf_gate` binary only reads
+//! the two files and prints the [`GateReport`].  CI fails on any `FAIL`
+//! line.  The pass/fail logic lives here — in the library, not the binary —
+//! so the regression and tolerance-boundary fixtures can pin it
+//! byte-for-byte (see `tests/perf_gate_golden.rs`).
 
 use tbi_exp::json::JsonValue;
+use tbi_exp::serialize::{json_number, json_string};
 
 /// How one metric of the current run is judged against the baseline.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum CheckKind {
     /// The current value must be at least `tolerance × committed` (e.g.
-    /// `MinRatio(0.5)`: a scaled-down re-run may lose up to half the
+    /// `MinRatio(0.5)`: a smoke-scale run may lose up to half the
     /// committed metric before the gate fails).  Committed values ≤ 0 fail
     /// the check outright — a non-positive baseline means the committed
     /// artifact itself is broken.
@@ -28,6 +30,11 @@ pub enum CheckKind {
     /// The current value must be at least this absolute floor, independent
     /// of the committed value.
     AbsFloor(f64),
+    /// The current value must equal the committed one.  Guards the settings
+    /// that make the comparison like-for-like (search seed and budget,
+    /// campaign trials, rank count): a fresh run with other settings
+    /// measures a different workload.
+    SameAsCommitted,
 }
 
 impl std::fmt::Display for CheckKind {
@@ -36,6 +43,7 @@ impl std::fmt::Display for CheckKind {
             CheckKind::MinRatio(tolerance) => write!(f, ">= {tolerance} x committed"),
             CheckKind::MustBeTrue => write!(f, "must be true"),
             CheckKind::AbsFloor(floor) => write!(f, ">= {floor}"),
+            CheckKind::SameAsCommitted => write!(f, "== committed"),
         }
     }
 }
@@ -109,6 +117,81 @@ impl GateReport {
     }
 }
 
+/// The checks `perf_gate` applies to an artifact with this `bench` tag, or
+/// `None` for a bench it does not gate.
+///
+/// Every tolerance is set for a fresh artifact from the same binary at
+/// smoke scale (`--bursts 20000`, `100000` for `engine_speed`): identity
+/// flags must hold at any scale, ratio metrics may lose a bounded fraction
+/// of the full-size committed value, and speed ratios whose size depends
+/// on the host get absolute floors.
+#[must_use]
+pub fn checks_for(bench: &str) -> Option<Vec<Check>> {
+    use CheckKind::{AbsFloor, MinRatio, MustBeTrue, SameAsCommitted};
+    let table: &[(&str, CheckKind)] = match bench {
+        // The committed full-size speedup is 13.5x.
+        "engine_speed" => &[
+            ("records_identical", MustBeTrue),
+            ("speedup", AbsFloor(4.0)),
+        ],
+        "channel_sweep" => &[
+            ("ranks", SameAsCommitted),
+            ("min_scaling_1_to_2_optimized", MinRatio(0.75)),
+        ],
+        // The committed permutations are tuned to the full-size triangle, so
+        // the fresh run repeats the *search* with the committed settings and
+        // must still rediscover mappings near the optimized row-hit rate.
+        "mapping_search" => &[
+            ("seed", SameAsCommitted),
+            ("restarts", SameAsCommitted),
+            ("budget", SameAsCommitted),
+            ("neighbors", SameAsCommitted),
+            ("strategy", SameAsCommitted),
+            ("surrogate_divisor", SameAsCommitted),
+            ("promote", SameAsCommitted),
+            ("sa_temp_micro", SameAsCommitted),
+            ("transfer", SameAsCommitted),
+            ("refresh_disabled", SameAsCommitted),
+            ("min_row_hit_gain", MinRatio(0.95)),
+        ],
+        // The committed gather minimum is 5.2x.
+        "mapgen_speed" => &[
+            ("all_identical", MustBeTrue),
+            ("min_permutation_gather_speedup", AbsFloor(2.0)),
+        ],
+        "tenant_sweep" => &[("max_premium_p99_ratio", AbsFloor(1.1))],
+        // The link seeds do not depend on the burst count, so with the
+        // committed seed and trials the waterfall reproduces exactly.  The
+        // mapping shift grows with the burst count, hence a floor rather
+        // than a ratio against the full-size value.
+        "campaign_sweep" => &[
+            ("seed", SameAsCommitted),
+            ("trials", SameAsCommitted),
+            ("ber_strictly_decreases_with_depth", MustBeTrue),
+            ("all_frontiers_nonempty", MustBeTrue),
+            ("min_mapping_bandwidth_shift", AbsFloor(0.01)),
+            ("max_aggregate_gbps", MinRatio(0.5)),
+        ],
+        _ => return None,
+    };
+    Some(
+        table
+            .iter()
+            .map(|&(metric, kind)| Check::new(metric, kind))
+            .collect(),
+    )
+}
+
+/// Renders a JSON scalar for a report line.
+fn show(value: &JsonValue) -> String {
+    match value {
+        JsonValue::Bool(b) => b.to_string(),
+        JsonValue::Number(n) => json_number(*n),
+        JsonValue::String(s) => json_string(s),
+        other => format!("{other:?}"),
+    }
+}
+
 /// Extracts a finite f64 from a top-level key.
 fn number(doc: &JsonValue, key: &str) -> Result<f64, String> {
     match doc.get(key) {
@@ -148,6 +231,17 @@ pub fn evaluate(
                     Ok(value) => (value >= floor, format!("current {value}, floor {floor}")),
                     Err(message) => (false, message),
                 },
+                CheckKind::SameAsCommitted => {
+                    match (current.get(&check.metric), committed.get(&check.metric)) {
+                        (Some(value), Some(baseline)) if value == baseline => (true, show(value)),
+                        (Some(value), Some(baseline)) => (
+                            false,
+                            format!("current {}, committed {}", show(value), show(baseline)),
+                        ),
+                        (None, _) => (false, format!("current: missing key `{}`", check.metric)),
+                        (_, None) => (false, format!("committed: missing key `{}`", check.metric)),
+                    }
+                }
                 CheckKind::MinRatio(tolerance) => {
                     match (
                         number(current, &check.metric),
@@ -273,6 +367,41 @@ mod tests {
         );
         assert!(!report.passed());
         assert!(report.results[0].detail.contains("not positive"));
+    }
+
+    #[test]
+    fn same_as_committed_passes_only_on_equal_values_present_on_both_sides() {
+        let check = [Check::new("seed", CheckKind::SameAsCommitted)];
+        let committed = doc(r#"{"seed": 8, "strategy": "portfolio"}"#);
+        let report = evaluate("b", &doc(r#"{"seed": 8}"#), &committed, &check);
+        assert!(report.passed());
+        assert_eq!(report.results[0].detail, "8");
+
+        let report = evaluate("b", &doc(r#"{"seed": 9}"#), &committed, &check);
+        assert!(!report.passed());
+        assert_eq!(report.results[0].detail, "current 9, committed 8");
+        // Same text, different JSON type: not the same setting.
+        let report = evaluate("b", &doc(r#"{"seed": "8"}"#), &committed, &check);
+        assert!(!report.passed());
+        let strategy = [Check::new("strategy", CheckKind::SameAsCommitted)];
+        let report = evaluate(
+            "b",
+            &doc(r#"{"strategy": "greedy"}"#),
+            &committed,
+            &strategy,
+        );
+        assert!(!report.passed());
+        assert_eq!(
+            report.results[0].detail,
+            r#"current "greedy", committed "portfolio""#
+        );
+
+        let report = evaluate("b", &doc(r#"{}"#), &committed, &check);
+        assert!(!report.passed());
+        assert_eq!(report.results[0].detail, "current: missing key `seed`");
+        let report = evaluate("b", &doc(r#"{"seed": 8}"#), &doc(r#"{}"#), &check);
+        assert!(!report.passed());
+        assert_eq!(report.results[0].detail, "committed: missing key `seed`");
     }
 
     #[test]

@@ -4,8 +4,9 @@
 //! The heavy lifting lives in [`tbi_exp`]: the binaries declare a
 //! [`SweepGrid`], run it through an [`Experiment`](tbi_exp::Experiment) and
 //! format/serialize the resulting [`Record`]s.  This crate only hosts the
-//! common command-line surface ([`HarnessOptions`]) and the Table-I-style
-//! text formatting.
+//! common command-line surface ([`HarnessOptions`], parsed against each
+//! binary's own flag list), the Table-I-style text formatting, the
+//! campaign bench's set-up and the perf gate's check table ([`gate`]).
 
 pub mod gate;
 
@@ -23,6 +24,22 @@ use tbi_satcom::{LinkProfile, Weather};
 /// size (see the `size_sweep` binary), and `--full` switches to the paper's
 /// exact size.
 pub const DEFAULT_BURSTS: u64 = 1 << 20;
+
+/// Every shared harness flag, in usage order.  Each binary passes the
+/// subset it reads to [`HarnessOptions::parse_for`] and
+/// [`HarnessOptions::usage_for`].
+pub const ALL_FLAGS: [&str; 10] = [
+    "--full",
+    "--bursts",
+    "--no-refresh",
+    "--engine",
+    "--channels",
+    "--ranks",
+    "--workers",
+    "--threads",
+    "--json",
+    "--csv",
+];
 
 /// Command-line options shared by the harness binaries.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
@@ -69,7 +86,8 @@ impl HarnessOptions {
         }
     }
 
-    /// Parses options from command-line arguments.
+    /// Parses options from command-line arguments, accepting every shared
+    /// flag ([`ALL_FLAGS`]).
     ///
     /// Supported flags: `--full` (12.5 M bursts as in the paper),
     /// `--bursts <n>`, `--no-refresh`, `--workers <n>`, `--threads <n>`,
@@ -83,20 +101,60 @@ impl HarnessOptions {
     /// or out-of-range numbers and missing flag values.  Parsing never
     /// panics.
     pub fn parse<I: IntoIterator<Item = String>>(args: I) -> Result<Self, String> {
+        Self::parse_for(args, &ALL_FLAGS)
+    }
+
+    /// Parses options for a binary that accepts only `flags` (a subset of
+    /// [`ALL_FLAGS`]; `--help`/`-h` is always accepted).  The same list
+    /// drives [`HarnessOptions::usage_for`], so a binary never silently
+    /// ignores a flag it does not read.
+    ///
+    /// # Errors
+    ///
+    /// As [`HarnessOptions::parse`]; additionally names any shared flag
+    /// missing from `flags`, and rejects positional arguments.
+    pub fn parse_for<I: IntoIterator<Item = String>>(
+        args: I,
+        flags: &[&str],
+    ) -> Result<Self, String> {
+        let (options, positionals) = Self::parse_with_positionals(args, flags)?;
+        match positionals.first() {
+            Some(positional) => Err(format!("unexpected argument `{positional}`")),
+            None => Ok(options),
+        }
+    }
+
+    /// As [`HarnessOptions::parse_for`], but returns the arguments that do
+    /// not start with `-` (and are not a flag's value) instead of
+    /// rejecting them.
+    ///
+    /// # Errors
+    ///
+    /// As [`HarnessOptions::parse_for`], except for positional arguments.
+    pub fn parse_with_positionals<I: IntoIterator<Item = String>>(
+        args: I,
+        flags: &[&str],
+    ) -> Result<(Self, Vec<String>), String> {
         let mut options = Self::new();
+        let mut positionals = Vec::new();
         let mut iter = args.into_iter();
         while let Some(arg) = iter.next() {
+            let mut next_value = |name: &str| {
+                iter.next()
+                    .ok_or_else(|| format!("{name} requires a value"))
+            };
             match arg.as_str() {
                 "--help" | "-h" => {
                     options.help = true;
-                    return Ok(options);
+                    return Ok((options, positionals));
+                }
+                flag if ALL_FLAGS.contains(&flag) && !flags.contains(&flag) => {
+                    return Err(format!("option `{flag}` is not supported by this binary"));
                 }
                 "--full" => options.bursts = 12_500_000,
                 "--no-refresh" => options.no_refresh = true,
                 "--bursts" => {
-                    let value = iter
-                        .next()
-                        .ok_or_else(|| "--bursts requires a value".to_string())?;
+                    let value = next_value("--bursts")?;
                     options.bursts = value
                         .parse()
                         .map_err(|e| format!("invalid burst count `{value}`: {e}"))?;
@@ -105,9 +163,7 @@ impl HarnessOptions {
                     }
                 }
                 "--workers" => {
-                    let value = iter
-                        .next()
-                        .ok_or_else(|| "--workers requires a value".to_string())?;
+                    let value = next_value("--workers")?;
                     options.workers = value
                         .parse()
                         .map_err(|e| format!("invalid worker count `{value}`: {e}"))?;
@@ -119,9 +175,7 @@ impl HarnessOptions {
                     }
                 }
                 "--threads" => {
-                    let value = iter
-                        .next()
-                        .ok_or_else(|| "--threads requires a value".to_string())?;
+                    let value = next_value("--threads")?;
                     options.threads = value
                         .parse()
                         .map_err(|e| format!("invalid thread count `{value}`: {e}"))?;
@@ -130,9 +184,7 @@ impl HarnessOptions {
                     }
                 }
                 "--channels" => {
-                    let value = iter
-                        .next()
-                        .ok_or_else(|| "--channels requires a value".to_string())?;
+                    let value = next_value("--channels")?;
                     options.channels = value
                         .parse()
                         .map_err(|e| format!("invalid channel count `{value}`: {e}"))?;
@@ -143,9 +195,7 @@ impl HarnessOptions {
                     }
                 }
                 "--ranks" => {
-                    let value = iter
-                        .next()
-                        .ok_or_else(|| "--ranks requires a value".to_string())?;
+                    let value = next_value("--ranks")?;
                     options.ranks = value
                         .parse()
                         .map_err(|e| format!("invalid rank count `{value}`: {e}"))?;
@@ -155,23 +205,10 @@ impl HarnessOptions {
                         ));
                     }
                 }
-                "--json" => {
-                    let value = iter
-                        .next()
-                        .ok_or_else(|| "--json requires a path".to_string())?;
-                    options.json = Some(PathBuf::from(value));
-                }
-                "--csv" => {
-                    let value = iter
-                        .next()
-                        .ok_or_else(|| "--csv requires a path".to_string())?;
-                    options.csv = Some(PathBuf::from(value));
-                }
+                "--json" => options.json = Some(PathBuf::from(next_value("--json")?)),
+                "--csv" => options.csv = Some(PathBuf::from(next_value("--csv")?)),
                 "--engine" => {
-                    let value = iter
-                        .next()
-                        .ok_or_else(|| "--engine requires `cycle` or `event`".to_string())?;
-                    options.engine = match value.as_str() {
+                    options.engine = match next_value("--engine")?.as_str() {
                         "cycle" => TimingEngine::Cycle,
                         "event" => TimingEngine::Event,
                         other => {
@@ -181,30 +218,46 @@ impl HarnessOptions {
                         }
                     };
                 }
+                other if !other.starts_with('-') => positionals.push(arg),
                 other => return Err(format!("unknown option `{other}`")),
             }
         }
-        Ok(options)
+        Ok((options, positionals))
+    }
+
+    /// Parses the process arguments for `binary`, which accepts `flags`
+    /// (see [`HarnessOptions::parse_for`]); prints the usage and exits on
+    /// `--help` or a bad command line (see [`HarnessOptions::or_exit`]).
+    #[must_use]
+    pub fn from_env(binary: &str, flags: &[&str]) -> Self {
+        Self::or_exit(
+            Self::parse_for(std::env::args().skip(1), flags),
+            &Self::usage_for(binary, flags),
+        )
+    }
+
+    /// Unwraps a parse result in a binary's `main`: on `--help` prints
+    /// `usage` and exits 0; on an error prints it with `usage` and exits 2.
+    #[must_use]
+    pub fn or_exit(parsed: Result<Self, String>, usage: &str) -> Self {
+        match parsed {
+            Ok(options) if options.help => {
+                println!("{usage}");
+                std::process::exit(0);
+            }
+            Ok(options) => options,
+            Err(message) => {
+                eprintln!("error: {message}");
+                eprintln!("{usage}");
+                std::process::exit(2);
+            }
+        }
     }
 
     /// Usage text for a harness binary accepting the full shared flag set.
     #[must_use]
     pub fn usage(binary: &str) -> String {
-        Self::usage_for(
-            binary,
-            &[
-                "--full",
-                "--bursts",
-                "--no-refresh",
-                "--engine",
-                "--channels",
-                "--ranks",
-                "--workers",
-                "--threads",
-                "--json",
-                "--csv",
-            ],
-        )
+        Self::usage_for(binary, &ALL_FLAGS)
     }
 
     /// Usage text for a harness binary accepting only a subset of the shared
@@ -212,68 +265,58 @@ impl HarnessOptions {
     /// always included.
     #[must_use]
     pub fn usage_for(binary: &str, flags: &[&str]) -> String {
-        let known: [(&str, &str, String); 10] = [
+        // Usage form and help of each entry of `ALL_FLAGS`, in the same order.
+        let known: [(&str, String); 10] = [
             (
-                "--full",
                 "--full",
                 "evaluate the paper's exact 12.5 M-burst interleaver".to_string(),
             ),
             (
-                "--bursts",
                 "--bursts <n>",
                 format!("interleaver size in DRAM bursts (default {DEFAULT_BURSTS})"),
             ),
             (
                 "--no-refresh",
-                "--no-refresh",
                 "disable DRAM refresh (the paper's in-text experiment)".to_string(),
             ),
             (
-                "--engine",
                 "--engine <e>",
                 "timing engine: `event` (default) or `cycle` (reference)".to_string(),
             ),
             (
-                "--channels",
                 "--channels <n>",
                 "independent DRAM channels per configuration (default 1)".to_string(),
             ),
+            ("--ranks <n>", "ranks per channel (default 1)".to_string()),
             (
-                "--ranks",
-                "--ranks <n>",
-                "ranks per channel (default 1)".to_string(),
-            ),
-            (
-                "--workers",
                 "--workers <n>",
                 "worker threads for the sweep (default: all cores)".to_string(),
             ),
             (
-                "--threads",
                 "--threads <n>",
                 "worker threads per scenario, driving its channels (default 1)".to_string(),
             ),
             (
-                "--json",
                 "--json <path>",
                 "write the records as JSON to <path>".to_string(),
             ),
             (
-                "--csv",
                 "--csv <path>",
                 "write the records as CSV to <path>".to_string(),
             ),
         ];
-        let selected: Vec<_> = known
+        let selected: Vec<_> = ALL_FLAGS
             .iter()
-            .filter(|(name, _, _)| flags.contains(name))
+            .zip(&known)
+            .filter(|(name, _)| flags.contains(name))
+            .map(|(_, entry)| entry)
             .collect();
         let mut out = format!("usage: {binary}");
-        for (_, form, _) in &selected {
+        for (form, _) in &selected {
             out.push_str(&format!(" [{form}]"));
         }
         out.push_str(" [--help]\n\noptions:\n");
-        for (_, form, help) in &selected {
+        for (form, help) in &selected {
             out.push_str(&format!("  {form:<16} {help}\n"));
         }
         out.push_str("  -h, --help       print this help");
@@ -392,27 +435,28 @@ pub fn campaign_profile() -> LinkProfile {
     LinkProfile::leo_pass(CAMPAIGN_PEAK_ELEVATION_DEG, CAMPAIGN_WEATHER)
 }
 
-/// Builds the campaign gated by `perf_gate` and emitted by the
-/// `campaign_sweep` binary: [`CAMPAIGN_PRESETS`] × the Table I mapping
-/// pair × the default depth and code-rate axes under [`campaign_profile`].
-/// The seed and trial count are parameters so the gate can replay the
-/// committed artifact's exact link simulations.
+/// Independent link trials per campaign cell: smooths the error-rate
+/// estimates so the depth waterfall is strict at every code rate.
+pub const CAMPAIGN_TRIALS: u32 = 8;
+
+/// Builds the campaign the `campaign_sweep` binary runs:
+/// [`CAMPAIGN_PRESETS`] × the Table I mapping pair × the default depth and
+/// code-rate axes under [`campaign_profile`], with [`CAMPAIGN_TRIALS`]
+/// trials per cell and the default campaign seed
+/// ([`tbi_exp::campaign::DEFAULT_CAMPAIGN_SEED`]).  The link seeds do not
+/// depend on `bursts`, so a smoke-scale run reproduces the committed
+/// `BENCH_campaign.json` error statistics exactly, which `perf_gate`
+/// relies on.
 ///
 /// # Errors
 ///
 /// Returns [`ExpError::Dram`] if a campaign preset is unknown (which would
 /// mean the preset tables and this list drifted apart).
-pub fn build_campaign(
-    bursts: u64,
-    workers: usize,
-    seed: u64,
-    trials: u32,
-) -> Result<Campaign, ExpError> {
+pub fn build_campaign(bursts: u64, workers: usize) -> Result<Campaign, ExpError> {
     let mut config = CampaignConfig::new(campaign_profile())
         .size(bursts)
         .workers(workers)
-        .seed(seed)
-        .trials(trials);
+        .trials(CAMPAIGN_TRIALS);
     for (standard, rate) in CAMPAIGN_PRESETS {
         config = config.preset(standard, rate)?;
     }
@@ -564,6 +608,48 @@ mod tests {
             let err = outcome.expect_err(&format!("{case:?} should be rejected"));
             assert!(!err.is_empty(), "{case:?} produced an empty error message");
         }
+    }
+
+    #[test]
+    fn parse_for_rejects_every_unlisted_shared_flag_by_name() {
+        for flag in ALL_FLAGS {
+            // A valid value, so only the binary's flag list decides.
+            let value = match flag {
+                "--full" | "--no-refresh" => None,
+                "--engine" => Some("event"),
+                "--json" | "--csv" => Some("out"),
+                _ => Some("2"),
+            };
+            let args: Vec<String> = std::iter::once(flag)
+                .chain(value)
+                .map(String::from)
+                .collect();
+            assert!(
+                HarnessOptions::parse_for(args.clone(), &ALL_FLAGS).is_ok(),
+                "{flag} must parse when listed"
+            );
+            let others: Vec<&str> = ALL_FLAGS.into_iter().filter(|f| *f != flag).collect();
+            let err = HarnessOptions::parse_for(args, &others)
+                .expect_err(&format!("{flag} must be rejected when unlisted"));
+            assert!(err.contains(flag), "error does not name {flag}: {err}");
+        }
+        // `--help` needs no listing.
+        assert!(
+            HarnessOptions::parse_for(["--help"].map(String::from), &[])
+                .unwrap()
+                .help
+        );
+    }
+
+    #[test]
+    fn positionals_are_returned_or_rejected() {
+        let args = ["d", "--workers", "2", "4", "5"].map(String::from);
+        let (options, positionals) =
+            HarnessOptions::parse_with_positionals(args.clone(), &["--workers"]).unwrap();
+        assert_eq!(options.workers, 2);
+        assert_eq!(positionals, ["d", "4", "5"]);
+        let err = HarnessOptions::parse_for(args, &["--workers"]).unwrap_err();
+        assert!(err.contains("`d`"), "got: {err}");
     }
 
     #[test]

@@ -12,15 +12,20 @@
 //!    TBI_BLESS_GOLDEN=1 cargo test -p tbi_bench --test perf_gate_golden
 //!    ```
 //!
-//! 2. **End-to-end injected regression** — the `perf_gate` binary runs
-//!    against a committed synthetic artifact whose baseline metric is
-//!    impossibly good; the gate must exit non-zero and name the failing
-//!    metric.  A companion artifact with a modest baseline must pass.
+//! 2. **End-to-end injected regression** — the `perf_gate` binary compares
+//!    a fresh `channel_sweep` artifact with a committed synthetic artifact
+//!    whose baseline metric is impossibly good; the gate must exit non-zero
+//!    and name the failing metric.  A companion artifact with a modest
+//!    baseline must pass.
+//!
+//! 3. **Check table** — every committed `BENCH_*.json` passes its own
+//!    [`tbi_bench::gate::checks_for`] checks, so a check naming a key the
+//!    artifact lacks fails here at once.
 
-use std::path::Path;
+use std::path::{Path, PathBuf};
 use std::process::Command;
 
-use tbi_bench::gate::{evaluate, Check, CheckKind};
+use tbi_bench::gate::{checks_for, evaluate, Check, CheckKind};
 use tbi_exp::json::{parse, JsonValue};
 
 const REGRESSED_REPORT: &str = include_str!("fixtures/gate_report_regressed.txt");
@@ -137,28 +142,59 @@ fn degenerate_min_ratio_baselines_fail_cleanly_and_match_the_golden_report() {
     );
 }
 
-/// Runs the `perf_gate` binary on one committed artifact fixture at a tiny
-/// re-run size, returning (exit success, stdout).
-fn run_gate(fixture: &str) -> (bool, String) {
-    let artifact = Path::new(env!("CARGO_MANIFEST_DIR"))
+fn fixture(name: &str) -> PathBuf {
+    Path::new(env!("CARGO_MANIFEST_DIR"))
         .join("tests/fixtures")
-        .join(fixture);
+        .join(name)
+}
+
+/// Writes a fresh `channel_sweep` artifact at a tiny size (plus `extra`
+/// flags) to `name` under the test scratch directory.
+fn fresh_channel_sweep(name: &str, extra: &[&str]) -> PathBuf {
+    let path = Path::new(env!("CARGO_TARGET_TMPDIR")).join(name);
+    let output = Command::new(env!("CARGO_BIN_EXE_channel_sweep"))
+        .args(["--bursts", "4000"])
+        .args(extra)
+        .arg("--json")
+        .arg(&path)
+        .output()
+        .expect("channel_sweep binary runs");
+    assert!(
+        output.status.success(),
+        "channel_sweep failed:\n{}",
+        String::from_utf8_lossy(&output.stderr)
+    );
+    path
+}
+
+/// Runs the `perf_gate` binary on one (committed, fresh) pair, returning
+/// (exit success, stdout, stderr).
+fn run_gate_pair(committed: &Path, fresh: &Path) -> (bool, String, String) {
     let output = Command::new(env!("CARGO_BIN_EXE_perf_gate"))
-        .arg("--bursts")
-        .arg("4000")
-        .arg(&artifact)
+        .arg(committed)
+        .arg(fresh)
         .output()
         .expect("perf_gate binary runs");
     (
         output.status.success(),
         String::from_utf8_lossy(&output.stdout).into_owned(),
+        String::from_utf8_lossy(&output.stderr).into_owned(),
     )
+}
+
+/// Gates a fresh `channel_sweep` artifact against one committed fixture,
+/// returning (exit success, stdout).
+fn run_gate(committed_fixture: &str) -> (bool, String) {
+    let fresh = fresh_channel_sweep(&format!("fresh_{committed_fixture}"), &[]);
+    let (success, stdout, _) = run_gate_pair(&fixture(committed_fixture), &fresh);
+    (success, stdout)
 }
 
 #[test]
 fn injected_regression_fixture_fails_the_gate_binary() {
     // The fixture claims an impossibly good committed baseline (1 → 2
-    // channel scaling of 1000x), so any honest re-run regresses against it.
+    // channel scaling of 1000x), so any honest fresh run regresses against
+    // it.
     let (success, stdout) = run_gate("gate_regressed_channels.json");
     assert!(!success, "gate must exit non-zero on the regressed fixture");
     assert!(
@@ -174,7 +210,7 @@ fn injected_regression_fixture_fails_the_gate_binary() {
 #[test]
 fn modest_baseline_fixture_passes_the_gate_binary() {
     // Same artifact shape with a deliberately conservative baseline (1.0x
-    // scaling): any healthy re-run clears 0.75 × 1.0 with a wide margin, so
+    // scaling): any healthy fresh run clears 0.75 × 1.0 with a wide margin, so
     // this pins the gate's pass path end to end without depending on the
     // host's exact throughput.
     let (success, stdout) = run_gate("gate_passing_channels.json");
@@ -190,4 +226,73 @@ fn modest_baseline_fixture_passes_the_gate_binary() {
         stdout.contains("all artifacts within tolerance"),
         "gate must print the success banner:\n{stdout}"
     );
+}
+
+#[test]
+fn fresh_artifact_with_other_ranks_fails_the_ranks_guard() {
+    // Different settings measure a different workload: the comparison must
+    // refuse it even though the scaling metric itself would pass.
+    let fresh = fresh_channel_sweep("fresh_ranks2.json", &["--ranks", "2"]);
+    let (success, stdout, _) = run_gate_pair(&fixture("gate_passing_channels.json"), &fresh);
+    assert!(
+        !success,
+        "a --ranks 2 artifact must fail the gate:\n{stdout}"
+    );
+    assert!(
+        stdout.contains("FAIL channel_sweep/ranks (== committed): current 2, committed 1"),
+        "gate must name the mismatched setting:\n{stdout}"
+    );
+    assert!(
+        stdout.contains("PERFORMANCE REGRESSION DETECTED"),
+        "{stdout}"
+    );
+}
+
+#[test]
+fn mismatched_bench_tags_fail_and_name_both_files() {
+    let committed = fixture("gate_passing_channels.json");
+    let fresh = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_engine.json");
+    let (success, stdout, stderr) = run_gate_pair(&committed, &fresh);
+    assert!(!success, "mismatched tags must fail the gate");
+    for path in [&committed, &fresh] {
+        assert!(
+            stderr.contains(&path.display().to_string()),
+            "error must name {}:\n{stderr}",
+            path.display()
+        );
+    }
+    assert!(
+        stdout.contains("PERFORMANCE REGRESSION DETECTED"),
+        "{stdout}"
+    );
+}
+
+#[test]
+fn every_committed_artifact_passes_its_own_checks() {
+    for name in [
+        "BENCH_engine.json",
+        "BENCH_channels.json",
+        "BENCH_dse.json",
+        "BENCH_mapgen.json",
+        "BENCH_tenants.json",
+        "BENCH_campaign.json",
+        "BENCH_parallel.json",
+    ] {
+        let path = Path::new(env!("CARGO_MANIFEST_DIR"))
+            .join("../..")
+            .join(name);
+        let committed = doc(&std::fs::read_to_string(&path).expect("committed artifact exists"));
+        let bench = committed
+            .get("bench")
+            .and_then(JsonValue::as_str)
+            .expect("committed artifact has a bench tag");
+        let Some(checks) = checks_for(bench) else {
+            // The one ungated artifact: its speedups depend on the core
+            // count of the host that wrote it.
+            assert_eq!(bench, "parallel_sweep", "{name} has no checks");
+            continue;
+        };
+        let report = evaluate(bench, &committed, &committed, &checks);
+        assert!(report.passed(), "{name}:\n{}", report.render());
+    }
 }

@@ -17,8 +17,9 @@
 //!   configuration and BER differences are attributable to the FEC axes
 //!   alone.
 //! * The link simulation is independent of the DRAM burst count, so a
-//!   scaled-down re-run (CI smoke, `perf_gate`) reproduces the committed
-//!   error rates exactly; only the bandwidth side rescales.
+//!   scaled-down run (the CI smoke that `perf_gate` compares with the
+//!   committed artifact) reproduces the committed error rates exactly; only
+//!   the bandwidth side rescales.
 //!
 //! ## Quick start
 //!
