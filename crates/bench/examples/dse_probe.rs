@@ -21,7 +21,7 @@
 use tbi_bench::HarnessOptions;
 use tbi_dram::standards::ALL_CONFIGS;
 use tbi_dram::{BitPermutation, DramConfig, XorFold};
-use tbi_exp::search::{MappingSearch, SearchSettings, SearchStrategy};
+use tbi_exp::search::{MappingSearch, SearchSettings};
 use tbi_interleaver::InterleaverSpec;
 
 fn preset(label: &str) -> DramConfig {
@@ -248,7 +248,6 @@ fn main() {
         restarts,
         budget,
         neighbors: 8,
-        strategy: SearchStrategy::Portfolio,
         surrogate_divisor: surrogate,
         ..SearchSettings::default()
     };

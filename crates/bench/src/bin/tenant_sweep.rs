@@ -4,7 +4,6 @@
 //!
 //! ```text
 //! cargo run --release -p tbi_bench --bin tenant_sweep [-- --bursts <n> |
-//!                                                        --engine <e> |
 //!                                                        --workers <n> |
 //!                                                        --json <p>]
 //! ```
@@ -38,7 +37,7 @@ const PRESETS: [(DramStandard, u32); 2] =
 /// triangular block even when `--bursts` is small.
 const MIN_STREAM_BURSTS: u64 = 64;
 
-const FLAGS: &[&str] = &["--bursts", "--engine", "--workers", "--json"];
+const FLAGS: &[&str] = &["--bursts", "--workers", "--json"];
 
 /// Per-policy tail-latency observation of one contended sweep cell.
 struct PolicyCell {
@@ -107,7 +106,6 @@ fn main() {
                 for policy in SchedPolicyKind::ALL {
                     scenarios.push(
                         Scenario::custom(dram.clone(), MappingKind::Optimized, spec)
-                            .with_engine(options.engine)
                             .with_tenants(TenantStage::new(streams, policy)),
                     );
                 }

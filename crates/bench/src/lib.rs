@@ -1,5 +1,4 @@
-//! Shared helpers for the `tbi-bench` table/figure regeneration binaries and
-//! Criterion benchmarks.
+//! Shared helpers for the `tbi-bench` table/figure regeneration binaries.
 //!
 //! The heavy lifting lives in [`tbi_exp`]: the binaries declare a
 //! [`SweepGrid`], run it through an [`Experiment`](tbi_exp::Experiment) and
@@ -14,7 +13,7 @@ use std::path::PathBuf;
 
 use tbi_dram::{ControllerConfig, DramStandard, RefreshMode, TimingEngine};
 use tbi_exp::{serialize, Campaign, CampaignConfig, ExpError, Record, RefreshSetting, SweepGrid};
-use tbi_interleaver::MappingKind;
+use tbi_interleaver::{MappingKind, TriangularInterleaver};
 use tbi_satcom::{LinkProfile, Weather};
 
 /// Default interleaver size (in DRAM bursts) used by the harness binaries.
@@ -28,11 +27,10 @@ pub const DEFAULT_BURSTS: u64 = 1 << 20;
 /// Every shared harness flag, in usage order.  Each binary passes the
 /// subset it reads to [`HarnessOptions::parse_for`] and
 /// [`HarnessOptions::usage_for`].
-pub const ALL_FLAGS: [&str; 10] = [
+pub const ALL_FLAGS: [&str; 9] = [
     "--full",
     "--bursts",
     "--no-refresh",
-    "--engine",
     "--channels",
     "--ranks",
     "--workers",
@@ -57,8 +55,9 @@ pub struct HarnessOptions {
     pub json: Option<PathBuf>,
     /// Write the records as CSV to this path.
     pub csv: Option<PathBuf>,
-    /// Timing engine advancing the DRAM clock (event-driven by default; the
-    /// cycle-accurate engine remains selectable during the transition).
+    /// Timing engine advancing the DRAM clock.  No flag sets it: the
+    /// event-driven default serves every run, and the cycle-accurate
+    /// reference is selected only by oracles such as `engine_speed`.
     pub engine: TimingEngine,
     /// Independent DRAM channels per configuration (1 = the paper's device).
     pub channels: u32,
@@ -91,9 +90,9 @@ impl HarnessOptions {
     ///
     /// Supported flags: `--full` (12.5 M bursts as in the paper),
     /// `--bursts <n>`, `--no-refresh`, `--workers <n>`, `--threads <n>`,
-    /// `--json <path>`, `--csv <path>`, `--engine <cycle|event>`,
-    /// `--channels <n>`, `--ranks <n>` and `--help`/`-h` (which sets
-    /// [`HarnessOptions::help`] and stops parsing).
+    /// `--json <path>`, `--csv <path>`, `--channels <n>`, `--ranks <n>` and
+    /// `--help`/`-h` (which sets [`HarnessOptions::help`] and stops
+    /// parsing).
     ///
     /// # Errors
     ///
@@ -161,6 +160,13 @@ impl HarnessOptions {
                     if options.bursts == 0 {
                         return Err("burst count must be non-zero".to_string());
                     }
+                    if options.bursts > TriangularInterleaver::MAX_CAPACITY {
+                        return Err(format!(
+                            "burst count {value} exceeds the largest triangular \
+                             interleaver ({} bursts)",
+                            TriangularInterleaver::MAX_CAPACITY
+                        ));
+                    }
                 }
                 "--workers" => {
                     let value = next_value("--workers")?;
@@ -207,17 +213,6 @@ impl HarnessOptions {
                 }
                 "--json" => options.json = Some(PathBuf::from(next_value("--json")?)),
                 "--csv" => options.csv = Some(PathBuf::from(next_value("--csv")?)),
-                "--engine" => {
-                    options.engine = match next_value("--engine")?.as_str() {
-                        "cycle" => TimingEngine::Cycle,
-                        "event" => TimingEngine::Event,
-                        other => {
-                            return Err(format!(
-                                "invalid engine `{other}` (expected `cycle` or `event`)"
-                            ))
-                        }
-                    };
-                }
                 other if !other.starts_with('-') => positionals.push(arg),
                 other => return Err(format!("unknown option `{other}`")),
             }
@@ -266,7 +261,7 @@ impl HarnessOptions {
     #[must_use]
     pub fn usage_for(binary: &str, flags: &[&str]) -> String {
         // Usage form and help of each entry of `ALL_FLAGS`, in the same order.
-        let known: [(&str, String); 10] = [
+        let known: [(&str, String); 9] = [
             (
                 "--full",
                 "evaluate the paper's exact 12.5 M-burst interleaver".to_string(),
@@ -278,10 +273,6 @@ impl HarnessOptions {
             (
                 "--no-refresh",
                 "disable DRAM refresh (the paper's in-text experiment)".to_string(),
-            ),
-            (
-                "--engine <e>",
-                "timing engine: `event` (default) or `cycle` (reference)".to_string(),
             ),
             (
                 "--channels <n>",
@@ -516,14 +507,18 @@ mod tests {
 
     #[test]
     fn parse_engine_flag() {
+        // The timing engine is not a user knob: the event engine serves
+        // every run, and only oracles select the cycle reference.
         assert_eq!(HarnessOptions::new().engine, TimingEngine::Event);
-        let cycle = HarnessOptions::parse(["--engine", "cycle"].map(String::from)).unwrap();
-        assert_eq!(cycle.engine, TimingEngine::Cycle);
-        assert_eq!(cycle.controller().engine, TimingEngine::Cycle);
-        let event = HarnessOptions::parse(["--engine", "event"].map(String::from)).unwrap();
-        assert_eq!(event.engine, TimingEngine::Event);
-        assert!(HarnessOptions::parse(["--engine"].map(String::from)).is_err());
-        assert!(HarnessOptions::parse(["--engine", "warp"].map(String::from)).is_err());
+        for args in [
+            &["--engine", "cycle"][..],
+            &["--engine", "event"],
+            &["--engine"],
+        ] {
+            let args: Vec<String> = args.iter().map(|s| (*s).to_string()).collect();
+            let err = HarnessOptions::parse(args).unwrap_err();
+            assert!(err.contains("`--engine`"), "got: {err}");
+        }
     }
 
     #[test]
@@ -577,7 +572,6 @@ mod tests {
             &["--threads"],
             &["--json"],
             &["--csv"],
-            &["--engine"],
             &["--channels"],
             &["--ranks"],
             // Unknown flags, including near-misses.
@@ -585,12 +579,9 @@ mod tests {
             &["--burst", "100"],
             &["-x"],
             &["bursts"],
-            // Engine typos.
-            &["--engine", "warp"],
-            &["--engine", "Event"],
-            &["--engine", ""],
             // Malformed and out-of-range numbers.
             &["--bursts", "-5"],
+            &["--bursts", "18446744073709551615"],
             &["--bursts", "1e6"],
             &["--workers", "many"],
             &["--threads", "0"],
@@ -616,7 +607,6 @@ mod tests {
             // A valid value, so only the binary's flag list decides.
             let value = match flag {
                 "--full" | "--no-refresh" => None,
-                "--engine" => Some("event"),
                 "--json" | "--csv" => Some("out"),
                 _ => Some("2"),
             };
@@ -653,6 +643,13 @@ mod tests {
     }
 
     #[test]
+    fn parse_oversized_bursts_error_names_the_limit() {
+        let args = ["--bursts", "18446744073709551615"].map(String::from);
+        let err = HarnessOptions::parse(args).unwrap_err();
+        assert!(err.contains("9223372034707292160"), "got: {err}");
+    }
+
+    #[test]
     fn parse_workers_zero_error_names_the_remedy() {
         let err = HarnessOptions::parse(["--workers", "0"].map(String::from)).unwrap_err();
         assert!(err.contains("omit --workers"), "unhelpful message: {err}");
@@ -676,7 +673,6 @@ mod tests {
             "--full",
             "--bursts",
             "--no-refresh",
-            "--engine",
             "--channels",
             "--ranks",
             "--workers",

@@ -70,16 +70,22 @@ impl JsonValue {
     }
 }
 
+/// Deepest array/object nesting [`parse`] accepts.  The parser recurses
+/// once per level, so the cap keeps hostile input from overflowing the
+/// stack; the committed artifacts nest at most 6 levels.
+pub const MAX_DEPTH: usize = 128;
+
 /// Parses a complete JSON document.
 ///
 /// # Errors
 ///
-/// Returns a human-readable message (with byte offset) for malformed input
-/// or trailing garbage.
+/// Returns a human-readable message (with byte offset) for malformed input,
+/// nesting deeper than [`MAX_DEPTH`] or trailing garbage.
 pub fn parse(input: &str) -> Result<JsonValue, String> {
     let mut parser = Parser {
         bytes: input.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     parser.skip_whitespace();
     let value = parser.parse_value()?;
@@ -93,6 +99,8 @@ pub fn parse(input: &str) -> Result<JsonValue, String> {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open around `pos`.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -121,8 +129,22 @@ impl Parser<'_> {
 
     fn parse_value(&mut self) -> Result<JsonValue, String> {
         match self.peek() {
-            Some(b'{') => self.parse_object(),
-            Some(b'[') => self.parse_array(),
+            Some(open @ (b'{' | b'[')) => {
+                if self.depth == MAX_DEPTH {
+                    return Err(format!(
+                        "nesting deeper than {MAX_DEPTH} levels at byte {}",
+                        self.pos
+                    ));
+                }
+                self.depth += 1;
+                let value = if open == b'{' {
+                    self.parse_object()
+                } else {
+                    self.parse_array()
+                };
+                self.depth -= 1;
+                value
+            }
             Some(b'"') => Ok(JsonValue::String(self.parse_string()?)),
             Some(b't') => self.parse_literal("true", JsonValue::Bool(true)),
             Some(b'f') => self.parse_literal("false", JsonValue::Bool(false)),
@@ -311,6 +333,12 @@ mod tests {
         assert!(parse("\"open").is_err());
         assert!(parse("{\"a\" 1}").is_err());
         assert!(parse("1 2").is_err());
+        // Hostile nesting is an error at the first level past the cap, not a
+        // stack overflow.
+        let err = parse(&"[".repeat(100_000)).unwrap_err();
+        assert!(err.contains(&format!("at byte {MAX_DEPTH}")), "got: {err}");
+        let deepest = "[".repeat(MAX_DEPTH) + &"]".repeat(MAX_DEPTH);
+        assert!(parse(&deepest).is_ok());
     }
 
     #[test]

@@ -24,10 +24,10 @@
 //!   code rate × mapping × device preset under a shared time-varying
 //!   [`LinkProfile`](tbi_satcom::LinkProfile) pass, reduced to per-preset
 //!   post-FEC BER vs aggregate-bandwidth frontiers ([`campaign`]);
-//! * [`MappingSearch`] — design-space exploration over bit-permutation
-//!   address mappings: a seeded greedy bit-swap hill-climb with random
-//!   restarts that *generates* mapping configurations instead of evaluating
-//!   fixed ones ([`search`]).
+//! * [`MappingSearch`] — design-space exploration over address mappings: a
+//!   seeded portfolio search (free-shape tile sweep plus annealed
+//!   permutation-and-fold climbs) that *generates* mapping configurations
+//!   instead of evaluating fixed ones ([`search`]).
 //!
 //! ## Quick start
 //!
@@ -72,7 +72,7 @@ pub use grid::{RefreshSetting, SweepGrid};
 pub use record::{LinkRecord, Record, TenantLatency, TenantSummary};
 pub use runner::Experiment;
 pub use scenario::{LinkStage, Scenario, TenantStage};
-pub use search::{MappingSearch, SearchRecord, SearchSettings, SearchStrategy};
+pub use search::{MappingSearch, SearchRecord, SearchSettings};
 
 use tbi_dram::ConfigError;
 use tbi_interleaver::InterleaverError;

@@ -3,69 +3,57 @@
 //! The paper hand-picks one optimized mapping; this module treats the
 //! mapping as a **searchable space** instead, in the spirit of the
 //! interleaver-DSE literature (Chavet et al.; SAGE): a [`MappingSearch`]
-//! explores the design space for one DRAM configuration with one of two
-//! [`SearchStrategy`]s:
+//! explores the design space for one DRAM configuration with a portfolio
+//! search over **hybrid candidates** `(BitPermutation, XorFold)`, reaching
+//! the XOR/ADD-folded diagonal forms pure permutations cannot express (the
+//! paper's `bank = (tile_i + tile_j) mod banks` term):
 //!
-//! - [`SearchStrategy::Greedy`] — the original *seeded greedy bit-swap
-//!   hill-climb with random restarts* over pure [`BitPermutation`]s:
-//!
-//!   1. every restart starts from a deterministic point — a balanced
-//!      tiling heuristic, the controller's default decode chain, or a
-//!      seeded random shuffle of the address bits;
-//!   2. each step proposes a batch of bit-swap neighbours (two
-//!      linear-address bits exchange their fields), evaluates them in
-//!      parallel through the existing [`Experiment`] worker pool, and
-//!      greedily moves to the best strictly-improving neighbour;
-//!   3. when no neighbour improves, the climb restarts from the next start
-//!      until the evaluation [`budget`](SearchSettings::budget) is
-//!      exhausted.
-//!
-//! - [`SearchStrategy::Portfolio`] — a wider search over **hybrid
-//!   candidates** `(BitPermutation, XorFold)`, reaching the XOR/ADD-folded
-//!   diagonal forms pure permutations cannot express (the paper's
-//!   `bank = (tile_i + tile_j) mod banks` term):
-//!
-//!   1. the deterministic start portfolio adds two *diagonal-fold* starts
-//!      (the balanced tiling with a `bank ^= row` / `bank += row` step) and
-//!      any [transfer seeds](MappingSearch::with_transfer_seeds) carried
-//!      over from sibling presets, then alternates evolutionary restarts
-//!      (mutated elite members) with seeded random shuffles;
-//!   2. neighbourhood moves mix bit swaps with fold mutations (append,
-//!      drop, or replace one [`FoldStep`]);
-//!   3. a non-improving batch winner can still be **accepted** with
-//!      simulated-annealing probability `exp(Δ/T)` (temperature
-//!      [`sa_temp_micro`](SearchSettings::sa_temp_micro) × 10⁻⁶, cooled
-//!      geometrically), so climbs tunnel through boundary-loss plateaus;
-//!   4. with a [`surrogate_divisor`](SearchSettings::surrogate_divisor),
-//!      every batch is pre-screened at `bursts / divisor` and only the top
-//!      [`promote`](SearchSettings::promote) candidates graduate to a
-//!      full-size evaluation — surrogate runs are reported separately and
-//!      do not consume the budget;
-//!   5. before the annealed climbs, a deterministic **free-shape tile
-//!      sweep** evaluates the best `tile_h × tile_w ≤ page`
-//!      [`MappingKind::GeneralTiled`] layouts (edges need not be powers of
-//!      two — the family beyond every bit-sliced layout, and the only one
-//!      that strictly beats the paper's optimized scheme on odd-`log₂(page)`
-//!      devices such as DDR3); the best tiling competes with the hybrid
-//!      winner for the reported record.
+//! 1. a deterministic **free-shape tile sweep** first evaluates the best
+//!    `tile_h × tile_w ≤ page` [`MappingKind::GeneralTiled`] layouts (edges
+//!    need not be powers of two — the family beyond every bit-sliced
+//!    layout, and the only one that strictly beats the paper's optimized
+//!    scheme on odd-`log₂(page)` devices such as DDR3); the best tiling
+//!    competes with the hybrid winner for the reported record;
+//! 2. every restart then climbs from a deterministic start — a balanced
+//!    tiling heuristic and its mirror, the controller's default decode
+//!    chain, two *diagonal-fold* starts (the balanced tiling with a
+//!    `bank ^= row` / `bank += row` step), three optimized-mimic tilings
+//!    and any [transfer seeds](MappingSearch::with_transfer_seeds) carried
+//!    over from sibling presets — after which evolutionary restarts
+//!    (mutated elite members) alternate with seeded random shuffles;
+//! 3. each step proposes a batch of neighbours that mixes bit swaps (two
+//!    linear-address bits exchange their fields) with fold mutations
+//!    (append, drop, or replace one [`FoldStep`]), evaluates them in
+//!    parallel through the existing [`Experiment`] worker pool and moves to
+//!    the best strictly-improving one;
+//! 4. a non-improving batch winner can still be **accepted** with
+//!    simulated-annealing probability `exp(Δ/T)` (temperature
+//!    [`sa_temp_micro`](SearchSettings::sa_temp_micro) × 10⁻⁶, cooled
+//!    geometrically), so climbs tunnel through boundary-loss plateaus;
+//! 5. with a [`surrogate_divisor`](SearchSettings::surrogate_divisor),
+//!    every batch — the tile shortlist included — is pre-screened at
+//!    `bursts / divisor` and only the top
+//!    [`promote`](SearchSettings::promote) candidates graduate to a
+//!    full-size evaluation; surrogate runs are reported separately and do
+//!    not consume the evaluation [`budget`](SearchSettings::budget).
 //!
 //! Candidates are scored by **round-trip row-hit rate** (mean of the write-
 //! and read-phase hit rates) with the throughput-limiting minimum
 //! utilization as tie-breaker — the two quantities the paper's Table I
 //! optimizes by hand.  All decisions depend only on deterministic
 //! [`Record`]s and a [`StdRng`] derived from the seed, so a search is
-//! **bit-reproducible for a fixed seed at any worker count** under either
-//! strategy.  The evaluation cache is keyed on the **full scenario
-//! fingerprint** (standard, topology, engine, refresh, burst count, …), not
-//! the candidate alone, so surrogate- and full-size evaluations of the same
-//! candidate never alias.
+//! **bit-reproducible for a fixed seed at any worker count**.  The
+//! evaluation cache is keyed on the **full scenario fingerprint**
+//! (standard, topology, engine, refresh, burst count, …), not the candidate
+//! alone, so surrogate- and full-size evaluations of the same candidate
+//! never alias.
 //!
 //! ```
 //! use tbi_dram::{DramConfig, DramStandard};
 //! use tbi_exp::search::{MappingSearch, SearchSettings};
-//! use tbi_interleaver::InterleaverSpec;
+//! use tbi_interleaver::{InterleaverSpec, MappingKind};
 //!
-//! # fn main() -> Result<(), tbi_exp::ExpError> {
+//! # fn main() -> Result<(), Box<dyn std::error::Error>> {
 //! let dram = DramConfig::preset(DramStandard::Ddr4, 3200)?;
 //! let settings = SearchSettings { budget: 12, restarts: 2, ..SearchSettings::default() };
 //! let search = MappingSearch::new(dram, InterleaverSpec::from_burst_count(4_000), settings);
@@ -73,7 +61,9 @@
 //! // The climb can only improve on its deterministic starting points, and
 //! // the balanced-tiling start already splits page misses between phases.
 //! assert!(outcome.discovered_row_hit_rate() > 0.5);
-//! assert_eq!(outcome.permutation, outcome.best.mapping.trim_start_matches("permutation:"));
+//! // The winner's label replays as an ordinary mapping, whichever family won.
+//! let replayed = MappingKind::parse_label(&outcome.best.mapping)?;
+//! assert_eq!(replayed.label(), outcome.best.mapping);
 //! # Ok(())
 //! # }
 //! ```
@@ -95,90 +85,53 @@ use crate::runner::Experiment;
 use crate::scenario::Scenario;
 use crate::ExpError;
 
-/// Which search algorithm a [`MappingSearch`] runs (see the [module
-/// documentation](self) for both).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum SearchStrategy {
-    /// Greedy bit-swap hill-climb over pure permutations (the original
-    /// algorithm; restarts on the first non-improving batch).
-    #[default]
-    Greedy,
-    /// Hybrid `(permutation, fold)` search with simulated annealing,
-    /// evolutionary restarts, transfer seeds and optional surrogate
-    /// pre-screening.
-    Portfolio,
-}
-
-impl std::fmt::Display for SearchStrategy {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(match self {
-            Self::Greedy => "greedy",
-            Self::Portfolio => "portfolio",
-        })
-    }
-}
-
-impl std::str::FromStr for SearchStrategy {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "greedy" => Ok(Self::Greedy),
-            "portfolio" => Ok(Self::Portfolio),
-            other => Err(format!("unknown search strategy `{other}`")),
-        }
-    }
-}
-
 /// Tuning knobs of a [`MappingSearch`].
+///
+/// The defaults are the settings the committed `BENCH_dse.json` ran with
+/// (besides the no-refresh controller and the 12.5 M-burst size, which
+/// belong to the scenario, not the search).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SearchSettings {
     /// RNG seed; identical seeds reproduce identical searches bit-for-bit,
     /// regardless of the worker count.
     pub seed: u64,
-    /// Number of hill-climb starting points (clamped to ≥ 1).  Start 0 is
-    /// the balanced-tiling heuristic, start 1 the controller's default
-    /// decode chain, further starts are seeded random shuffles (the
-    /// portfolio strategy inserts diagonal-fold, transfer-seed and
-    /// evolutionary starts — see the [module documentation](self)).
+    /// Number of climb starting points (clamped to ≥ 1).  Starts 0–7 are
+    /// deterministic (balanced tilings, the decode chain, diagonal folds,
+    /// optimized mimics); later starts take transfer seeds, then mutated
+    /// elite members and seeded random shuffles — see the [module
+    /// documentation](self).
     pub restarts: u32,
-    /// Maximum number of full-size candidate evaluations across all
-    /// restarts (clamped to ≥ 1).  The row-major/optimized reference
-    /// evaluations and surrogate pre-screens are not counted against the
-    /// budget.
+    /// Maximum number of full-size candidate evaluations across the tile
+    /// sweep and all restarts (clamped to ≥ 1).  The row-major/optimized
+    /// reference evaluations and surrogate pre-screens are not counted
+    /// against the budget.
     pub budget: u32,
     /// Neighbours proposed per climb step (clamped to ≥ 1).
     pub neighbors: u32,
     /// Worker threads for candidate batches (0 = all cores).  Does not
     /// affect results, only wall-clock time.
     pub workers: usize,
-    /// Search algorithm; [`SearchStrategy::Greedy`] preserves the original
-    /// behaviour exactly.
-    pub strategy: SearchStrategy,
-    /// Portfolio only: when ≥ 2, candidates are pre-screened at
-    /// `bursts / surrogate_divisor` bursts and only the best
-    /// [`promote`](Self::promote) graduate to full evaluation.  0 or 1
-    /// disables the surrogate.
+    /// When ≥ 2, candidates are pre-screened at `bursts / surrogate_divisor`
+    /// bursts and only the best [`promote`](Self::promote) graduate to full
+    /// evaluation.  0 or 1 disables the surrogate.
     pub surrogate_divisor: u32,
-    /// Portfolio only: candidates promoted from each surrogate batch to
-    /// full-size evaluation (clamped to ≥ 1).
+    /// Candidates promoted from each surrogate batch to full-size
+    /// evaluation (clamped to ≥ 1).
     pub promote: u32,
-    /// Portfolio only: initial simulated-annealing temperature in
-    /// **millionths** of round-trip row-hit rate (an integer so the
-    /// settings stay `Copy + Eq`).  0 rejects every non-improving move,
-    /// recovering greedy acceptance.
+    /// Initial simulated-annealing temperature in **millionths** of
+    /// round-trip row-hit rate (an integer so the settings stay
+    /// `Copy + Eq`).  0 rejects every non-improving move.
     pub sa_temp_micro: u32,
 }
 
 impl Default for SearchSettings {
     fn default() -> Self {
         Self {
-            seed: 0xD5E_5EED,
-            restarts: 4,
-            budget: 400,
+            seed: 0,
+            restarts: 8,
+            budget: 80,
             neighbors: 8,
             workers: 0,
-            strategy: SearchStrategy::Greedy,
             surrogate_divisor: 0,
             promote: 2,
             sa_temp_micro: 150,
@@ -209,7 +162,7 @@ pub struct SearchRecord {
     /// Interleaver size (bursts) the candidates were evaluated at.
     pub bursts: u64,
     /// Surrogate (short-burst) evaluations spent pre-screening candidates;
-    /// 0 for the greedy strategy or a disabled surrogate.
+    /// 0 for a disabled surrogate.
     pub surrogate_evaluations: u32,
     /// MSB-first bit codes of the best discovered permutation (parseable by
     /// [`BitPermutation`]'s `FromStr`).  Empty when the winner has no
@@ -220,7 +173,7 @@ pub struct SearchRecord {
     /// [`XorFold`]'s `FromStr`); empty for a pure permutation or a tiled
     /// winner.
     pub fold: String,
-    /// Record of the best discovered permutation mapping.
+    /// Record of the best discovered mapping.
     pub best: Record,
     /// Record of the row-major baseline under identical conditions.
     pub row_major: Record,
@@ -291,11 +244,10 @@ impl SearchRecord {
     }
 }
 
-/// Seeded search over the address-mapping design space of one DRAM
-/// configuration — greedy bit-swap hill-climbing or the hybrid
-/// permutation+fold portfolio, per [`SearchSettings::strategy`].
+/// Seeded portfolio search over the address-mapping design space of one
+/// DRAM configuration.
 ///
-/// See the [module documentation](self) for the algorithms and the
+/// See the [module documentation](self) for the algorithm and the
 /// determinism contract.
 #[derive(Debug, Clone)]
 pub struct MappingSearch {
@@ -311,8 +263,7 @@ pub struct MappingSearch {
 type Candidate = (BitPermutation, XorFold);
 
 /// The [`MappingKind`] a candidate evaluates as: plain `Permutation` when
-/// the fold is identity (keeping greedy labels unchanged), `XorFolded`
-/// otherwise.
+/// the fold is identity, `XorFolded` otherwise.
 fn candidate_kind(candidate: &Candidate) -> MappingKind {
     let (permutation, fold) = *candidate;
     if fold.is_identity() {
@@ -352,11 +303,10 @@ impl MappingSearch {
         self
     }
 
-    /// Seeds the portfolio start list with candidates won on *other*
-    /// presets (cross-preset transfer).  Seeds that do not validate for
-    /// this configuration's geometry/topology are skipped at start time,
-    /// so callers can pass one winner list to every preset.  Ignored by
-    /// the greedy strategy.
+    /// Seeds the start list with candidates won on *other* presets
+    /// (cross-preset transfer).  Seeds that do not validate for this
+    /// configuration's geometry/topology are skipped at start time, so
+    /// callers can pass one winner list to every preset.
     #[must_use]
     pub fn with_transfer_seeds(mut self, seeds: &[(BitPermutation, XorFold)]) -> Self {
         self.transfer = seeds.to_vec();
@@ -397,7 +347,7 @@ impl MappingSearch {
         let mut cache = HashMap::new();
         let mut evaluations = 0;
         let record = self
-            .evaluate_kinds(&[kind], self.spec, &mut cache, &mut evaluations)?
+            .evaluate(&[kind], self.spec, &mut cache, &mut evaluations)?
             .pop()
             .expect("one kind in, one record out");
         let (row_major, optimized) = self.reference_records()?;
@@ -408,8 +358,9 @@ impl MappingSearch {
         Scenario::custom(self.dram.clone(), kind, spec).with_controller(self.controller)
     }
 
-    /// Evaluates a batch of candidates at `spec` bursts through the shared
-    /// [`Experiment`] worker pool, consulting and filling `cache`.
+    /// Evaluates a batch of design points at `spec` bursts through the
+    /// shared [`Experiment`] worker pool, consulting and filling `cache`
+    /// (hybrid candidates map through [`candidate_kind`]).
     ///
     /// The cache is keyed on the full scenario fingerprint (its `Display`
     /// string: standard, topology, mapping, burst count, refresh,
@@ -418,21 +369,7 @@ impl MappingSearch {
     /// different measurements and must never alias (the pre-fix cache
     /// keyed on the permutation and silently returned whichever landed
     /// first).
-    fn evaluate_at(
-        &self,
-        candidates: &[Candidate],
-        spec: InterleaverSpec,
-        cache: &mut HashMap<String, Record>,
-        evaluations: &mut u32,
-    ) -> Result<Vec<Record>, ExpError> {
-        let kinds: Vec<MappingKind> = candidates.iter().map(candidate_kind).collect();
-        self.evaluate_kinds(&kinds, spec, cache, evaluations)
-    }
-
-    /// [`Self::evaluate_at`] over arbitrary [`MappingKind`] design points
-    /// (the hybrid candidates map through [`candidate_kind`]; the tiled
-    /// family evaluates its kinds directly).
-    fn evaluate_kinds(
+    fn evaluate(
         &self,
         kinds: &[MappingKind],
         spec: InterleaverSpec,
@@ -475,17 +412,8 @@ impl MappingSearch {
     /// Evaluates the row-major and optimized references (not counted
     /// against the candidate budget).
     fn reference_records(&self) -> Result<(Record, Record), ExpError> {
-        let scenarios = vec![
-            self.scenario_at(MappingKind::RowMajor, self.spec),
-            self.scenario_at(MappingKind::Optimized, self.spec),
-        ];
-        let experiment = Experiment::new(scenarios);
-        let experiment = if self.settings.workers == 0 {
-            experiment.with_auto_workers()
-        } else {
-            experiment.with_workers(self.settings.workers)
-        };
-        let mut records = experiment.run()?;
+        let kinds = [MappingKind::RowMajor, MappingKind::Optimized];
+        let mut records = self.evaluate(&kinds, self.spec, &mut HashMap::new(), &mut 0)?;
         let optimized = records.pop().expect("two references");
         let row_major = records.pop().expect("two references");
         Ok((row_major, optimized))
@@ -503,6 +431,33 @@ impl MappingSearch {
             return None;
         }
         Some(InterleaverSpec::from_burst_count(bursts))
+    }
+
+    /// The surrogate pre-screen of one candidate batch: ranks `kinds` at the
+    /// reduced [surrogate size](Self::surrogate_spec) and returns the
+    /// indices of the best [`promote`](SearchSettings::promote), best first
+    /// (ties break on batch order, which is itself deterministic).  Without
+    /// a surrogate, or when the batch is no larger than `promote`, every
+    /// index passes in batch order.
+    fn prescreen(
+        &self,
+        kinds: &[MappingKind],
+        cache: &mut HashMap<String, Record>,
+        surrogate_evaluations: &mut u32,
+    ) -> Result<Vec<usize>, ExpError> {
+        let promote = self.settings.promote.max(1) as usize;
+        let mut order: Vec<usize> = (0..kinds.len()).collect();
+        if let Some(spec) = self.surrogate_spec().filter(|_| kinds.len() > promote) {
+            let screened = self.evaluate(kinds, spec, cache, surrogate_evaluations)?;
+            order.sort_by(|&a, &b| {
+                score(&screened[b])
+                    .partial_cmp(&score(&screened[a]))
+                    .expect("scores are finite")
+                    .then(a.cmp(&b))
+            });
+            order.truncate(promote);
+        }
+        Ok(order)
     }
 
     /// The deterministic free-shape tile shortlist of the portfolio: the
@@ -542,37 +497,6 @@ impl MappingSearch {
             .collect()
     }
 
-    /// The deterministic starting permutation of `restart`.
-    fn starting_point(&self, restart: u32, rng: &mut StdRng) -> Result<BitPermutation, ExpError> {
-        let topology = self.dram.topology;
-        match restart {
-            0 => balanced_start(&self.dram, topology, self.spec.dimension(), false),
-            1 => balanced_start(&self.dram, topology, self.spec.dimension(), true),
-            2 => Ok(BitPermutation::for_scheme(
-                self.dram.decode_scheme,
-                &self.dram.geometry,
-                topology,
-            )?),
-            _ => {
-                let mut permutation = BitPermutation::for_scheme(
-                    self.dram.decode_scheme,
-                    &self.dram.geometry,
-                    topology,
-                )?;
-                // Fisher–Yates over the bit positions, driven by the seeded
-                // RNG, yields a uniform random field assignment.
-                let bits = permutation.total_bits() as usize;
-                for a in (1..bits).rev() {
-                    let b = rng.gen_range(0..a + 1);
-                    if a != b {
-                        permutation = permutation.with_swap(a, b);
-                    }
-                }
-                Ok(permutation)
-            }
-        }
-    }
-
     /// Runs the search and returns the [`SearchRecord`] of the best
     /// discovered mapping.
     ///
@@ -581,115 +505,10 @@ impl MappingSearch {
     /// Returns [`ExpError`] if the interleaver does not fit the padded
     /// permutation space of the device, or any evaluation fails.
     pub fn run(&self) -> Result<SearchRecord, ExpError> {
-        match self.settings.strategy {
-            SearchStrategy::Greedy => self.run_greedy(),
-            SearchStrategy::Portfolio => self.run_portfolio(),
-        }
-    }
-
-    /// The original greedy bit-swap hill-climb over pure permutations.
-    fn run_greedy(&self) -> Result<SearchRecord, ExpError> {
         let restarts = self.settings.restarts.max(1);
         let budget = self.settings.budget.max(1);
         let neighbors = self.settings.neighbors.max(1);
-        let (row_major, optimized) = self.reference_records()?;
-
-        let mut cache: HashMap<String, Record> = HashMap::new();
-        let mut evaluations = 0u32;
-        let mut accepted_moves = 0u32;
-        let mut best: Option<(Candidate, Record)> = None;
-
-        'restarts: for restart in 0..restarts {
-            if evaluations >= budget {
-                break;
-            }
-            // One RNG per restart keeps restarts independent of each other's
-            // step counts (and therefore insensitive to early stops).
-            let mut rng = StdRng::seed_from_u64(
-                self.settings.seed ^ u64::from(restart).wrapping_mul(0x9E37_79B9_7F4A_7C15),
-            );
-            let mut current: Candidate =
-                (self.starting_point(restart, &mut rng)?, XorFold::identity());
-            let mut current_record = self
-                .evaluate_at(&[current], self.spec, &mut cache, &mut evaluations)?
-                .pop()
-                .expect("one candidate in, one record out");
-            let improves_best = match &best {
-                None => true,
-                Some((_, record)) => better(&current_record, record),
-            };
-            if improves_best {
-                best = Some((current, current_record.clone()));
-            }
-            while evaluations < budget {
-                let bits = current.0.total_bits() as usize;
-                let batch = (neighbors as usize).min((budget - evaluations) as usize);
-                let mut candidates: Vec<Candidate> = Vec::with_capacity(batch);
-                let mut guard = 0;
-                while candidates.len() < batch && guard < 64 * batch {
-                    guard += 1;
-                    let a = rng.gen_range(0..bits);
-                    let b = rng.gen_range(0..bits);
-                    let fields = current.0.fields();
-                    if fields[a] == fields[b] {
-                        continue;
-                    }
-                    let swapped = (current.0.with_swap(a, b), current.1);
-                    if !candidates.contains(&swapped) {
-                        candidates.push(swapped);
-                    }
-                }
-                if candidates.is_empty() {
-                    continue 'restarts;
-                }
-                let records =
-                    self.evaluate_at(&candidates, self.spec, &mut cache, &mut evaluations)?;
-                let winner = candidates
-                    .iter()
-                    .zip(&records)
-                    .max_by(|(_, x), (_, y)| {
-                        score(x).partial_cmp(&score(y)).expect("scores are finite")
-                    })
-                    .expect("non-empty batch");
-                if better(winner.1, &current_record) {
-                    current = *winner.0;
-                    current_record = winner.1.clone();
-                    accepted_moves += 1;
-                    if better(&current_record, &best.as_ref().expect("seeded above").1) {
-                        best = Some((current, current_record.clone()));
-                    }
-                } else {
-                    // Local optimum: spend the rest of the budget elsewhere.
-                    continue 'restarts;
-                }
-            }
-            break;
-        }
-
-        let (candidate, best_record) = best.expect("at least one restart evaluated");
-        Ok(self.finish(
-            candidate.0.to_string(),
-            candidate.1.to_string(),
-            best_record,
-            restarts,
-            budget,
-            evaluations,
-            0,
-            accepted_moves,
-            row_major,
-            optimized,
-        ))
-    }
-
-    /// The hybrid portfolio search: annealed acceptance, fold moves,
-    /// evolutionary restarts, transfer seeds and surrogate pre-screens.
-    fn run_portfolio(&self) -> Result<SearchRecord, ExpError> {
-        let restarts = self.settings.restarts.max(1);
-        let budget = self.settings.budget.max(1);
-        let neighbors = self.settings.neighbors.max(1);
-        let promote = self.settings.promote.max(1) as usize;
         let temperature0 = f64::from(self.settings.sa_temp_micro) * 1e-6;
-        let surrogate = self.surrogate_spec();
         let (row_major, optimized) = self.reference_records()?;
 
         let mut cache: HashMap<String, Record> = HashMap::new();
@@ -704,13 +523,15 @@ impl MappingSearch {
         // Capped one evaluation below the budget so the hybrid family is
         // always evaluated at least once (the restart loop below needs it).
         let mut best_tiled: Option<(MappingKind, Record)> = None;
+        let shortlist = self.tiled_kinds();
         let tiled: Vec<MappingKind> = self
-            .tiled_kinds()
+            .prescreen(&shortlist, &mut cache, &mut surrogate_evaluations)?
             .into_iter()
+            .map(|index| shortlist[index])
             .take(budget.saturating_sub(1) as usize)
             .collect();
         if !tiled.is_empty() {
-            let records = self.evaluate_kinds(&tiled, self.spec, &mut cache, &mut evaluations)?;
+            let records = self.evaluate(&tiled, self.spec, &mut cache, &mut evaluations)?;
             for (kind, record) in tiled.into_iter().zip(records) {
                 let improves = match &best_tiled {
                     None => true,
@@ -738,7 +559,12 @@ impl MappingSearch {
             );
             let mut current = self.portfolio_start(restart, &elite, &mut rng)?;
             let mut current_record = self
-                .evaluate_at(&[current], self.spec, &mut cache, &mut evaluations)?
+                .evaluate(
+                    &[candidate_kind(&current)],
+                    self.spec,
+                    &mut cache,
+                    &mut evaluations,
+                )?
                 .pop()
                 .expect("one candidate in, one record out");
             update_elite(&mut elite, current, &current_record);
@@ -760,34 +586,18 @@ impl MappingSearch {
                 if batch.is_empty() {
                     continue 'restarts;
                 }
-                // Surrogate pre-screen: rank the batch at reduced size and
-                // promote only the top-k to a full evaluation.  Ties break
-                // on batch order, which is itself deterministic.
-                let finalists: Vec<Candidate> = match surrogate {
-                    Some(spec) if batch.len() > promote => {
-                        let screened =
-                            self.evaluate_at(&batch, spec, &mut cache, &mut surrogate_evaluations)?;
-                        let mut order: Vec<usize> = (0..batch.len()).collect();
-                        order.sort_by(|&a, &b| {
-                            score(&screened[b])
-                                .partial_cmp(&score(&screened[a]))
-                                .expect("scores are finite")
-                                .then(a.cmp(&b))
-                        });
-                        order.truncate(promote);
-                        order.into_iter().map(|index| batch[index]).collect()
-                    }
-                    _ => batch,
-                };
-                let finalists: Vec<Candidate> = finalists
+                let kinds: Vec<MappingKind> = batch.iter().map(candidate_kind).collect();
+                let finalists: Vec<Candidate> = self
+                    .prescreen(&kinds, &mut cache, &mut surrogate_evaluations)?
                     .into_iter()
+                    .map(|index| batch[index])
                     .take((budget - evaluations) as usize)
                     .collect();
                 if finalists.is_empty() {
                     break 'restarts;
                 }
-                let records =
-                    self.evaluate_at(&finalists, self.spec, &mut cache, &mut evaluations)?;
+                let kinds: Vec<MappingKind> = finalists.iter().map(candidate_kind).collect();
+                let records = self.evaluate(&kinds, self.spec, &mut cache, &mut evaluations)?;
                 let (winner, winner_record) = finalists
                     .iter()
                     .zip(&records)
@@ -845,36 +655,7 @@ impl MappingSearch {
                 best_record,
             ),
         };
-        Ok(self.finish(
-            permutation,
-            fold,
-            best_record,
-            restarts,
-            budget,
-            evaluations,
-            surrogate_evaluations,
-            accepted_moves,
-            row_major,
-            optimized,
-        ))
-    }
-
-    /// Assembles the [`SearchRecord`] shared by both strategies.
-    #[allow(clippy::too_many_arguments)]
-    fn finish(
-        &self,
-        permutation: String,
-        fold: String,
-        best: Record,
-        restarts: u32,
-        budget: u32,
-        evaluations: u32,
-        surrogate_evaluations: u32,
-        accepted_moves: u32,
-        row_major: Record,
-        optimized: Record,
-    ) -> SearchRecord {
-        SearchRecord {
+        Ok(SearchRecord {
             dram_label: self.dram.label(),
             seed: self.settings.seed,
             restarts,
@@ -885,13 +666,13 @@ impl MappingSearch {
             surrogate_evaluations,
             permutation,
             fold,
-            best,
+            best: best_record,
             row_major,
             optimized,
-        }
+        })
     }
 
-    /// The deterministic starting candidate of a portfolio `restart`:
+    /// The deterministic starting candidate of `restart`:
     /// balanced/mirrored/scheme starts, the two diagonal-fold starts, the
     /// three [optimized-mimic](Self::optimized_mimic_start) tilings,
     /// transfer seeds valid for this geometry, then alternating
@@ -990,8 +771,8 @@ impl MappingSearch {
             }
             return Ok(candidate);
         }
-        // Seeded random shuffle (as in greedy), occasionally with a
-        // random fold bolted on for extra start diversity.
+        // Seeded random shuffle, occasionally with a random fold bolted on
+        // for extra start diversity.
         let mut permutation =
             BitPermutation::for_scheme(self.dram.decode_scheme, &self.dram.geometry, topology)?;
         let bits = permutation.total_bits() as usize;
@@ -1354,8 +1135,8 @@ mod tests {
             let mut cache = HashMap::new();
             let mut evaluations = 0;
             let mimic = search
-                .evaluate_at(
-                    &[(permutation, fold)],
+                .evaluate(
+                    &[candidate_kind(&(permutation, fold))],
                     search.spec,
                     &mut cache,
                     &mut evaluations,
@@ -1418,10 +1199,7 @@ mod tests {
         let record = MappingSearch::new(
             dram,
             InterleaverSpec::from_burst_count(200_000),
-            SearchSettings {
-                strategy: SearchStrategy::Portfolio,
-                ..settings(10)
-            },
+            settings(10),
         )
         .run()
         .unwrap();
@@ -1506,12 +1284,9 @@ mod tests {
             "balanced start must beat row-major's thrashing read phase"
         );
         assert!(outcome.best.min_utilization > 0.5);
-        // The permutation string replays: it parses and labels the record.
-        let parsed: BitPermutation = outcome.permutation.parse().unwrap();
-        assert_eq!(
-            outcome.best.mapping,
-            MappingKind::Permutation(parsed).label()
-        );
+        // The winner's label replays: it parses and labels the record.
+        let parsed = MappingKind::parse_label(&outcome.best.mapping).unwrap();
+        assert_eq!(outcome.best.mapping, parsed.label());
     }
 
     #[test]
@@ -1529,7 +1304,7 @@ mod tests {
     #[test]
     fn cache_keys_on_the_full_scenario_not_the_candidate_alone() {
         let s = search(4);
-        let candidate: Candidate = (
+        let candidate = candidate_kind(&(
             balanced_start(
                 &DramConfig::preset(DramStandard::Ddr4, 3200).unwrap(),
                 ChannelTopology::default(),
@@ -1538,15 +1313,15 @@ mod tests {
             )
             .unwrap(),
             XorFold::identity(),
-        );
+        ));
         let mut cache = HashMap::new();
         let mut evaluations = 0;
         let full = s
-            .evaluate_at(&[candidate], s.spec, &mut cache, &mut evaluations)
+            .evaluate(&[candidate], s.spec, &mut cache, &mut evaluations)
             .unwrap();
         let short_spec = InterleaverSpec::from_burst_count(1_000);
         let short = s
-            .evaluate_at(&[candidate], short_spec, &mut cache, &mut evaluations)
+            .evaluate(&[candidate], short_spec, &mut cache, &mut evaluations)
             .unwrap();
         assert_eq!(evaluations, 2, "two scenarios, two evaluations");
         assert_eq!(cache.len(), 2, "distinct scenario keys must not alias");
@@ -1555,7 +1330,7 @@ mod tests {
             "a surrogate record must never masquerade as a full-size one"
         );
         // Re-asking for either scenario is now a pure cache hit.
-        s.evaluate_at(&[candidate], s.spec, &mut cache, &mut evaluations)
+        s.evaluate(&[candidate], s.spec, &mut cache, &mut evaluations)
             .unwrap();
         assert_eq!(evaluations, 2);
     }
@@ -1563,7 +1338,6 @@ mod tests {
     #[test]
     fn portfolio_search_is_reproducible_and_labels_round_trip() {
         let portfolio = SearchSettings {
-            strategy: SearchStrategy::Portfolio,
             restarts: 6,
             surrogate_divisor: 4,
             promote: 2,
@@ -1607,7 +1381,7 @@ mod tests {
         assert_eq!(parsed.label(), a.best.mapping);
         assert!(
             a.discovered_row_hit_rate() > round_trip_row_hit_rate(&a.row_major),
-            "the portfolio keeps the greedy starts, so it beats row-major too"
+            "the balanced starts already beat row-major's thrashing read phase"
         );
     }
 
@@ -1624,7 +1398,6 @@ mod tests {
             (native, XorFold::identity()),
         ];
         let portfolio = SearchSettings {
-            strategy: SearchStrategy::Portfolio,
             restarts: 6,
             ..settings(8)
         };
@@ -1636,15 +1409,6 @@ mod tests {
         // Restart 5 consumes the first *valid* seed (the native one); the
         // foreign seed is filtered out instead of failing the run.
         assert!(outcome.evaluations <= outcome.budget);
-    }
-
-    #[test]
-    fn strategy_strings_round_trip() {
-        for strategy in [SearchStrategy::Greedy, SearchStrategy::Portfolio] {
-            let parsed: SearchStrategy = strategy.to_string().parse().unwrap();
-            assert_eq!(parsed, strategy);
-        }
-        assert!("annealed".parse::<SearchStrategy>().is_err());
     }
 
     #[test]

@@ -10,7 +10,6 @@
 use tbi_dram::{ChannelTopology, DramConfig, DramStandard};
 use tbi_exp::{
     CampaignConfig, CampaignReport, Experiment, LinkStage, MappingSearch, Scenario, SearchSettings,
-    SearchStrategy,
 };
 use tbi_interleaver::{InterleaverSpec, MappingKind};
 use tbi_satcom::link::InterleaverChoice;
@@ -130,7 +129,6 @@ fn portfolio_search_accepts_every_modern_preset() {
         budget: 6,
         neighbors: 2,
         workers: 1,
-        strategy: SearchStrategy::Portfolio,
         surrogate_divisor: 4,
         ..SearchSettings::default()
     };

@@ -38,11 +38,12 @@ impl InterleaverSpec {
     ///
     /// # Panics
     ///
-    /// Panics if `bursts == 0`.
+    /// Panics if `bursts == 0` or
+    /// `bursts > TriangularInterleaver::MAX_CAPACITY`.
     #[must_use]
     pub fn from_burst_count(bursts: u64) -> Self {
-        let triangular =
-            TriangularInterleaver::with_capacity(bursts).expect("burst count must be non-zero");
+        let triangular = TriangularInterleaver::with_capacity(bursts)
+            .expect("burst count must be non-zero and at most TriangularInterleaver::MAX_CAPACITY");
         Self {
             bursts,
             dimension: triangular.dimension(),

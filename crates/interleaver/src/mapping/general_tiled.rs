@@ -101,7 +101,7 @@ impl GeneralTiledMapping {
         let rows_needed = u64::from(tile_rows) * u64::from(tiles_per_row_padded / banks);
         if rows_needed > u64::from(geometry.rows) {
             return Err(InterleaverError::CapacityExceeded {
-                required_bursts: rows_needed * u64::from(page) * u64::from(banks),
+                required_bursts: rows_needed.saturating_mul(u64::from(page) * u64::from(banks)),
                 available_bursts: geometry.total_bursts(),
             });
         }

@@ -408,6 +408,28 @@ mod tests {
     }
 
     #[test]
+    fn every_kind_rejects_dimensions_near_u32_max_on_every_preset() {
+        // Padding such a dimension to whole tiles or pages must neither wrap
+        // past the capacity check nor overflow the error's burst count.
+        let tiled = MappingKind::GeneralTiled {
+            tile_h: 8,
+            tile_w: 8,
+        };
+        for (standard, rate) in tbi_dram::standards::ALL_CONFIGS {
+            let config = DramConfig::preset(*standard, *rate).unwrap();
+            for kind in MappingKind::ALL.into_iter().chain([tiled]) {
+                for dimension in [u32::MAX - 1, u32::MAX] {
+                    assert!(
+                        kind.build(&config, dimension).is_err(),
+                        "{kind} at dimension {dimension} on {}",
+                        config.label()
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
     fn build_for_geometry_matches_build_on_presets() {
         // Presets use the default decode scheme, so the two builders agree
         // for every kind — the constructor surface is uniform.

@@ -135,18 +135,28 @@ impl OptimizedMapping {
             "tile width must be a multiple of the bank-group count"
         );
 
-        let padded_width = n.div_ceil(tile_w) * tile_w;
-        let padded_height = n.div_ceil(tile_h) * tile_h;
-        let tiles_per_row_padded =
-            (padded_width / tile_w).div_ceil(banks_per_group) * banks_per_group;
-        let tile_rows = padded_height / tile_h;
-        let rows_needed = u64::from(tile_rows) * u64::from(tiles_per_row_padded / banks_per_group);
+        // Size the tile grid in u64: near the top of the u32 dimension
+        // range, padding `n` up to whole tiles would wrap and slip past the
+        // capacity check.
+        let tiles_per_row = u64::from(n.div_ceil(tile_w));
+        let tile_rows = u64::from(n.div_ceil(tile_h));
+        let row_groups = tiles_per_row.div_ceil(u64::from(banks_per_group));
+        let rows_needed = tile_rows * row_groups;
         if rows_needed > u64::from(geometry.rows) {
             return Err(InterleaverError::CapacityExceeded {
-                required_bursts: rows_needed * u64::from(page) * u64::from(geometry.total_banks()),
+                required_bursts: rows_needed
+                    .saturating_mul(u64::from(page) * u64::from(geometry.total_banks())),
                 available_bursts: geometry.total_bursts(),
             });
         }
+        let narrow = |extent: u64| {
+            u32::try_from(extent).map_err(|_| InterleaverError::InvalidDimension {
+                reason: format!("dimension {n} padded to whole tiles exceeds u32"),
+            })
+        };
+        let padded_width = narrow(tiles_per_row * u64::from(tile_w))?;
+        let padded_height = narrow(tile_rows * u64::from(tile_h))?;
+        let tiles_per_row_padded = narrow(row_groups * u64::from(banks_per_group))?;
         let all_pow2 = groups.is_power_of_two()
             && banks_per_group.is_power_of_two()
             && tile_w.is_power_of_two()

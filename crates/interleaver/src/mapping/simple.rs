@@ -133,7 +133,7 @@ impl TiledMapping {
         let rows_needed = u64::from(tile_rows) * u64::from(tiles_per_row / banks);
         if rows_needed > u64::from(geometry.rows) {
             return Err(InterleaverError::CapacityExceeded {
-                required_bursts: rows_needed * u64::from(page) * u64::from(banks),
+                required_bursts: rows_needed.saturating_mul(u64::from(page) * u64::from(banks)),
                 available_bursts: geometry.total_bursts(),
             });
         }

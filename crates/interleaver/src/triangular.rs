@@ -54,26 +54,40 @@ impl TriangularInterleaver {
         Ok(Self { n })
     }
 
+    /// The largest capacity a triangular interleaver can have: the
+    /// dimension is a `u32`, so `n (n + 1) / 2` tops out at `n = u32::MAX`.
+    pub const MAX_CAPACITY: u64 = u32::MAX as u64 * (u32::MAX as u64 + 1) / 2;
+
     /// Smallest triangular interleaver holding at least `elements` symbols.
     ///
     /// # Errors
     ///
-    /// Returns [`InterleaverError::InvalidDimension`] if `elements == 0`.
+    /// Returns [`InterleaverError::InvalidDimension`] if `elements == 0` or
+    /// `elements > `[`MAX_CAPACITY`](Self::MAX_CAPACITY) (the dimension
+    /// would exceed `u32`).
     pub fn with_capacity(elements: u64) -> Result<Self, InterleaverError> {
         if elements == 0 {
             return Err(InterleaverError::InvalidDimension {
                 reason: "capacity must be at least 1 element".to_string(),
             });
         }
-        // Solve n(n+1)/2 >= elements.
-        let mut n = ((2.0 * elements as f64).sqrt()).floor() as u64;
-        while n * (n + 1) / 2 < elements {
+        // Solve n(n+1)/2 >= elements in u128, where the products cannot wrap.
+        let target = u128::from(elements);
+        let mut n = ((2.0 * elements as f64).sqrt()).floor() as u128;
+        while n * (n + 1) / 2 < target {
             n += 1;
         }
-        while n > 1 && (n - 1) * n / 2 >= elements {
+        while n > 1 && (n - 1) * n / 2 >= target {
             n -= 1;
         }
-        Self::new(n as u32)
+        let n = u32::try_from(n).map_err(|_| InterleaverError::InvalidDimension {
+            reason: format!(
+                "capacity of {elements} elements exceeds the largest triangular \
+                 interleaver ({} elements)",
+                Self::MAX_CAPACITY
+            ),
+        })?;
+        Self::new(n)
     }
 
     /// The dimension `n` (length of the first row and of the first column).
@@ -312,6 +326,28 @@ mod tests {
                 let smaller = TriangularInterleaver::new(il.dimension() - 1).unwrap();
                 assert!(smaller.len() < elements, "{elements}");
             }
+        }
+    }
+
+    #[test]
+    fn with_capacity_rejects_dimensions_beyond_u32() {
+        // Largest valid capacity: exactly the u32::MAX triangle.
+        let largest =
+            TriangularInterleaver::with_capacity(TriangularInterleaver::MAX_CAPACITY).unwrap();
+        assert_eq!(largest.dimension(), u32::MAX);
+        assert_eq!(largest.len(), TriangularInterleaver::MAX_CAPACITY);
+        assert_eq!(
+            TriangularInterleaver::with_capacity(9_223_372_030_000_000_000)
+                .unwrap()
+                .dimension(),
+            4_294_967_294
+        );
+        for elements in [TriangularInterleaver::MAX_CAPACITY + 1, u64::MAX] {
+            let err = TriangularInterleaver::with_capacity(elements).unwrap_err();
+            assert!(
+                err.to_string().contains("exceeds the largest"),
+                "{elements}: {err}"
+            );
         }
     }
 

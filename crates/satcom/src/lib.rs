@@ -46,8 +46,6 @@
 
 pub mod budget;
 pub mod channel;
-pub mod concatenated;
-pub mod convolutional;
 pub mod gf256;
 pub mod link;
 pub mod profile;
@@ -55,8 +53,6 @@ pub mod reed_solomon;
 
 pub use budget::BandwidthBudget;
 pub use channel::{CoherenceFading, GilbertElliott, SymbolChannel};
-pub use concatenated::{ConcatenatedCode, ConcatenatedConfig};
-pub use convolutional::ConvolutionalCode;
 pub use gf256::Gf256;
 pub use link::{LinkConfig, LinkReport, LinkSimulation};
 pub use profile::{LinkProfile, PassSegment, Weather};

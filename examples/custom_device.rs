@@ -1,20 +1,15 @@
 //! Custom-device exploration: the paper's mapping applies to *any*
 //! JEDEC-compliant DRAM, so this example builds a hypothetical device with the
-//! `DramConfigBuilder` (a wider-page, higher-clocked DDR4-class part) and a
-//! concatenated CCSDS coding chain, then checks that the optimized mapping
-//! still keeps both phases fast enough for a 100 Gbit/s downlink.
+//! `DramConfigBuilder` (a wider-page, higher-clocked DDR4-class part), then
+//! checks that the optimized mapping still keeps both phases fast enough for
+//! a 100 Gbit/s downlink.
 //!
 //! ```text
 //! cargo run --release -p tbi --example custom_device
 //! ```
 
-use rand::SeedableRng;
 use tbi::dram::DramConfigBuilder;
-use tbi::satcom::concatenated::{ConcatenatedCode, ConcatenatedConfig};
-use tbi::{
-    BandwidthBudget, DramStandard, GilbertElliott, InterleaverSpec, MappingKind,
-    ThroughputEvaluator,
-};
+use tbi::{BandwidthBudget, DramStandard, InterleaverSpec, MappingKind, ThroughputEvaluator};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // A hypothetical next-generation part: DDR4 core timings scaled to
@@ -47,21 +42,5 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         );
     }
 
-    // The FEC chain this memory system serves: CCSDS concatenated coding.
-    let code = ConcatenatedCode::new(ConcatenatedConfig {
-        rs_code_len: 255,
-        rs_data_len: 223,
-        codewords: 8,
-        interleaved: true,
-    })?;
-    let channel = GilbertElliott::new(0.0, 1.0, 0.003, 0.0);
-    let mut rng = rand::rngs::StdRng::seed_from_u64(11);
-    let report = code.transmit(&channel, &mut rng)?;
-    println!(
-        "\nconcatenated CCSDS chain (rate {:.2}): inner residual BER {:.2e}, outer frame error rate {:.3}",
-        code.overall_rate(),
-        report.inner_bit_error_rate(),
-        report.frame_error_rate()
-    );
     Ok(())
 }

@@ -1,6 +1,6 @@
-//! End-to-end tests of the bit-permutation design-space exploration:
+//! End-to-end tests of the address-mapping design-space exploration:
 //! seed-reproducibility at any worker count, and replay of discovered
-//! permutations as ordinary scenarios on both timing engines.
+//! mappings as ordinary scenarios on both timing engines.
 
 use tbi::{
     BitPermutation, DramConfig, DramStandard, InterleaverSpec, MappingKind, MappingSearch,
@@ -43,21 +43,17 @@ fn search_is_bit_reproducible_for_a_fixed_seed_at_any_worker_count() {
     assert_eq!(one.best.activates, four.best.activates);
 }
 
-/// A discovered permutation replays as an ordinary scenario: the search's
-/// own record is reproduced exactly, on both timing engines.
+/// A discovered mapping replays as an ordinary scenario: the search's own
+/// record is reproduced exactly, on both timing engines.
 #[test]
 fn discovered_permutations_replay_as_ordinary_scenarios_on_both_engines() {
     let outcome = run_search(1);
-    let permutation: BitPermutation = outcome.permutation.parse().unwrap();
+    let kind = MappingKind::parse_label(&outcome.best.mapping).unwrap();
     let dram = DramConfig::preset(DramStandard::Lpddr4, 4266).unwrap();
-    let scenario = Scenario::custom(
-        dram,
-        MappingKind::Permutation(permutation),
-        InterleaverSpec::from_burst_count(4_000),
-    );
+    let scenario = Scenario::custom(dram, kind, InterleaverSpec::from_burst_count(4_000));
     let event = scenario.clone().run().unwrap();
     let cycle = scenario.with_engine(TimingEngine::Cycle).run().unwrap();
-    assert_eq!(event, cycle, "both engines agree on permutation mappings");
+    assert_eq!(event, cycle, "both engines agree on the discovered mapping");
     assert_eq!(event, outcome.best, "replay reproduces the search record");
 }
 
