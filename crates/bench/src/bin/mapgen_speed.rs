@@ -19,14 +19,19 @@
 //! `--channels`/`--ranks` select the topology of the channel-routed rows
 //! (a `2 × 2` subsystem when left at the single-channel default).  `--json`
 //! overrides the output path (default `BENCH_mapgen.json` in the current
-//! directory).  Exits non-zero if any batch diverges from its scalar
-//! reference.
+//! directory).  Every mapping is built before the triangle's coordinates
+//! are materialised, so a size some preset cannot hold exits 1 with the
+//! construction error straight away.  Exits 1 too if any batch diverges
+//! from its scalar reference.
 
 use std::path::PathBuf;
+use std::rc::Rc;
 use std::time::Instant;
 
 use tbi_bench::HarnessOptions;
-use tbi_dram::{AddressBatch, BitPermutation, ChannelTopology, DramConfig, PermutationMapping};
+use tbi_dram::{
+    AddressBatch, BitPermutation, ChannelTopology, DramConfig, PermutationMapping, PhysicalAddress,
+};
 use tbi_exp::serialize::{json_number, json_string};
 use tbi_interleaver::mapping::{ChannelMapping, DramMapping, PermutedMapping};
 use tbi_interleaver::MappingKind;
@@ -40,17 +45,20 @@ const TARGET_POSITIONS: u64 = 2_000_000;
 const FLAGS: &[&str] = &["--full", "--bursts", "--channels", "--ranks", "--json"];
 
 /// Largest index-space dimension whose triangle fits in `bursts` positions
-/// (at least 2).
+/// (at least 2), saturated at `u32::MAX`.  The search runs in `u128`, where
+/// the triangle products cannot wrap.
 fn dimension_for(bursts: u64) -> u32 {
+    let triangle = |n: u128| n * (n + 1) / 2;
+    let bursts = u128::from(bursts);
     #[allow(clippy::cast_precision_loss, clippy::cast_possible_truncation)]
-    let mut n = (((8.0 * bursts as f64 + 1.0).sqrt() - 1.0) / 2.0) as u64;
-    while (n + 1) * (n + 2) / 2 <= bursts {
+    let mut n = (2.0 * bursts as f64).sqrt() as u128;
+    while triangle(n + 1) <= bursts {
         n += 1;
     }
-    while n > 2 && n * (n + 1) / 2 > bursts {
+    while n > 2 && triangle(n) > bursts {
         n -= 1;
     }
-    u32::try_from(n.max(2)).expect("dimension fits u32")
+    u32::try_from(n.max(2)).unwrap_or(u32::MAX)
 }
 
 /// The triangle's positions in write-phase (row-wise) order.
@@ -98,20 +106,18 @@ struct Row {
     identical: bool,
     checksum: u64,
     /// `Some` for permutation rows: whether the scalar decode takes the
-    /// contiguous shift/mask fast path.
-    shift_mask: Option<bool>,
-    /// `Some` for permutation rows: contiguous runs in the batch scatter
-    /// plan (6 = one per field = fully contiguous).
-    scatter_segments: Option<u32>,
+    /// contiguous shift/mask fast path, and the contiguous runs in the
+    /// batch scatter plan (6 = one per field = fully contiguous).
+    plan: Option<(bool, u32)>,
 }
 
 impl Row {
     fn to_json(&self) -> String {
-        let plan = match (self.shift_mask, self.scatter_segments) {
-            (Some(shift_mask), Some(segments)) => {
+        let plan = match self.plan {
+            Some((shift_mask, segments)) => {
                 format!(",\"shift_mask\":{shift_mask},\"scatter_segments\":{segments}")
             }
-            _ => String::new(),
+            None => String::new(),
         };
         format!(
             "{{\"config\":{},\"scheme\":{},\"positions\":{},\"reps\":{},\
@@ -131,29 +137,40 @@ impl Row {
     }
 }
 
-/// Times `scalar` and `batch` (each filling an [`AddressBatch`] from
-/// `coords`) over enough repetitions to map [`TARGET_POSITIONS`] positions,
-/// and verifies the two outputs are bit-identical.
-fn measure<S, B>(config: &str, scheme: &str, coords: &[(u32, u32)], scalar: S, batch: B) -> Row
-where
-    S: Fn(&[(u32, u32)], &mut AddressBatch),
-    B: Fn(&[(u32, u32)], &mut AddressBatch),
-{
+/// Fills an [`AddressBatch`] from a slice of coordinates.
+type Fill = Box<dyn Fn(&[(u32, u32)], &mut AddressBatch)>;
+
+/// One benched (preset, scheme) combination, built and ready to time.
+struct Case {
+    config: String,
+    scheme: String,
+    /// The per-element reference fill.
+    scalar: Fill,
+    /// The batched kernel under test.
+    batch: Fill,
+    /// [`Row::plan`].
+    plan: Option<(bool, u32)>,
+}
+
+/// Times `case`'s scalar and batch fills over enough repetitions to map
+/// [`TARGET_POSITIONS`] positions, and verifies the two outputs are
+/// bit-identical.
+fn measure(case: &Case, coords: &[(u32, u32)]) -> Row {
     let positions = coords.len() as u64;
     let reps = TARGET_POSITIONS.div_ceil(positions);
     let mut scalar_out = AddressBatch::with_capacity(coords.len());
     let mut batch_out = AddressBatch::with_capacity(coords.len());
 
     // Untimed warm-up doubles as the bit-identity check.
-    scalar(coords, &mut scalar_out);
-    batch(coords, &mut batch_out);
+    (case.scalar)(coords, &mut scalar_out);
+    (case.batch)(coords, &mut batch_out);
     let identical = scalar_out == batch_out;
     let checksum = batch_checksum(&batch_out);
 
     let started = Instant::now();
     for _ in 0..reps {
         scalar_out.clear();
-        scalar(coords, &mut scalar_out);
+        (case.scalar)(coords, &mut scalar_out);
     }
     std::hint::black_box(&scalar_out);
     let scalar_s = started.elapsed().as_secs_f64();
@@ -161,7 +178,7 @@ where
     let started = Instant::now();
     for _ in 0..reps {
         batch_out.clear();
-        batch(coords, &mut batch_out);
+        (case.batch)(coords, &mut batch_out);
     }
     std::hint::black_box(&batch_out);
     let batch_s = started.elapsed().as_secs_f64();
@@ -170,8 +187,8 @@ where
     let scalar_rate = mapped / scalar_s.max(f64::MIN_POSITIVE);
     let batch_rate = mapped / batch_s.max(f64::MIN_POSITIVE);
     Row {
-        config: config.to_string(),
-        scheme: scheme.to_string(),
+        config: case.config.clone(),
+        scheme: case.scheme.clone(),
         positions,
         reps,
         scalar_addresses_per_s: scalar_rate,
@@ -179,17 +196,7 @@ where
         speedup: batch_rate / scalar_rate.max(f64::MIN_POSITIVE),
         identical,
         checksum,
-        shift_mask: None,
-        scatter_segments: None,
-    }
-}
-
-/// The scalar reference fill: the default per-element `map` loop every
-/// mapping had before the batched kernels existed.
-fn scalar_map_fill(mapping: &dyn DramMapping, coords: &[(u32, u32)], out: &mut AddressBatch) {
-    out.reserve(coords.len());
-    for &(i, j) in coords {
-        out.push(0, mapping.map(i, j));
+        plan: case.plan,
     }
 }
 
@@ -202,6 +209,124 @@ fn gather_permutation(scheme: BitPermutation) -> BitPermutation {
     scheme.with_swap(0, top).with_swap(1, top / 2)
 }
 
+/// The fills of one case: the per-element reference loop over `route`
+/// and the batched kernel `batch`.
+fn fills(
+    route: impl Fn(u32, u32) -> (u32, PhysicalAddress) + 'static,
+    batch: impl Fn(&[(u32, u32)], &mut AddressBatch) + 'static,
+) -> (Fill, Fill) {
+    let scalar = move |coords: &[(u32, u32)], out: &mut AddressBatch| {
+        out.reserve(coords.len());
+        for &(i, j) in coords {
+            let (channel, address) = route(i, j);
+            out.push(channel, address);
+        }
+    };
+    (Box::new(scalar), Box::new(batch))
+}
+
+/// Builds every benched mapping for dimension `n`: the Table I presets'
+/// rows, then the channel-routed rows on DDR4-3200 scaled out to
+/// `topology`.
+///
+/// # Errors
+///
+/// The first construction error, naming its preset and scheme.
+fn build_cases(n: u32, topology: ChannelTopology) -> Result<Vec<Case>, String> {
+    let mut cases = Vec::new();
+    for &(standard, rate) in tbi_dram::standards::ALL_CONFIGS {
+        let config = DramConfig::preset(standard, rate)
+            .map_err(|error| format!("preset {standard:?}-{rate}: {error}"))?;
+        let label = config.label();
+        let failed = |scheme: &str, error: &dyn std::fmt::Display| {
+            format!("{label} / {scheme} at dimension {n}: {error}")
+        };
+
+        for kind in [MappingKind::RowMajor, MappingKind::Optimized] {
+            let mapping: Rc<dyn DramMapping> = kind
+                .build(&config, n)
+                .map_err(|error| failed(kind.name(), &error))?
+                .into();
+            let scalar = Rc::clone(&mapping);
+            // The scalar fill is the per-element `map` loop every mapping
+            // had before the batched kernels existed.
+            let (scalar, batch) = fills(
+                move |i, j| (0, scalar.map(i, j)),
+                move |coords, out| mapping.map_batch(coords, out),
+            );
+            cases.push(Case {
+                config: label.clone(),
+                scheme: kind.name().to_string(),
+                scalar,
+                batch,
+                plan: None,
+            });
+        }
+
+        let single = ChannelTopology::default();
+        let scheme_permutation =
+            BitPermutation::for_scheme(config.decode_scheme, &config.geometry, single)
+                .map_err(|error| failed("permutation-scheme", &error))?;
+        for (scheme, permutation) in [
+            ("permutation-scheme", scheme_permutation),
+            ("permutation-gather", gather_permutation(scheme_permutation)),
+        ] {
+            let decoder = PermutationMapping::new(config.geometry, single, permutation)
+                .map_err(|error| failed(scheme, &error))?;
+            let mapping = PermutedMapping::new(config.geometry, single, permutation, n)
+                .map_err(|error| failed(scheme, &error))?;
+            let (scalar, batch) = fills(
+                move |i, j| mapping.route(i, j),
+                move |coords, out| mapping.route_batch(coords, out),
+            );
+            cases.push(Case {
+                config: label.clone(),
+                scheme: scheme.to_string(),
+                scalar,
+                batch,
+                plan: Some((decoder.is_shift_mask(), decoder.scatter_segments())),
+            });
+        }
+    }
+
+    // Channel-routed rows: one representative preset scaled out to the
+    // selected topology.
+    let config = DramConfig::preset(tbi_dram::DramStandard::Ddr4, 3200)
+        .map_err(|error| format!("preset DDR4-3200: {error}"))?
+        .with_topology(topology);
+    let label = format!(
+        "{}@{}x{}",
+        config.label(),
+        topology.channels,
+        topology.ranks
+    );
+    let permutation = BitPermutation::for_scheme(config.decode_scheme, &config.geometry, topology)
+        .map_err(|error| format!("{label} / permutation: {error}"))?;
+    for kind in [
+        MappingKind::RowMajor,
+        MappingKind::Optimized,
+        MappingKind::Permutation(permutation),
+    ] {
+        let scheme = format!("channel-routed:{}", kind.name());
+        let mapping = ChannelMapping::new(kind, &config, n)
+            .map_err(|error| format!("{label} / {scheme} at dimension {n}: {error}"))?;
+        let mapping = Rc::new(mapping);
+        let scalar = Rc::clone(&mapping);
+        let (scalar, batch) = fills(
+            move |i, j| scalar.route(i, j),
+            move |coords, out| mapping.route_batch(coords, out),
+        );
+        cases.push(Case {
+            config: label.clone(),
+            scheme,
+            scalar,
+            batch,
+            plan: None,
+        });
+    }
+    Ok(cases)
+}
+
 fn main() {
     let options = HarnessOptions::from_env("mapgen_speed", FLAGS);
 
@@ -210,7 +335,6 @@ fn main() {
         .clone()
         .unwrap_or_else(|| PathBuf::from(DEFAULT_OUTPUT));
     let n = dimension_for(options.bursts);
-    let coords = triangle_coords(n);
     // Channel-routed rows need a real multi-channel subsystem; default to
     // 2 × 2 when the options leave the paper's single-channel topology.
     let topology = if options.channels * options.ranks == 1 {
@@ -218,106 +342,23 @@ fn main() {
     } else {
         ChannelTopology::new(options.channels, options.ranks)
     };
+    let cases = build_cases(n, topology).unwrap_or_else(|error| {
+        eprintln!("error: {error}");
+        std::process::exit(1);
+    });
 
+    let coords = triangle_coords(n);
     eprintln!(
         "mapgen_speed: {} positions (n = {n}) per scheme, {} presets",
         coords.len(),
         tbi_dram::standards::ALL_CONFIGS.len()
     );
-
-    let mut rows: Vec<Row> = Vec::new();
-    for (standard, rate) in tbi_dram::standards::ALL_CONFIGS {
-        let config = match DramConfig::preset(*standard, *rate) {
-            Ok(config) => config,
-            Err(error) => {
-                eprintln!("error: preset {standard:?}-{rate}: {error}");
-                std::process::exit(1);
-            }
-        };
-        let label = config.label();
-        eprintln!("  {label} ...");
-
-        for kind in [MappingKind::RowMajor, MappingKind::Optimized] {
-            let mapping = kind.build(&config, n).expect("preset mapping builds");
-            rows.push(measure(
-                &label,
-                kind.name(),
-                &coords,
-                |coords, out| scalar_map_fill(mapping.as_ref(), coords, out),
-                |coords, out| mapping.map_batch(coords, out),
-            ));
+    let mut rows: Vec<Row> = Vec::with_capacity(cases.len());
+    for case in &cases {
+        if rows.last().map(|row| &row.config) != Some(&case.config) {
+            eprintln!("  {} ...", case.config);
         }
-
-        let scheme_permutation = BitPermutation::for_scheme(
-            config.decode_scheme,
-            &config.geometry,
-            ChannelTopology::default(),
-        )
-        .expect("scheme permutation exists for every preset");
-        for (scheme, permutation) in [
-            ("permutation-scheme", scheme_permutation),
-            ("permutation-gather", gather_permutation(scheme_permutation)),
-        ] {
-            let decoder =
-                PermutationMapping::new(config.geometry, ChannelTopology::default(), permutation)
-                    .expect("permutation matches the preset geometry");
-            let mapping =
-                PermutedMapping::new(config.geometry, ChannelTopology::default(), permutation, n)
-                    .expect("index space fits the padded square");
-            let mut row = measure(
-                &label,
-                scheme,
-                &coords,
-                |coords, out| {
-                    out.reserve(coords.len());
-                    for &(i, j) in coords {
-                        let (channel, address) = mapping.route(i, j);
-                        out.push(channel, address);
-                    }
-                },
-                |coords, out| mapping.route_batch(coords, out),
-            );
-            row.shift_mask = Some(decoder.is_shift_mask());
-            row.scatter_segments = Some(decoder.scatter_segments());
-            rows.push(row);
-        }
-    }
-
-    // Channel-routed rows: one representative preset scaled out to the
-    // selected topology.
-    let chan_config = DramConfig::preset(tbi_dram::DramStandard::Ddr4, 3200)
-        .expect("DDR4-3200 preset exists")
-        .with_topology(topology);
-    let chan_label = format!(
-        "{}@{}x{}",
-        chan_config.label(),
-        topology.channels,
-        topology.ranks
-    );
-    eprintln!("  {chan_label} (channel-routed) ...");
-    let chan_permutation =
-        BitPermutation::for_scheme(chan_config.decode_scheme, &chan_config.geometry, topology)
-            .expect("channel permutation exists for pow2 topologies");
-    for kind in [
-        MappingKind::RowMajor,
-        MappingKind::Optimized,
-        MappingKind::Permutation(chan_permutation),
-    ] {
-        let scheme = format!("channel-routed:{}", kind.name());
-        let mapping = ChannelMapping::new(kind, &chan_config, n).expect("channel mapping builds");
-        rows.push(measure(
-            &chan_label,
-            &scheme,
-            &coords,
-            |coords, out| {
-                out.reserve(coords.len());
-                for &(i, j) in coords {
-                    let (channel, address) = mapping.route(i, j);
-                    out.push(channel, address);
-                }
-            },
-            |coords, out| mapping.route_batch(coords, out),
-        ));
+        rows.push(measure(case, &coords));
     }
 
     let all_identical = rows.iter().all(|row| row.identical);

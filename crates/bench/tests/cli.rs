@@ -39,3 +39,32 @@ fn unlisted_flags_exit_2_and_are_named() {
         );
     }
 }
+
+/// `mapgen_speed` builds every mapping before it materialises the triangle,
+/// so a size some preset cannot hold exits 1 with the construction error
+/// instead of allocating the coordinates first (70M positions), aborting on
+/// the allocation (10^11) or overflowing its own dimension search (the
+/// largest `u32`-dimension triangle).
+#[test]
+fn mapgen_speed_rejects_sizes_its_presets_cannot_hold_before_allocating() {
+    for bursts in ["70000000", "100000000000", "9223372034707292160"] {
+        let output = Command::new(env!("CARGO_BIN_EXE_mapgen_speed"))
+            .args(["--bursts", bursts, "--json", "unwritten_mapgen.json"])
+            .output()
+            .expect("binary runs");
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert_eq!(
+            output.status.code(),
+            Some(1),
+            "--bursts {bursts}:\n{stderr}"
+        );
+        assert!(
+            stderr.contains("error: DDR3-800 / row-major") && stderr.contains("only has"),
+            "--bursts {bursts} must name the failed construction:\n{stderr}"
+        );
+        assert!(
+            !stderr.contains("positions (n ="),
+            "--bursts {bursts} materialised the triangle:\n{stderr}"
+        );
+    }
+}

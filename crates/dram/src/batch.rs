@@ -2,10 +2,9 @@
 //!
 //! An [`AddressBatch`] holds decoded `(channel, PhysicalAddress)` tuples as
 //! six separate `u32` lanes (channel, rank, bank group, bank, row, column)
-//! instead of an array of structs.  The batched mapping kernels
-//! ([`PermutationMapping::decode_batch`](crate::PermutationMapping::decode_batch),
-//! [`AddressDecoder::decode_batch`](crate::AddressDecoder::decode_batch))
-//! write each lane in its own tight loop, so a field extraction is a single
+//! instead of an array of structs.  The batched decode kernel
+//! ([`PermutationMapping::decode_batch`](crate::PermutationMapping::decode_batch))
+//! writes each lane in its own tight loop, so a field extraction is a single
 //! shift/mask over a contiguous slice — the layout the compiler can keep in
 //! registers and auto-vectorize — rather than five scattered stores per
 //! element.

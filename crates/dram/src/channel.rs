@@ -191,13 +191,13 @@ impl CombinedStats {
 ///     .with_topology(ChannelTopology::new(2, 1));
 /// let mut router = ChannelRouter::new(config.clone(), ControllerConfig::default())?;
 /// // Stripe 4096 sequential bursts across both channels.
+/// let decoder = config.linear_decoder()?;
 /// let sources = (0..2u64)
 ///     .map(|c| {
-///         let config = config.clone();
 ///         IteratorSource(
 ///             (0..4096u64)
 ///                 .filter(move |i| i % 2 == c)
-///                 .map(move |i| Request::write(config.decode_linear(i / 2))),
+///                 .map(move |i| Request::write(decoder.decode(i / 2).1)),
 ///         )
 ///     })
 ///     .collect();
@@ -442,8 +442,9 @@ mod tests {
             .with_topology(ChannelTopology::new(channels, ranks))
     }
 
-    fn sequential(config: &DramConfig, n: u64) -> impl Iterator<Item = Request> + Send + '_ {
-        (0..n).map(|i| Request::write(config.decode_linear(i)))
+    fn sequential(config: &DramConfig, n: u64) -> impl Iterator<Item = Request> + Send {
+        let decoder = config.linear_decoder().unwrap();
+        (0..n).map(move |i| Request::write(decoder.decode(i).1))
     }
 
     fn sources<I: Iterator<Item = Request>>(traces: Vec<I>) -> Vec<IteratorSource<I>> {
@@ -638,10 +639,7 @@ mod tests {
         let traces = |cfg: &DramConfig| -> Vec<_> {
             lengths
                 .iter()
-                .map(|&n| {
-                    let cfg = cfg.clone();
-                    IteratorSource((0..n).map(move |i| Request::write(cfg.decode_linear(i))))
-                })
+                .map(|&n| IteratorSource(sequential(cfg, n)))
                 .collect()
         };
         let mut inline = ChannelRouter::new(cfg.clone(), ControllerConfig::default()).unwrap();
@@ -692,9 +690,8 @@ mod tests {
         let build = || {
             let mut router = ChannelRouter::new(cfg.clone(), ControllerConfig::default()).unwrap();
             for channel in 0..4u32 {
-                for i in 0..(16 * (u64::from(channel) + 1)) {
-                    let controller = router.controller_mut(channel);
-                    assert!(controller.enqueue(Request::write(cfg.decode_linear(i))));
+                for request in sequential(&cfg, 16 * (u64::from(channel) + 1)) {
+                    assert!(router.controller_mut(channel).enqueue(request));
                 }
             }
             router

@@ -1060,12 +1060,13 @@ mod tests {
     #[test]
     fn sequential_stream_saturates_the_bus_without_refresh() {
         let config = DramConfig::preset(DramStandard::Ddr4, 3200).unwrap();
+        let decoder = config.linear_decoder().unwrap();
         let mut c = Controller::new(config.clone(), no_refresh()).unwrap();
         let mut produced = 0u64;
         let total = 4096u64;
         while produced < total || c.pending_requests() > 0 {
             while produced < total && c.can_accept() {
-                let addr = config.decode_linear(produced);
+                let addr = decoder.decode(produced).1;
                 assert!(c.enqueue(Request::write(addr)));
                 produced += 1;
             }
@@ -1083,6 +1084,7 @@ mod tests {
     #[test]
     fn refresh_reduces_utilization_for_all_bank_mode() {
         let config = DramConfig::preset(DramStandard::Ddr4, 3200).unwrap();
+        let decoder = config.linear_decoder().unwrap();
         let run = |refresh: RefreshMode| {
             let ctrl = ControllerConfig {
                 refresh_mode: Some(refresh),
@@ -1093,7 +1095,7 @@ mod tests {
             let mut produced = 0u64;
             while produced < total || c.pending_requests() > 0 {
                 while produced < total && c.can_accept() {
-                    let addr = config.decode_linear(produced);
+                    let addr = decoder.decode(produced).1;
                     c.enqueue(Request::write(addr));
                     produced += 1;
                 }
@@ -1113,6 +1115,7 @@ mod tests {
     #[test]
     fn per_bank_refresh_hides_most_of_the_cost() {
         let config = DramConfig::preset(DramStandard::Lpddr4, 4266).unwrap();
+        let decoder = config.linear_decoder().unwrap();
         let run = |refresh: RefreshMode| {
             let ctrl = ControllerConfig {
                 refresh_mode: Some(refresh),
@@ -1123,7 +1126,7 @@ mod tests {
             let mut produced = 0u64;
             while produced < total || c.pending_requests() > 0 {
                 while produced < total && c.can_accept() {
-                    c.enqueue(Request::write(config.decode_linear(produced)));
+                    c.enqueue(Request::write(decoder.decode(produced).1));
                     produced += 1;
                 }
                 c.tick();

@@ -67,9 +67,12 @@ impl ChannelTopology {
 
     /// Validates the topology.
     ///
-    /// Channel and rank counts must be non-zero powers of two (channel and
-    /// rank bits are spliced into address-decode chains) and stay within the
-    /// modelled limits (64 channels, 8 ranks).
+    /// Channel and rank counts must be non-zero powers of two and stay
+    /// within the modelled limits (64 channels, 8 ranks).  This is the one
+    /// place the power-of-two rule for channels and ranks lives: every
+    /// router and controller constructor calls it, so channel and rank bits
+    /// are plain bit slices of the linear address and no routing path
+    /// divides.
     ///
     /// # Errors
     ///
@@ -171,6 +174,12 @@ impl DeviceGeometry {
     }
 
     /// Validates the geometry.
+    ///
+    /// This is the one place the power-of-two rule for bank groups, banks,
+    /// rows and columns lives: JEDEC devices slice their addresses into
+    /// bit fields, and the controller, the decoders and the optimized
+    /// mapping call this at construction so that every address computation
+    /// is a shift and a mask.
     ///
     /// # Errors
     ///

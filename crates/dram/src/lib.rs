@@ -42,7 +42,8 @@
 //! let mut system = MemorySystem::new(config.clone())?;
 //!
 //! // Write 1024 sequential bursts (decoded with the default address mapping).
-//! let trace = (0..1024u64).map(|i| Request::write(config.decode_linear(i)));
+//! let decoder = config.linear_decoder()?;
+//! let trace = (0..1024u64).map(|i| Request::write(decoder.decode(i).1));
 //! let stats = system.run_trace(trace);
 //! assert_eq!(stats.completed_requests, 1024);
 //! assert!(stats.bus_utilization() > 0.5);
@@ -58,9 +59,9 @@
 //! | [`channel`] | [`ChannelRouter`]: one controller per channel, each fed from its own request source, with aggregated [`CombinedStats`] |
 //! | [`timing`] | [`TimingParams`]: all timing constraints in device clock cycles |
 //! | [`standards`] | presets for the ten configurations evaluated in the paper |
-//! | [`address`] | [`PhysicalAddress`] and linear-address decoding schemes |
+//! | [`address`] | [`PhysicalAddress`] and the [`DecodeScheme`] field orders of a controller's linear-address decode |
 //! | [`batch`] | [`AddressBatch`]: structure-of-arrays buffers for batched address generation |
-//! | [`permutation`] | [`BitPermutation`]/[`PermutationMapping`]: the searchable bit-permutation generalization of the decode schemes |
+//! | [`permutation`] | [`BitPermutation`]/[`PermutationMapping`]: the linear-address decoder — the decode schemes and the searchable bit-permutation design space |
 //! | [`command`] | the DRAM command set issued by the controller |
 //! | [`bank`] | per-bank state machine with earliest-issue bookkeeping |
 //! | [`request`] | read/write burst requests |
@@ -89,7 +90,7 @@ pub mod standards;
 pub mod stats;
 pub mod timing;
 
-pub use address::{AddressDecoder, DecodeScheme, PhysicalAddress};
+pub use address::{DecodeScheme, PhysicalAddress};
 pub use bank::{BankArray, BankId, BankState};
 pub use batch::{AddressBatch, AddressLanesMut};
 pub use builder::DramConfigBuilder;

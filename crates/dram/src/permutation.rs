@@ -12,10 +12,12 @@
 //! contiguous bit run (which covers all three classic schemes) and a
 //! bit-gather path for arbitrary permutations.
 //!
-//! Every [`DecodeScheme`] is expressible as a specific permutation via
-//! [`BitPermutation::for_scheme`]; the equivalence against
-//! [`AddressDecoder`](crate::AddressDecoder) is pinned by tests in this module and by property
-//! tests in `tbi_interleaver`.
+//! Every [`DecodeScheme`] is a specific permutation, built by
+//! [`BitPermutation::for_scheme`], so a [`PermutationMapping`] of that
+//! permutation is the workspace's controller address decoder: the row-major
+//! baseline, [`DramConfig::linear_decoder`](crate::DramConfig::linear_decoder)
+//! and the channel router's linear splice all decode through it.  A golden
+//! test in this module pins the schemes' decodes on every preset.
 
 use crate::address::{DecodeScheme, PhysicalAddress};
 use crate::batch::{AddressBatch, AddressLanesMut};
@@ -144,13 +146,7 @@ impl BitPermutation {
     /// longer than [`MAX_PERMUTATION_BITS`].
     pub fn new(fields: &[AddressField]) -> Result<Self, ConfigError> {
         if fields.is_empty() || fields.len() > MAX_PERMUTATION_BITS {
-            return Err(ConfigError::InvalidGeometry {
-                field: "permutation",
-                reason: format!(
-                    "permutation must cover 1..={MAX_PERMUTATION_BITS} bits, got {}",
-                    fields.len()
-                ),
-            });
+            return Err(bit_count_error(fields.len()));
         }
         let mut array = [AddressField::Row; MAX_PERMUTATION_BITS];
         array[..fields.len()].copy_from_slice(fields);
@@ -161,51 +157,23 @@ impl BitPermutation {
     }
 
     /// The permutation expressing `scheme` on `geometry` scaled out to
-    /// `topology` — the exact bit layout of
-    /// [`AddressDecoder::with_ranks`](crate::AddressDecoder::with_ranks)
-    /// with the channel bits spliced in at the very bottom of the linear
-    /// space (`channel = linear mod channels`, the classic channel-
-    /// interleaved controller mapping).
+    /// `topology`: the channel bits at the very bottom of the linear space
+    /// (`channel = linear mod channels`, the classic channel-interleaved
+    /// controller mapping), then the scheme's fields from least to most
+    /// significant, with the rank bits directly above the bank bits.
     ///
     /// # Errors
     ///
-    /// Returns [`ConfigError::InvalidGeometry`] if any sliced dimension is
-    /// not a power of two.
+    /// Returns [`ConfigError::InvalidGeometry`] if the geometry or the
+    /// topology fails its `validate` (a dimension that is not a power of
+    /// two, for one) or the subsystem needs more than
+    /// [`MAX_PERMUTATION_BITS`] bits.
     pub fn for_scheme(
         scheme: DecodeScheme,
         geometry: &DeviceGeometry,
         topology: ChannelTopology,
     ) -> Result<Self, ConfigError> {
-        let w = FieldWidths::for_subsystem(geometry, topology)?;
-        let mut fields = Vec::with_capacity(w.total() as usize);
-        let mut run = |field: AddressField, bits: u32| {
-            fields.extend(std::iter::repeat(field).take(bits as usize));
-        };
-        run(AddressField::Channel, w.channel);
-        match scheme {
-            DecodeScheme::RowBankBankGroupColumn => {
-                run(AddressField::Column, w.column);
-                run(AddressField::BankGroup, w.bank_group);
-                run(AddressField::Bank, w.bank);
-                run(AddressField::Rank, w.rank);
-                run(AddressField::Row, w.row);
-            }
-            DecodeScheme::RowColumnBankBankGroup => {
-                run(AddressField::BankGroup, w.bank_group);
-                run(AddressField::Bank, w.bank);
-                run(AddressField::Rank, w.rank);
-                run(AddressField::Column, w.column);
-                run(AddressField::Row, w.row);
-            }
-            DecodeScheme::BankBankGroupRowColumn => {
-                run(AddressField::Column, w.column);
-                run(AddressField::Row, w.row);
-                run(AddressField::BankGroup, w.bank_group);
-                run(AddressField::Bank, w.bank);
-                run(AddressField::Rank, w.rank);
-            }
-        }
-        Self::new(&fields)
+        Ok(scheme_layout(scheme, geometry, topology)?.0)
     }
 
     /// The per-bit field assignment, LSB-first.
@@ -241,37 +209,95 @@ impl BitPermutation {
     }
 
     /// Checks that the per-field widths match one rank of `geometry` scaled
-    /// out to `topology` (all dimensions must be powers of two).
+    /// out to `topology`.
     ///
     /// # Errors
     ///
-    /// Returns [`ConfigError::InvalidGeometry`] naming the mismatched field.
+    /// Returns [`ConfigError::InvalidGeometry`] if the geometry or the
+    /// topology fails its `validate`, or naming the mismatched field.
     pub fn validate_for(
         &self,
         geometry: &DeviceGeometry,
         topology: ChannelTopology,
     ) -> Result<(), ConfigError> {
-        let w = FieldWidths::for_subsystem(geometry, topology)?;
-        for (field, expected) in [
-            (AddressField::Channel, w.channel),
-            (AddressField::Rank, w.rank),
-            (AddressField::BankGroup, w.bank_group),
-            (AddressField::Bank, w.bank),
-            (AddressField::Row, w.row),
-            (AddressField::Column, w.column),
-        ] {
-            let got = self.width_of(field);
-            if got != expected {
-                return Err(ConfigError::InvalidGeometry {
-                    field: "permutation",
-                    reason: format!(
-                        "field {field:?} has {got} bits but the subsystem needs {expected}"
-                    ),
-                });
-            }
-        }
-        Ok(())
+        check_widths(&self.field_masks(), geometry, topology)
     }
+
+    /// The linear-address bits of each field, in [`AddressField::index`]
+    /// order.
+    fn field_masks(&self) -> [u64; 6] {
+        let mut masks = [0u64; 6];
+        for (bit, field) in self.fields().iter().enumerate() {
+            masks[field.index()] |= 1u64 << bit;
+        }
+        masks
+    }
+}
+
+/// `scheme`'s permutation on `geometry` scaled out to `topology` (see
+/// [`BitPermutation::for_scheme`]) and the linear bits of each of its
+/// fields, filled straight from the field widths.
+fn scheme_layout(
+    scheme: DecodeScheme,
+    geometry: &DeviceGeometry,
+    topology: ChannelTopology,
+) -> Result<(BitPermutation, [u64; 6]), ConfigError> {
+    use AddressField::{Bank, BankGroup, Channel, Column, Rank, Row};
+    let widths = field_widths(geometry, topology)?;
+    let order = match scheme {
+        DecodeScheme::RowBankBankGroupColumn => [Channel, Column, BankGroup, Bank, Rank, Row],
+        DecodeScheme::RowColumnBankBankGroup => [Channel, BankGroup, Bank, Rank, Column, Row],
+        DecodeScheme::BankBankGroupRowColumn => [Channel, Column, Row, BankGroup, Bank, Rank],
+    };
+    let len = widths.iter().sum::<u32>() as usize;
+    if len == 0 || len > MAX_PERMUTATION_BITS {
+        return Err(bit_count_error(len));
+    }
+    let mut fields = [Row; MAX_PERMUTATION_BITS];
+    let mut masks = [0u64; 6];
+    let mut next = 0;
+    for field in order {
+        let width = widths[field.index()];
+        fields[next as usize..(next + width) as usize].fill(field);
+        masks[field.index()] = ((1u64 << width) - 1) << next;
+        next += width;
+    }
+    let permutation = BitPermutation {
+        fields,
+        len: len as u8,
+    };
+    Ok((permutation, masks))
+}
+
+/// The error for a permutation covering `len` bits, outside
+/// `1..=`[`MAX_PERMUTATION_BITS`].
+fn bit_count_error(len: usize) -> ConfigError {
+    ConfigError::InvalidGeometry {
+        field: "permutation",
+        reason: format!("permutation must cover 1..={MAX_PERMUTATION_BITS} bits, got {len}"),
+    }
+}
+
+/// Checks the field widths of `masks` against one rank of `geometry`
+/// scaled out to `topology`.
+fn check_widths(
+    masks: &[u64; 6],
+    geometry: &DeviceGeometry,
+    topology: ChannelTopology,
+) -> Result<(), ConfigError> {
+    let expected = field_widths(geometry, topology)?;
+    for field in AddressField::ALL {
+        let (got, expected) = (masks[field.index()].count_ones(), expected[field.index()]);
+        if got != expected {
+            return Err(ConfigError::InvalidGeometry {
+                field: "permutation",
+                reason: format!(
+                    "field {field:?} has {got} bits but the subsystem needs {expected}"
+                ),
+            });
+        }
+    }
+    Ok(())
 }
 
 /// Textual form: field codes MSB-first (see [`AddressField::code`]).
@@ -510,9 +536,15 @@ impl XorFold {
     ///
     /// Returns [`ConfigError::InvalidGeometry`] naming the offending step.
     pub fn validate_for(&self, permutation: &BitPermutation) -> Result<(), ConfigError> {
+        self.validate_widths(&permutation.field_masks().map(u64::count_ones))
+    }
+
+    /// [`XorFold::validate_for`] against per-field widths in
+    /// [`AddressField::index`] order.
+    fn validate_widths(&self, widths: &[u32; 6]) -> Result<(), ConfigError> {
         for step in self.steps() {
-            let target_width = permutation.width_of(step.target);
-            let source_width = permutation.width_of(step.source);
+            let target_width = widths[step.target.index()];
+            let source_width = widths[step.source.index()];
             if target_width == 0 || source_width == 0 {
                 return Err(ConfigError::InvalidGeometry {
                     field: "fold",
@@ -585,46 +617,24 @@ impl std::str::FromStr for XorFold {
     }
 }
 
-/// log2 widths of the six fields for a subsystem.
-#[derive(Debug, Clone, Copy)]
-struct FieldWidths {
-    channel: u32,
-    rank: u32,
-    bank_group: u32,
-    bank: u32,
-    row: u32,
-    column: u32,
-}
-
-impl FieldWidths {
-    fn for_subsystem(
-        geometry: &DeviceGeometry,
-        topology: ChannelTopology,
-    ) -> Result<Self, ConfigError> {
-        let log2 = |field: &'static str, value: u32| -> Result<u32, ConfigError> {
-            if value == 0 || !value.is_power_of_two() {
-                return Err(ConfigError::InvalidGeometry {
-                    field,
-                    reason: format!(
-                        "{value} must be a non-zero power of two for bit-permutation mappings"
-                    ),
-                });
-            }
-            Ok(value.trailing_zeros())
-        };
-        Ok(Self {
-            channel: log2("channels", topology.channels)?,
-            rank: log2("ranks", topology.ranks)?,
-            bank_group: log2("bank_groups", geometry.bank_groups)?,
-            bank: log2("banks_per_group", geometry.banks_per_group)?,
-            row: log2("rows", geometry.rows)?,
-            column: log2("columns_per_row", geometry.columns_per_row)?,
-        })
-    }
-
-    fn total(&self) -> u32 {
-        self.channel + self.rank + self.bank_group + self.bank + self.row + self.column
-    }
+/// log2 widths of the six fields of a subsystem, in [`AddressField::index`]
+/// order, once [`DeviceGeometry::validate`] and [`ChannelTopology::validate`]
+/// have made every dimension a power of two.
+fn field_widths(
+    geometry: &DeviceGeometry,
+    topology: ChannelTopology,
+) -> Result<[u32; 6], ConfigError> {
+    geometry.validate()?;
+    topology.validate()?;
+    Ok([
+        topology.channels,
+        topology.ranks,
+        geometry.bank_groups,
+        geometry.banks_per_group,
+        geometry.rows,
+        geometry.columns_per_row,
+    ]
+    .map(u32::trailing_zeros))
 }
 
 /// How a [`PermutationMapping`] extracts its fields.
@@ -636,6 +646,23 @@ enum DecodePlan {
     /// Arbitrary permutation: per-field source-bit masks, gathered bit by
     /// bit (one `trailing_zeros` loop per field).
     Gather { masks: [u64; 6] },
+}
+
+impl DecodePlan {
+    /// Shift/mask when `scatter` gives every field at most one contiguous
+    /// run, per-field gather `masks` otherwise.
+    fn for_scatter(scatter: &ScatterPlan, masks: [u64; 6]) -> Self {
+        let mut shift = [0u8; 6];
+        let mut width = [0u8; 6];
+        for field in 0..6 {
+            match scatter.field_steps(field) {
+                [] => {}
+                [run] => (shift[field], width[field]) = (run.src, run.width),
+                _ => return DecodePlan::Gather { masks },
+            }
+        }
+        DecodePlan::ShiftMask { shift, width }
+    }
 }
 
 /// One contiguous run of linear-address bits feeding an address field:
@@ -705,19 +732,17 @@ impl ScatterPlan {
 
 /// Decodes linear burst indices through a [`BitPermutation`].
 ///
-/// This is the searchable generalization of [`AddressDecoder`](crate::AddressDecoder): where the
-/// decoder offers three fixed bit layouts, the permutation mapping accepts
-/// any assignment of linear bits to (channel, rank, bank group, bank, row,
-/// column).  Decoding is a bijection on the covered bit width, so distinct
-/// linear indices always produce distinct `(channel, address)` pairs.
+/// The permutation assigns every linear bit to one of (channel, rank, bank
+/// group, bank, row, column): a [`DecodeScheme`]'s fixed layout
+/// ([`BitPermutation::for_scheme`]) is the controller's address decoder,
+/// any other assignment is a point of the searchable design space.
+/// Decoding is a bijection on the covered bit width, so distinct linear
+/// indices always produce distinct `(channel, address)` pairs.
 ///
 /// # Examples
 ///
 /// ```
-/// use tbi_dram::{
-///     AddressDecoder, BitPermutation, ChannelTopology, DecodeScheme, DeviceGeometry,
-///     PermutationMapping,
-/// };
+/// use tbi_dram::{BitPermutation, ChannelTopology, DecodeScheme, DeviceGeometry, PermutationMapping};
 ///
 /// let geometry = DeviceGeometry {
 ///     bank_groups: 4,
@@ -727,16 +752,17 @@ impl ScatterPlan {
 ///     burst_length: 8,
 ///     bus_width_bits: 64,
 /// };
+/// let topology = ChannelTopology::new(2, 1);
 /// let scheme = DecodeScheme::RowColumnBankBankGroup;
-/// let permutation =
-///     BitPermutation::for_scheme(scheme, &geometry, ChannelTopology::default())?;
-/// let mapping = PermutationMapping::new(geometry, ChannelTopology::default(), permutation)?;
-/// // The scheme's permutation form decodes bit-identically to the decoder.
-/// let decoder = AddressDecoder::new(geometry, scheme);
-/// for linear in [0u64, 1, 12345, 1 << 20] {
-///     assert_eq!(mapping.decode(linear), (0, decoder.decode(linear)));
-///     assert_eq!(mapping.encode(0, decoder.decode(linear)), linear);
-/// }
+/// let permutation = BitPermutation::for_scheme(scheme, &geometry, topology)?;
+/// let mapping = PermutationMapping::new(geometry, topology, permutation)?;
+/// // The channel bit sits at the bottom, the bank-group bits right above it.
+/// let (c0, a0) = mapping.decode(0);
+/// let (c1, a1) = mapping.decode(1);
+/// let (c2, a2) = mapping.decode(2);
+/// assert_eq!((c0, c1, c2), (0, 1, 0));
+/// assert_eq!((a0.bank_group, a1.bank_group, a2.bank_group), (0, 0, 1));
+/// assert_eq!(mapping.encode(c2, a2), 2);
 /// # Ok::<(), tbi_dram::ConfigError>(())
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -758,15 +784,39 @@ impl PermutationMapping {
     ///
     /// # Errors
     ///
-    /// Returns [`ConfigError::InvalidGeometry`] if the permutation's field
-    /// widths do not match the subsystem or a dimension is not a power of
-    /// two.
+    /// Returns [`ConfigError::InvalidGeometry`] if the geometry or the
+    /// topology fails its `validate` or the permutation's field widths do
+    /// not match the subsystem.
     pub fn new(
         geometry: DeviceGeometry,
         topology: ChannelTopology,
         permutation: BitPermutation,
     ) -> Result<Self, ConfigError> {
         Self::with_fold(geometry, topology, permutation, XorFold::identity())
+    }
+
+    /// The controller's address decoder for `scheme` on `geometry` scaled
+    /// out to `topology`: [`PermutationMapping::new`] of
+    /// [`BitPermutation::for_scheme`], built straight from the field
+    /// widths.
+    ///
+    /// # Errors
+    ///
+    /// As [`BitPermutation::for_scheme`].
+    pub fn for_scheme(
+        scheme: DecodeScheme,
+        geometry: DeviceGeometry,
+        topology: ChannelTopology,
+    ) -> Result<Self, ConfigError> {
+        let (permutation, masks) = scheme_layout(scheme, &geometry, topology)?;
+        let identity = XorFold::identity();
+        Ok(Self::from_masks(
+            geometry,
+            topology,
+            permutation,
+            masks,
+            identity,
+        ))
     }
 
     /// Creates a mapping that applies `fold` to the decoded field values of
@@ -784,54 +834,42 @@ impl PermutationMapping {
         permutation: BitPermutation,
         fold: XorFold,
     ) -> Result<Self, ConfigError> {
-        permutation.validate_for(&geometry, topology)?;
-        fold.validate_for(&permutation)?;
-        let mut masks = [0u64; 6];
-        for (bit, field) in permutation.fields().iter().enumerate() {
-            masks[field.index()] |= 1u64 << bit;
-        }
-        let mut fold_masks = [0u32; MAX_FOLD_STEPS];
-        for (index, step) in fold.steps().iter().enumerate() {
-            fold_masks[index] = (1u32 << permutation.width_of(step.target)) - 1;
-        }
-        Ok(Self {
+        // One scan of the permutation yields every field's bits; the
+        // validation, the fold widths and both decode plans derive from it.
+        let masks = permutation.field_masks();
+        check_widths(&masks, &geometry, topology)?;
+        fold.validate_widths(&masks.map(u64::count_ones))?;
+        Ok(Self::from_masks(
             geometry,
             topology,
             permutation,
-            plan: Self::plan(&permutation),
-            scatter: ScatterPlan::build(&masks),
+            masks,
             fold,
-            fold_masks,
-        })
+        ))
     }
 
-    /// Builds the decode plan: shift/mask when every field's source bits are
-    /// contiguous, per-field gather masks otherwise.
-    fn plan(permutation: &BitPermutation) -> DecodePlan {
-        let mut masks = [0u64; 6];
-        for (bit, field) in permutation.fields().iter().enumerate() {
-            masks[field.index()] |= 1u64 << bit;
+    /// Assembles a mapping from its field `masks`; the permutation and the
+    /// fold are already validated against the subsystem.
+    fn from_masks(
+        geometry: DeviceGeometry,
+        topology: ChannelTopology,
+        permutation: BitPermutation,
+        masks: [u64; 6],
+        fold: XorFold,
+    ) -> Self {
+        let mut fold_masks = [0u32; MAX_FOLD_STEPS];
+        for (index, step) in fold.steps().iter().enumerate() {
+            fold_masks[index] = (1u32 << masks[step.target.index()].count_ones()) - 1;
         }
-        let contiguous = masks.iter().all(|&mask| {
-            // A contiguous run of ones (or an empty mask) stays a run after
-            // shifting away its trailing zeros.
-            mask == 0 || {
-                let run = mask >> mask.trailing_zeros();
-                (run & (run + 1)) == 0
-            }
-        });
-        if contiguous {
-            let mut shift = [0u8; 6];
-            let mut width = [0u8; 6];
-            for (index, &mask) in masks.iter().enumerate() {
-                if mask != 0 {
-                    shift[index] = mask.trailing_zeros() as u8;
-                    width[index] = mask.count_ones() as u8;
-                }
-            }
-            DecodePlan::ShiftMask { shift, width }
-        } else {
-            DecodePlan::Gather { masks }
+        let scatter = ScatterPlan::build(&masks);
+        Self {
+            geometry,
+            topology,
+            permutation,
+            plan: DecodePlan::for_scatter(&scatter, masks),
+            scatter,
+            fold,
+            fold_masks,
         }
     }
 
@@ -868,8 +906,8 @@ impl PermutationMapping {
 
     /// Decodes a linear burst index into `(channel, address)`.
     ///
-    /// Bits above [`BitPermutation::total_bits`] are ignored (the decode
-    /// wraps, mirroring [`AddressDecoder::decode`](crate::AddressDecoder::decode)).
+    /// Bits above [`BitPermutation::total_bits`] are ignored: indices beyond
+    /// the subsystem's capacity wrap around.
     #[must_use]
     pub fn decode(&self, linear: u64) -> (u32, PhysicalAddress) {
         let mut fields = match self.plan {
@@ -1084,8 +1122,7 @@ impl PermutationMapping {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::address::AddressDecoder;
-    use crate::standards::{DramConfig, ALL_CONFIGS};
+    use crate::standards::{DramConfig, ALL_CONFIGS, MODERN_CONFIGS};
     use proptest::prelude::*;
 
     fn geometry() -> DeviceGeometry {
@@ -1099,46 +1136,107 @@ mod tests {
         }
     }
 
+    /// FNV-1a over the `(channel, rank, bank group, bank, row, column)`
+    /// decodes of `linear`, continuing from `hash`.
+    fn fnv_decodes(
+        mut hash: u64,
+        mapping: &PermutationMapping,
+        linear: impl Iterator<Item = u64>,
+    ) -> u64 {
+        for l in linear {
+            let (channel, a) = mapping.decode(l);
+            for value in [channel, a.rank, a.bank_group, a.bank, a.row, a.column] {
+                hash = (hash ^ u64::from(value)).wrapping_mul(0x0000_0100_0000_01B3);
+            }
+        }
+        hash
+    }
+
+    /// Topologies folded into each golden hash, in hashing order.
+    const GOLDEN_TOPOLOGIES: [(u32, u32); 5] = [(1, 1), (1, 2), (2, 1), (4, 2), (8, 1)];
+
+    /// Per preset, one hash per [`DecodeScheme::ALL`] entry over
+    /// [`GOLDEN_TOPOLOGIES`]: linear indices `0..65_536` and the last 4,096
+    /// below the subsystem's capacity.  Recorded from the classic
+    /// divide-and-splice controller decoder (`channel = linear mod C`, the
+    /// per-channel index sliced in scheme order with the rank bits above
+    /// the bank bits), which the scheme permutations replaced.
+    #[rustfmt::skip]
+    const SCHEME_DECODE_GOLDEN: [(&str, [u64; 3]); 16] = [
+        ("DDR3-800", [0xeacbe980484cc125, 0xe45fa2e0f0de1925, 0xa8bf26e422aa0725]),
+        ("DDR3-1600", [0xeacbe980484cc125, 0xe45fa2e0f0de1925, 0xa8bf26e422aa0725]),
+        ("DDR4-1600", [0xe6461ad029f31025, 0x3b512a03d817ef25, 0x041aa4d67eb91925]),
+        ("DDR4-3200", [0xe6461ad029f31025, 0x3b512a03d817ef25, 0x041aa4d67eb91925]),
+        ("DDR5-3200", [0x0a324780a127b425, 0x1f68a5b171ae98a5, 0x157d8b5de1e9dea5]),
+        ("DDR5-6400", [0x0a324780a127b425, 0x1f68a5b171ae98a5, 0x157d8b5de1e9dea5]),
+        ("LPDDR4-2133", [0x0242d0438db1ef25, 0xe3bd3bbbb32a8e25, 0x579f2501ef254fa5]),
+        ("LPDDR4-4266", [0x0242d0438db1ef25, 0xe3bd3bbbb32a8e25, 0x579f2501ef254fa5]),
+        ("LPDDR5-4267", [0x9a47f755ccab9b25, 0xc1e6dfbf12c80725, 0xd531f4db1ed41025]),
+        ("LPDDR5-8533", [0x9a47f755ccab9b25, 0xc1e6dfbf12c80725, 0xd531f4db1ed41025]),
+        ("HBM2-2000", [0x7434d967bdf99b25, 0x7b38e1e865360725, 0x8b63cffe3a811025]),
+        ("HBM2-2400", [0x7434d967bdf99b25, 0x7b38e1e865360725, 0x8b63cffe3a811025]),
+        ("GDDR6-14000", [0x7434d967bdf99b25, 0x7b38e1e865360725, 0x8b63cffe3a811025]),
+        ("GDDR6-16000", [0x7434d967bdf99b25, 0x7b38e1e865360725, 0x8b63cffe3a811025]),
+        ("DDR5-3DS-4800", [0x0a324780a127b425, 0x1f68a5b171ae98a5, 0x157d8b5de1e9dea5]),
+        ("DDR5-3DS-6400", [0x0a324780a127b425, 0x1f68a5b171ae98a5, 0x157d8b5de1e9dea5]),
+    ];
+
     #[test]
-    fn scheme_permutations_match_the_address_decoder_on_all_presets() {
-        for (standard, rate) in ALL_CONFIGS {
-            let config = DramConfig::preset(*standard, *rate).unwrap();
-            for scheme in DecodeScheme::ALL {
-                for ranks in [1u32, 2, 4] {
-                    let topology = ChannelTopology::new(1, ranks);
+    fn scheme_permutations_decode_the_recorded_golden_on_all_presets() {
+        let presets = ALL_CONFIGS.iter().chain(MODERN_CONFIGS);
+        for (&(standard, rate), (label, expected)) in presets.zip(SCHEME_DECODE_GOLDEN) {
+            let config = DramConfig::preset(standard, rate).unwrap();
+            assert_eq!(config.label(), label);
+            for (scheme, expected) in DecodeScheme::ALL.into_iter().zip(expected) {
+                let mut hash = 0xcbf2_9ce4_8422_2325u64;
+                for (channels, ranks) in GOLDEN_TOPOLOGIES {
+                    let topology = ChannelTopology::new(channels, ranks);
                     let permutation =
                         BitPermutation::for_scheme(scheme, &config.geometry, topology).unwrap();
                     let mapping =
                         PermutationMapping::new(config.geometry, topology, permutation).unwrap();
                     assert!(mapping.is_shift_mask(), "schemes are contiguous runs");
-                    let decoder = AddressDecoder::with_ranks(config.geometry, scheme, ranks);
-                    for linear in (0..5_000u64).chain((1 << 22)..((1 << 22) + 256)) {
+                    assert_eq!(
+                        PermutationMapping::for_scheme(scheme, config.geometry, topology),
+                        Ok(mapping),
+                        "the width-filled constructor builds the same decoder"
+                    );
+                    let capacity = config.geometry.total_bursts() * u64::from(topology.units());
+                    hash = fnv_decodes(
+                        hash,
+                        &mapping,
+                        (0..65_536).chain(capacity - 4_096..capacity),
+                    );
+                    for linear in 0..2_048 {
                         let (channel, address) = mapping.decode(linear);
-                        assert_eq!(channel, 0);
-                        assert_eq!(
-                            address,
-                            decoder.decode(linear),
-                            "{standard:?}-{rate} {scheme:?} ranks={ranks} linear={linear}"
-                        );
-                        assert_eq!(mapping.encode(0, address), linear);
+                        assert_eq!(mapping.encode(channel, address), linear);
                     }
                 }
+                assert_eq!(hash, expected, "{label} {scheme:?}");
             }
         }
     }
 
     #[test]
     fn channel_bits_splice_at_the_bottom() {
-        for channels in [2u32, 4] {
-            let topology = ChannelTopology::new(channels, 1);
-            let scheme = DecodeScheme::RowColumnBankBankGroup;
+        let scheme = DecodeScheme::RowColumnBankBankGroup;
+        let one_channel = |ranks: u32| {
+            let topology = ChannelTopology::new(1, ranks);
+            let permutation = BitPermutation::for_scheme(scheme, &geometry(), topology).unwrap();
+            PermutationMapping::new(geometry(), topology, permutation).unwrap()
+        };
+        for (channels, ranks) in [(2u32, 1u32), (4, 1), (2, 2)] {
+            let topology = ChannelTopology::new(channels, ranks);
             let permutation = BitPermutation::for_scheme(scheme, &geometry(), topology).unwrap();
             let mapping = PermutationMapping::new(geometry(), topology, permutation).unwrap();
-            let decoder = AddressDecoder::new(geometry(), scheme);
+            let per_channel = one_channel(ranks);
             for linear in 0..10_000u64 {
                 let (channel, address) = mapping.decode(linear);
                 assert_eq!(channel, (linear % u64::from(channels)) as u32);
-                assert_eq!(address, decoder.decode(linear / u64::from(channels)));
+                assert_eq!(
+                    (0, address),
+                    per_channel.decode(linear / u64::from(channels))
+                );
             }
         }
     }

@@ -23,7 +23,8 @@ use crate::stats::Stats;
 /// # fn main() -> Result<(), tbi_dram::ConfigError> {
 /// let config = DramConfig::preset(DramStandard::Ddr4, 3200)?;
 /// let mut system = MemorySystem::new(config.clone())?;
-/// let stats = system.run_trace((0..4096).map(|i| Request::write(config.decode_linear(i))));
+/// let decoder = config.linear_decoder()?;
+/// let stats = system.run_trace((0..4096).map(|i| Request::write(decoder.decode(i).1)));
 /// assert_eq!(stats.completed_requests, 4096);
 /// assert!(stats.bus_utilization() > 0.8);
 /// # Ok(())
@@ -146,19 +147,20 @@ impl MemorySystem {
 mod tests {
     use super::*;
     use crate::controller::RefreshMode;
+    use crate::permutation::PermutationMapping;
     use crate::standards::DramStandard;
 
-    fn system(standard: DramStandard, rate: u32) -> (DramConfig, MemorySystem) {
+    fn system(standard: DramStandard, rate: u32) -> (PermutationMapping, MemorySystem) {
         let config = DramConfig::preset(standard, rate).unwrap();
         let system = MemorySystem::new(config.clone()).unwrap();
-        (config, system)
+        (config.linear_decoder().unwrap(), system)
     }
 
     #[test]
     fn run_trace_completes_every_request() {
-        let (config, mut system) = system(DramStandard::Ddr3, 1600);
+        let (decoder, mut system) = system(DramStandard::Ddr3, 1600);
         let n = 10_000u64;
-        let stats = system.run_trace((0..n).map(|i| Request::write(config.decode_linear(i))));
+        let stats = system.run_trace((0..n).map(|i| Request::write(decoder.decode(i).1)));
         assert_eq!(stats.completed_requests, n);
         assert_eq!(stats.write_bursts, n);
         assert_eq!(stats.read_bursts, 0);
@@ -166,11 +168,11 @@ mod tests {
 
     #[test]
     fn sequential_writes_then_reads_measured_separately() {
-        let (config, mut system) = system(DramStandard::Ddr4, 1600);
+        let (decoder, mut system) = system(DramStandard::Ddr4, 1600);
         let n = 5_000u64;
-        let write_stats = system.run_trace((0..n).map(|i| Request::write(config.decode_linear(i))));
+        let write_stats = system.run_trace((0..n).map(|i| Request::write(decoder.decode(i).1)));
         system.reset_stats();
-        let read_stats = system.run_trace((0..n).map(|i| Request::read(config.decode_linear(i))));
+        let read_stats = system.run_trace((0..n).map(|i| Request::read(decoder.decode(i).1)));
         assert_eq!(write_stats.write_bursts, n);
         assert_eq!(read_stats.read_bursts, n);
         assert!(write_stats.bus_utilization() > 0.5);
@@ -181,7 +183,8 @@ mod tests {
     fn random_pattern_is_slower_than_sequential() {
         use rand::rngs::StdRng;
         use rand::{Rng, SeedableRng};
-        let (config, _) = system(DramStandard::Lpddr4, 4266);
+        let config = DramConfig::preset(DramStandard::Lpddr4, 4266).unwrap();
+        let decoder = config.linear_decoder().unwrap();
         let n = 20_000u64;
         let ctrl = ControllerConfig {
             refresh_mode: Some(RefreshMode::Disabled),
@@ -189,14 +192,13 @@ mod tests {
         };
 
         let mut seq = MemorySystem::with_controller(config.clone(), ctrl).unwrap();
-        let seq_stats = seq.run_trace((0..n).map(|i| Request::read(config.decode_linear(i))));
+        let seq_stats = seq.run_trace((0..n).map(|i| Request::read(decoder.decode(i).1)));
 
         let mut rng = StdRng::seed_from_u64(7);
         let total = config.geometry.total_bursts();
         let mut rnd = MemorySystem::with_controller(config.clone(), ctrl).unwrap();
-        let rnd_stats = rnd.run_trace(
-            (0..n).map(|_| Request::read(config.decode_linear(rng.gen_range(0..total)))),
-        );
+        let rnd_stats =
+            rnd.run_trace((0..n).map(|_| Request::read(decoder.decode(rng.gen_range(0..total)).1)));
 
         assert!(
             seq_stats.bus_utilization() > rnd_stats.bus_utilization(),
@@ -209,8 +211,8 @@ mod tests {
 
     #[test]
     fn energy_report_is_positive_after_traffic() {
-        let (config, mut system) = system(DramStandard::Ddr5, 6400);
-        let _ = system.run_trace((0..2_000u64).map(|i| Request::write(config.decode_linear(i))));
+        let (decoder, mut system) = system(DramStandard::Ddr5, 6400);
+        let _ = system.run_trace((0..2_000u64).map(|i| Request::write(decoder.decode(i).1)));
         let report = system.energy_report();
         assert!(report.total_mj > 0.0);
         assert!(report.nj_per_byte > 0.0);
@@ -218,10 +220,10 @@ mod tests {
 
     #[test]
     fn enqueue_respects_backpressure() {
-        let (config, mut system) = system(DramStandard::Ddr4, 3200);
+        let (decoder, mut system) = system(DramStandard::Ddr4, 3200);
         let mut accepted = 0u64;
         for i in 0..1_000u64 {
-            if system.enqueue(Request::write(config.decode_linear(i))) {
+            if system.enqueue(Request::write(decoder.decode(i).1)) {
                 accepted += 1;
             }
         }

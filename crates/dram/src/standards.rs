@@ -12,10 +12,11 @@
 //! paper), i.e. a 64-bit DDR3/DDR4 channel with BL8, a 32-bit DDR5
 //! sub-channel with BL16, and 32-bit LPDDR4/LPDDR5 channels with BL16.
 
-use crate::address::{AddressDecoder, DecodeScheme, PhysicalAddress};
+use crate::address::DecodeScheme;
 use crate::controller::RefreshMode;
 use crate::error::ConfigError;
 use crate::geometry::{ChannelTopology, DeviceGeometry};
+use crate::permutation::PermutationMapping;
 use crate::timing::{ns_to_cycles, TimingParams};
 
 /// The five DRAM standards evaluated in the paper.
@@ -165,7 +166,7 @@ pub struct DramConfig {
     /// per-bank for DDR5/LPDDR4/LPDDR5).
     pub default_refresh: RefreshMode,
     /// Default linear-address decode scheme used by
-    /// [`DramConfig::decode_linear`].
+    /// [`DramConfig::linear_decoder`].
     pub decode_scheme: DecodeScheme,
     /// Channel/rank scale-out of the subsystem.  The paper's ten Table I
     /// presets default to a single-channel, single-rank device; the modern
@@ -232,17 +233,26 @@ impl DramConfig {
         format!("{}-{}", self.standard.name(), self.data_rate_mtps)
     }
 
-    /// Decodes a linear burst index into a physical address using the
-    /// configuration's default [`DecodeScheme`].
+    /// The controller's linear-address decoder for one channel: the
+    /// configuration's [`DecodeScheme`] as a bit permutation over
+    /// `topology.ranks` ranks of the geometry.
     ///
     /// This is the "row-major" baseline path: the interleaver treats DRAM as
-    /// flat storage and the controller's address decoder slices the linear
-    /// address into bank/row/column bits (plus rank bits when the topology
-    /// has more than one rank per channel).
-    #[must_use]
-    pub fn decode_linear(&self, burst_index: u64) -> PhysicalAddress {
-        AddressDecoder::with_ranks(self.geometry, self.decode_scheme, self.topology.ranks)
-            .decode(burst_index)
+    /// flat storage and the controller slices the linear address into
+    /// bank/row/column bits (plus rank bits when the topology has more than
+    /// one rank per channel).  Build it once and call
+    /// [`PermutationMapping::decode`] per burst; channel 0 is the only
+    /// channel it decodes to.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ConfigError::InvalidGeometry`] if the geometry fails
+    /// [`DeviceGeometry::validate`] or the rank count fails
+    /// [`ChannelTopology::validate`] (a dimension or count that is not a
+    /// non-zero power of two, for one).
+    pub fn linear_decoder(&self) -> Result<PermutationMapping, ConfigError> {
+        let topology = ChannelTopology::new(1, self.topology.ranks);
+        PermutationMapping::for_scheme(self.decode_scheme, self.geometry, topology)
     }
 
     /// Validates geometry and timing.
@@ -645,6 +655,27 @@ mod tests {
                 cfg.label(),
                 cfg.geometry.total_bursts()
             );
+        }
+    }
+
+    #[test]
+    fn linear_decoder_spans_the_ranks_and_rejects_hand_built_invalid_configs() {
+        let config = DramConfig::preset(DramStandard::Ddr5Stacked, 4800).unwrap();
+        let decoder = config.linear_decoder().unwrap();
+        let capacity = config.geometry.total_bursts() * u64::from(config.topology.ranks);
+        let (channel, last) = decoder.decode(capacity - 1);
+        assert_eq!(channel, 0);
+        assert_eq!(last.rank, config.topology.ranks - 1);
+        let ddr4 = DramConfig::preset(DramStandard::Ddr4, 3200).unwrap();
+        let mut invalid = Vec::new();
+        for (rows, ranks) in [(1000, 1), (0, 1), (1 << 15, 3), (1 << 15, 0), (1 << 15, 16)] {
+            let mut config = ddr4.clone();
+            config.geometry.rows = rows;
+            config.topology.ranks = ranks;
+            invalid.push(config);
+        }
+        for config in invalid {
+            assert!(config.linear_decoder().is_err(), "{:?}", config.topology);
         }
     }
 

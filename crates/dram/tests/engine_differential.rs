@@ -60,13 +60,16 @@ fn small_config(
 fn pattern(config: &DramConfig, seed: u64, requests: usize) -> Vec<Request> {
     let mut rng = StdRng::seed_from_u64(seed);
     let capacity = config.geometry.total_bursts() * u64::from(config.topology.ranks);
+    let decoder = config
+        .linear_decoder()
+        .expect("sampled configuration is valid");
     let mut out = Vec::with_capacity(requests);
     let mut cursor = rng.gen_range(0..capacity);
     while out.len() < requests {
         let run = rng.gen_range(1..16usize).min(requests - out.len());
         let writes = rng.gen_bool(0.5);
         for _ in 0..run {
-            let address = config.decode_linear(cursor % capacity);
+            let address = decoder.decode(cursor % capacity).1;
             out.push(if writes {
                 Request::write(address)
             } else {

@@ -4,9 +4,10 @@
 //! A [`ChannelMapping`] wraps one of the [`MappingKind`] schemes and routes
 //! every index-space position to a `(channel, PhysicalAddress)` pair:
 //!
-//! * **Row-major** (the paper's baseline) splices the channel bits into the
-//!   bottom of the linear decode chain (`channel = linear mod C`) and the
-//!   rank bits into the controller's decode scheme directly above the bank
+//! * **Row-major** (the paper's baseline) decodes the linear index through
+//!   the controller's decode scheme scaled out to the topology
+//!   ([`PermutationMapping::for_scheme`]): the channel bits at the very bottom
+//!   (`channel = linear mod C`) and the rank bits directly above the bank
 //!   bits — the classic channel/rank-interleaved controller mapping.
 //! * **Coordinate schemes** (bank round-robin, tiled, optimized) rotate
 //!   `channel` and `rank` along the diagonal of a coarse *stripe-tile* grid
@@ -18,11 +19,9 @@
 //!   (`j' = (j / (T·C))·T + j mod T`), which keeps the per-channel stream
 //!   exactly as page-local as the single-channel stream.
 //!
-//! All divisors are powers of two for preset topologies, so routing has a
-//! shift/mask fast path next to the generic divide chain (same pattern as
-//! [`AddressDecoder`](tbi_dram::AddressDecoder) and
-//! [`OptimizedMapping`](crate::mapping::OptimizedMapping)); the two paths
-//! are equivalence-tested.
+//! Construction validates the topology, so channel and rank counts, and
+//! hence every divisor of the router, are powers of two: routing is shifts
+//! and masks.
 //!
 //! With the default `1 × 1` topology every position routes to channel 0,
 //! rank 0 and the wrapped scheme's exact single-channel address, so a
@@ -36,7 +35,7 @@
 //! Chavet et al., *Static Address Generation Easing*).
 
 use tbi_dram::{
-    AddressBatch, AddressDecoder, ChannelTopology, DramConfig, PhysicalAddress, Request,
+    AddressBatch, ChannelTopology, DramConfig, PermutationMapping, PhysicalAddress, Request,
     RequestKind, RequestSource,
 };
 
@@ -52,7 +51,7 @@ use crate::InterleaverError;
 /// boundaries that were misses anyway.
 const STRIPE_TILE: u32 = 128;
 
-/// Pow2 parameters of the stripe-tile router.
+/// log2 parameters of the stripe-tile router.
 #[derive(Debug, Clone, Copy)]
 struct StripeShifts {
     /// log2 of the stripe-tile edge.
@@ -106,20 +105,9 @@ impl TileOrder {
         matches!(self, TileOrder::Diagonal | TileOrder::XMajor)
     }
 
-    /// Lane of tile coordinates, generic divide chain.
-    fn lane_generic(self, i: u32, j: u32, tile: u32, lanes: u32) -> u32 {
-        let (ti, tj) = (u64::from(i / tile), u64::from(j / tile));
-        let mixed = match self {
-            TileOrder::Diagonal => ti + tj,
-            TileOrder::XMajor => tj,
-            TileOrder::YMajor => ti,
-            TileOrder::Rotated(r) => ti + u64::from(r) * tj,
-        };
-        (mixed % u64::from(lanes)) as u32
-    }
-
-    /// Lane of tile coordinates, pow2 shift/mask fast path.
-    fn lane_shift(self, i: u32, j: u32, tile_shift: u32, lanes_mask: u32) -> u32 {
+    /// Lane of tile coordinates: `tile_shift` is log2 of the stripe-tile
+    /// edge, `lanes_mask` the (power-of-two) lane count minus one.
+    fn lane(self, i: u32, j: u32, tile_shift: u32, lanes_mask: u32) -> u32 {
         let (ti, tj) = (i >> tile_shift, j >> tile_shift);
         let mixed = match self {
             TileOrder::Diagonal => ti.wrapping_add(tj),
@@ -128,14 +116,6 @@ impl TileOrder {
             TileOrder::Rotated(r) => ti.wrapping_add(r.wrapping_mul(tj)),
         };
         mixed & lanes_mask
-    }
-
-    /// Lane of tile coordinates on whichever path `shifts` selects.
-    fn lane(self, i: u32, j: u32, tile: u32, lanes: u32, shifts: Option<StripeShifts>) -> u32 {
-        match shifts {
-            Some(s) => self.lane_shift(i, j, s.tile, lanes - 1),
-            None => self.lane_generic(i, j, tile, lanes),
-        }
     }
 }
 
@@ -152,16 +132,16 @@ impl std::fmt::Display for TileOrder {
 
 /// How positions are routed to channels/ranks.
 enum Router {
-    /// `channel = linear mod C`, rank bits inside the decode chain.
+    /// The triangle's linear index decoded through the decode scheme's
+    /// permutation: `channel = linear mod C`, rank bits above the bank bits.
     LinearSplice {
         interleaver: TriangularInterleaver,
-        decoder: AddressDecoder,
+        decoder: Box<PermutationMapping>,
     },
     /// Stripe-tile rotation over a wrapped coordinate mapping.
     TileRotate {
         inner: Box<dyn DramMapping>,
-        tile: u32,
-        shifts: Option<StripeShifts>,
+        shifts: StripeShifts,
         order: TileOrder,
     },
     /// Bit-permutation routing: the permutation's own channel/rank bits
@@ -213,8 +193,10 @@ impl ChannelMapping {
     ///
     /// # Errors
     ///
-    /// Returns [`InterleaverError`] if `n` is zero or the index space does
-    /// not fit the subsystem under this scheme.
+    /// Returns [`InterleaverError::Dram`] if the topology fails
+    /// [`ChannelTopology::validate`], and [`InterleaverError`] if `n` is
+    /// zero or the index space does not fit the subsystem under this
+    /// scheme.
     pub fn new(kind: MappingKind, config: &DramConfig, n: u32) -> Result<Self, InterleaverError> {
         Self::with_tile_order(kind, config, n, TileOrder::default())
     }
@@ -235,6 +217,7 @@ impl ChannelMapping {
         n: u32,
         order: TileOrder,
     ) -> Result<Self, InterleaverError> {
+        config.topology.validate()?;
         let topology = config.topology;
         if order != TileOrder::default()
             && matches!(
@@ -263,11 +246,11 @@ impl ChannelMapping {
                 }
                 Router::LinearSplice {
                     interleaver,
-                    decoder: AddressDecoder::with_ranks(
-                        config.geometry,
+                    decoder: Box::new(PermutationMapping::for_scheme(
                         config.decode_scheme,
-                        topology.ranks,
-                    ),
+                        config.geometry,
+                        topology,
+                    )?),
                 }
             }
             MappingKind::Permutation(permutation) => Router::Permuted {
@@ -289,16 +272,12 @@ impl ChannelMapping {
             },
             _ => {
                 let inner = kind.build_for_geometry(config.geometry, n)?;
-                let tile = stripe_tile(n, topology.units());
-                let shifts = (topology.channels.is_power_of_two()
-                    && topology.ranks.is_power_of_two())
-                .then(|| StripeShifts {
-                    tile: tile.trailing_zeros(),
+                let shifts = StripeShifts {
+                    tile: stripe_tile(n, topology.units()).trailing_zeros(),
                     channels: topology.channels.trailing_zeros(),
-                });
+                };
                 Router::TileRotate {
                     inner,
-                    tile,
                     shifts,
                     order,
                 }
@@ -348,48 +327,21 @@ impl ChannelMapping {
             i < self.dimension && j < self.dimension,
             "({i},{j}) outside index space"
         );
-        let channels = self.topology.channels;
-        let ranks = self.topology.ranks;
         match &self.router {
+            // Channel bits at the very bottom of the linear space:
+            // consecutive bursts rotate channels.
             Router::LinearSplice {
                 interleaver,
                 decoder,
-            } => {
-                let linear = interleaver.write_rank(i, j);
-                // Channel bits at the very bottom of the linear space:
-                // consecutive bursts rotate channels, the remainder feeds
-                // the (rank-aware) per-channel decode chain.
-                let channel = (linear % u64::from(channels)) as u32;
-                (channel, decoder.decode(linear / u64::from(channels)))
-            }
+            } => decoder.decode(interleaver.write_rank(i, j)),
             Router::TileRotate {
                 inner,
-                tile,
                 shifts,
                 order,
             } => {
-                let (lane, j_inner) = match shifts {
-                    Some(s) => {
-                        let lane = order.lane_shift(i, j, s.tile, channels * ranks - 1);
-                        let j_inner = if order.compacts() {
-                            ((j >> (s.tile + s.channels)) << s.tile) | (j & (tile - 1))
-                        } else {
-                            j
-                        };
-                        (lane, j_inner)
-                    }
-                    None => {
-                        let lane = order.lane_generic(i, j, *tile, channels * ranks);
-                        let j_inner = if order.compacts() {
-                            (j / (tile * channels)) * tile + j % tile
-                        } else {
-                            j
-                        };
-                        (lane, j_inner)
-                    }
-                };
-                let channel = lane % channels;
-                let rank = lane / channels;
+                let (lane, j_inner) = self.tile_lane(*shifts, *order, i, j);
+                let channel = lane & (self.topology.channels - 1);
+                let rank = lane >> shifts.channels;
                 (channel, inner.map(i, j_inner).with_rank(rank))
             }
             Router::Permuted { mapping } => mapping.route(i, j),
@@ -402,7 +354,7 @@ impl ChannelMapping {
     ///
     /// The row-major and permutation routers stage linear indices through a
     /// stack chunk and decode whole slices (see
-    /// [`AddressDecoder::decode_slice`] and
+    /// [`PermutationMapping::decode_batch`] and
     /// [`PermutedMapping::route_batch`]); the stripe-tile router stages lane
     /// indices and compacted inner coordinates through a stack chunk, maps
     /// the inner coordinates with the wrapped scheme's
@@ -426,50 +378,27 @@ impl ChannelMapping {
                     for (slot, &(i, j)) in staged.iter_mut().zip(chunk) {
                         *slot = interleaver.write_rank(i, j);
                     }
-                    splice_decode(decoder, self.topology.channels, staged, out);
+                    decoder.decode_batch(staged, out);
                 }
             }
             Router::TileRotate {
                 inner,
-                tile,
                 shifts,
                 order,
             } => {
-                let channels = self.topology.channels;
-                let lanes_total = channels * self.topology.ranks;
+                let channel_mask = self.topology.channels - 1;
                 let mut inner_coords = [(0u32, 0u32); BATCH_CHUNK];
                 let mut lane = [0u32; BATCH_CHUNK];
                 let mut scratch = AddressBatch::with_capacity(coords.len().min(BATCH_CHUNK));
                 for chunk in coords.chunks(BATCH_CHUNK) {
                     let staged = &mut inner_coords[..chunk.len()];
                     let lanes_staged = &mut lane[..chunk.len()];
-                    match shifts {
-                        Some(s) => {
-                            for ((slot, lane_slot), &(i, j)) in
-                                staged.iter_mut().zip(lanes_staged.iter_mut()).zip(chunk)
-                            {
-                                *lane_slot = order.lane_shift(i, j, s.tile, lanes_total - 1);
-                                let j_inner = if order.compacts() {
-                                    ((j >> (s.tile + s.channels)) << s.tile) | (j & (tile - 1))
-                                } else {
-                                    j
-                                };
-                                *slot = (i, j_inner);
-                            }
-                        }
-                        None => {
-                            for ((slot, lane_slot), &(i, j)) in
-                                staged.iter_mut().zip(lanes_staged.iter_mut()).zip(chunk)
-                            {
-                                *lane_slot = order.lane_generic(i, j, *tile, lanes_total);
-                                let j_inner = if order.compacts() {
-                                    (j / (tile * channels)) * tile + j % tile
-                                } else {
-                                    j
-                                };
-                                *slot = (i, j_inner);
-                            }
-                        }
+                    for ((slot, lane_slot), &(i, j)) in
+                        staged.iter_mut().zip(lanes_staged.iter_mut()).zip(chunk)
+                    {
+                        let (lane, j_inner) = self.tile_lane(*shifts, *order, i, j);
+                        *lane_slot = lane;
+                        *slot = (i, j_inner);
                     }
                     scratch.clear();
                     inner.map_batch(staged, &mut scratch);
@@ -481,16 +410,8 @@ impl ChannelMapping {
                         let lanes_staged = lanes_staged.iter();
                         let channel_lane = lanes.channel.iter_mut().zip(lanes_staged.clone());
                         let rank_lane = lanes.rank.iter_mut().zip(lanes_staged);
-                        match shifts {
-                            Some(s) => {
-                                channel_lane.for_each(|(slot, &l)| *slot = l & (channels - 1));
-                                rank_lane.for_each(|(slot, &l)| *slot = l >> s.channels);
-                            }
-                            None => {
-                                channel_lane.for_each(|(slot, &l)| *slot = l % channels);
-                                rank_lane.for_each(|(slot, &l)| *slot = l / channels);
-                            }
-                        }
+                        channel_lane.for_each(|(slot, &l)| *slot = l & channel_mask);
+                        rank_lane.for_each(|(slot, &l)| *slot = l >> shifts.channels);
                     });
                 }
             }
@@ -528,17 +449,12 @@ impl ChannelMapping {
             } => {
                 let mut linear = [0u64; BATCH_CHUNK];
                 let staged = self.owned_linear(interleaver, cursor, &mut linear);
-                splice_decode(decoder, self.topology.channels, &mut linear[..staged], out);
+                decoder.decode_batch(&linear[..staged], out);
                 staged
             }
-            Router::TileRotate {
-                tile,
-                shifts,
-                order,
-                ..
-            } => {
+            Router::TileRotate { shifts, order, .. } => {
                 let mut coords = [(0u32, 0u32); BATCH_CHUNK];
-                let staged = self.owned_tiles(*tile, *shifts, *order, cursor, &mut coords);
+                let staged = self.owned_tiles(*shifts, *order, cursor, &mut coords);
                 self.route_batch(&coords[..staged], out);
                 staged
             }
@@ -558,6 +474,19 @@ impl ChannelMapping {
         }
     }
 
+    /// The stripe-tile router's lane of `(i, j)` and the column the wrapped
+    /// mapping sees there (compacted per channel for orders that allow it).
+    fn tile_lane(&self, shifts: StripeShifts, order: TileOrder, i: u32, j: u32) -> (u32, u32) {
+        let lane = order.lane(i, j, shifts.tile, self.topology.units() - 1);
+        let j_inner = if order.compacts() {
+            let tile_mask = (1 << shifts.tile) - 1;
+            ((j >> (shifts.tile + shifts.channels)) << shifts.tile) | (j & tile_mask)
+        } else {
+            j
+        };
+        (lane, j_inner)
+    }
+
     /// Stages the linear indices of the cursor's next (at most
     /// [`BATCH_CHUNK`]) positions under the linear-splice router, where
     /// `channel = linear mod C`.
@@ -570,11 +499,7 @@ impl ChannelMapping {
         let n = self.dimension;
         let channels = u64::from(self.topology.channels);
         let channel = u64::from(cursor.channel);
-        let mask = self
-            .topology
-            .channels
-            .is_power_of_two()
-            .then_some(channels - 1);
+        let mask = channels - 1;
         let mut staged = 0;
         while staged < BATCH_CHUNK {
             let Some(len) = cursor.line_len(n) else {
@@ -587,7 +512,7 @@ impl ChannelMapping {
                     let row_start = interleaver.write_rank(cursor.outer, 0);
                     let row_end = row_start + u64::from(len);
                     let here = row_start + u64::from(cursor.inner);
-                    let mut l = here + (channel + channels - here % channels) % channels;
+                    let mut l = here + (channel.wrapping_sub(here) & mask);
                     while l < row_end && staged < BATCH_CHUNK {
                         linear[staged] = l;
                         staged += 1;
@@ -602,12 +527,8 @@ impl ChannelMapping {
                     let mut l = interleaver.write_rank(cursor.inner, cursor.outer);
                     let mut i = cursor.inner;
                     while i < len && staged < BATCH_CHUNK {
-                        let owned = match mask {
-                            Some(mask) => l & mask == channel,
-                            None => l % channels == channel,
-                        };
                         linear[staged] = l;
-                        staged += usize::from(owned);
+                        staged += usize::from(l & mask == channel);
                         l += u64::from(n - i);
                         i += 1;
                     }
@@ -624,25 +545,24 @@ impl ChannelMapping {
     /// tile is skipped whole.
     fn owned_tiles(
         &self,
-        tile: u32,
-        shifts: Option<StripeShifts>,
+        shifts: StripeShifts,
         order: TileOrder,
         cursor: &mut ChannelCursor,
         coords: &mut [(u32, u32); BATCH_CHUNK],
     ) -> usize {
-        debug_assert!(tile.is_power_of_two());
         let n = self.dimension;
-        let channels = self.topology.channels;
-        let lanes = channels * self.topology.ranks;
+        let channel_mask = self.topology.channels - 1;
+        let lanes_mask = self.topology.units() - 1;
+        let tile_mask = (1 << shifts.tile) - 1;
         let mut staged = 0;
         while staged < BATCH_CHUNK {
             while cursor.inner == cursor.run_end {
                 let Some(len) = cursor.line_len(n) else {
                     return staged;
                 };
-                let tile_end = ((cursor.inner | (tile - 1)) + 1).min(len);
+                let tile_end = ((cursor.inner | tile_mask) + 1).min(len);
                 let (i, j) = cursor.position();
-                if order.lane(i, j, tile, lanes, shifts) % channels == cursor.channel {
+                if order.lane(i, j, shifts.tile, lanes_mask) & channel_mask == cursor.channel {
                     cursor.run_end = tile_end;
                 } else {
                     cursor.inner = tile_end;
@@ -661,36 +581,6 @@ impl ChannelMapping {
         }
         staged
     }
-}
-
-/// Splits staged linear-splice indices into the channel (the bottom of the
-/// linear space) and the per-channel index, decodes the latter and appends
-/// the pairs to `out`.
-fn splice_decode(
-    decoder: &AddressDecoder,
-    channels: u32,
-    linear: &mut [u64],
-    out: &mut AddressBatch,
-) {
-    let mut channel = [0u32; BATCH_CHUNK];
-    let channel = &mut channel[..linear.len()];
-    if channels.is_power_of_two() {
-        let (mask, shift) = (u64::from(channels - 1), channels.trailing_zeros());
-        for (lane, slot) in channel.iter_mut().zip(linear.iter_mut()) {
-            *lane = (*slot & mask) as u32;
-            *slot >>= shift;
-        }
-    } else {
-        let channels = u64::from(channels);
-        for (lane, slot) in channel.iter_mut().zip(linear.iter_mut()) {
-            *lane = (*slot % channels) as u32;
-            *slot /= channels;
-        }
-    }
-    out.append_with(linear.len(), |lanes| {
-        lanes.channel.copy_from_slice(channel);
-        decoder.decode_slice(linear, lanes);
-    });
 }
 
 /// Where one channel's walk through one access phase stands.
@@ -928,7 +818,7 @@ pub fn channel_mapping_for_spec(
 mod tests {
     use super::*;
     use std::collections::{HashMap, HashSet};
-    use tbi_dram::DramStandard;
+    use tbi_dram::{BitPermutation, DramStandard};
 
     fn config(channels: u32, ranks: u32) -> DramConfig {
         DramConfig::preset(DramStandard::Ddr4, 3200)
@@ -995,24 +885,21 @@ mod tests {
     }
 
     #[test]
-    fn shift_mask_route_matches_generic_divide_chain() {
-        let n = 500u32;
-        for (channels, ranks) in [(2, 1), (4, 2), (8, 1)] {
+    fn invalid_topologies_are_rejected_for_every_kind() {
+        let tiled = MappingKind::GeneralTiled {
+            tile_h: 8,
+            tile_w: 8,
+        };
+        for (channels, ranks) in [(3, 1), (1, 3), (6, 2), (0, 1)] {
             let cfg = config(channels, ranks);
-            let fast = ChannelMapping::new(MappingKind::Optimized, &cfg, n).unwrap();
-            let mut generic = ChannelMapping::new(MappingKind::Optimized, &cfg, n).unwrap();
-            match &mut generic.router {
-                Router::TileRotate { shifts, .. } => *shifts = None,
-                _ => panic!("optimized takes the tile router"),
-            }
-            for i in (0..n).step_by(3) {
-                for j in 0..(n - i) {
-                    assert_eq!(
-                        fast.route(i, j),
-                        generic.route(i, j),
-                        "({i},{j}) {channels}x{ranks}"
-                    );
-                }
+            for kind in MappingKind::ALL.into_iter().chain([tiled]) {
+                assert!(
+                    matches!(
+                        ChannelMapping::new(kind, &cfg, 200),
+                        Err(InterleaverError::Dram(_))
+                    ),
+                    "{kind} on {channels}x{ranks}"
+                );
             }
         }
     }
@@ -1083,21 +970,14 @@ mod tests {
         let n = 200u32;
         // Permutations with channel bits exercise the Permuted router's
         // batched path; ALL covers LinearSplice and TileRotate.
-        for (channels, ranks) in [(1, 1), (2, 1), (2, 2), (3, 1)] {
+        for (channels, ranks) in [(1, 1), (2, 1), (2, 2), (8, 1)] {
             let cfg = config(channels, ranks);
+            let permutation =
+                BitPermutation::for_scheme(cfg.decode_scheme, &cfg.geometry, cfg.topology).unwrap();
             let mut kinds: Vec<MappingKind> = MappingKind::ALL.to_vec();
-            // Permutations need pow2 channel counts; skip them on 3x1.
-            if let Ok(permutation) =
-                tbi_dram::BitPermutation::for_scheme(cfg.decode_scheme, &cfg.geometry, cfg.topology)
-            {
-                kinds.push(MappingKind::Permutation(permutation));
-            }
+            kinds.push(MappingKind::Permutation(permutation));
             for kind in kinds {
-                let mapping = match ChannelMapping::new(kind, &cfg, n) {
-                    Ok(mapping) => mapping,
-                    // Permutations need pow2 channel counts; skip 3x1 there.
-                    Err(_) => continue,
-                };
+                let mapping = ChannelMapping::new(kind, &cfg, n).unwrap();
                 let coords: Vec<(u32, u32)> = (0..n)
                     .flat_map(|i| (0..(n - i)).map(move |j| (i, j)))
                     .collect();

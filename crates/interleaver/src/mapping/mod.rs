@@ -70,8 +70,7 @@ pub trait DramMapping: Send + Sync {
     /// The default implementation maps one element at a time; schemes with a
     /// linear decode stage ([`RowMajorMapping`], [`PermutedMapping`])
     /// override it with slice kernels that amortize the per-element decode
-    /// work, and [`OptimizedMapping`] with a branch-free per-lane kernel on
-    /// power-of-two geometries.
+    /// work, and [`OptimizedMapping`] with a branch-free per-lane kernel.
     ///
     /// # Panics
     ///

@@ -3,9 +3,10 @@
 //!
 //! The paper describes the three optimizations but deliberately omits the
 //! closed-form mapping rules.  The reconstruction below satisfies all three
-//! properties using only additions, shifts and modulo/bit operations (all
-//! divisors are powers of two), so it is implementable in hardware with the
-//! same low complexity the paper claims:
+//! properties using only additions, multiplications, shifts and masks: the
+//! constructor validates the geometry, so every divisor is a power of two
+//! and the mapping is implementable in hardware with the same low
+//! complexity the paper claims:
 //!
 //! 1. **Bank (group) round-robin** — the bank-group index is `(i + j) mod G`,
 //!    so it advances by one with every access along a row *and* along a
@@ -62,15 +63,13 @@ pub struct OptimizedMapping {
     tile_h: u32,
     padded_width: u32,
     padded_height: u32,
-    tiles_per_row_padded: u32,
     stagger: bool,
-    /// Shift/mask fast path for power-of-two geometries (all presets).  The
-    /// mapping is evaluated once per simulated burst, so the divide chain in
-    /// the generic path is hot enough to matter.
-    shifts: Option<OptShifts>,
+    /// Precomputed shifts, strides and stagger steps: the mapping is
+    /// evaluated once per simulated burst, so it never divides.
+    shifts: OptShifts,
 }
 
-/// Precomputed log2 widths and strides for the power-of-two fast path.
+/// Precomputed log2 widths, strides and stagger steps.
 #[derive(Debug, Clone, Copy)]
 struct OptShifts {
     groups: u32,
@@ -81,6 +80,12 @@ struct OptShifts {
     row_stride: u32,
     /// `tile_w / groups` (page columns per tile row).
     col_stride: u32,
+    /// Row offset per bank group: `tile_h / groups` with the stagger on
+    /// (0 when a tile is shorter than the group count), else 0.
+    stagger_i: u32,
+    /// Column offset per bank group: `tile_w / groups` with the stagger
+    /// on, else 0.
+    stagger_j: u32,
 }
 
 impl OptimizedMapping {
@@ -89,8 +94,9 @@ impl OptimizedMapping {
     ///
     /// # Errors
     ///
-    /// Returns [`InterleaverError`] if `n` is zero or the tile grid exceeds
-    /// the number of DRAM rows of the device.
+    /// Returns [`InterleaverError`] if `n` is zero, the geometry fails
+    /// [`DeviceGeometry::validate`] (a dimension is not a power of two) or
+    /// the tile grid exceeds the number of DRAM rows of the device.
     pub fn new(geometry: DeviceGeometry, n: u32) -> Result<Self, InterleaverError> {
         Self::build(geometry, n, true)
     }
@@ -111,6 +117,7 @@ impl OptimizedMapping {
                 reason: "mapping dimension must be non-zero".to_string(),
             });
         }
+        geometry.validate()?;
         let groups = geometry.bank_groups;
         let banks_per_group = geometry.banks_per_group;
         let page = geometry.columns_per_row;
@@ -157,20 +164,17 @@ impl OptimizedMapping {
         let padded_width = narrow(tiles_per_row * u64::from(tile_w))?;
         let padded_height = narrow(tile_rows * u64::from(tile_h))?;
         let tiles_per_row_padded = narrow(row_groups * u64::from(banks_per_group))?;
-        let all_pow2 = groups.is_power_of_two()
-            && banks_per_group.is_power_of_two()
-            && tile_w.is_power_of_two()
-            && tile_h.is_power_of_two()
-            && tile_w >= groups
-            && tile_h >= groups;
-        let shifts = all_pow2.then(|| OptShifts {
+        let stagger_step = |edge: u32| if stagger { edge / groups } else { 0 };
+        let shifts = OptShifts {
             groups: groups.trailing_zeros(),
             tile_w: tile_w.trailing_zeros(),
             tile_h: tile_h.trailing_zeros(),
             banks_per_group: banks_per_group.trailing_zeros(),
             row_stride: tiles_per_row_padded / banks_per_group,
             col_stride: tile_w / groups,
-        });
+            stagger_i: stagger_step(tile_h),
+            stagger_j: stagger_step(tile_w),
+        };
         Ok(Self {
             geometry,
             n,
@@ -178,7 +182,6 @@ impl OptimizedMapping {
             tile_h,
             padded_width,
             padded_height,
-            tiles_per_row_padded,
             stagger,
             shifts,
         })
@@ -205,14 +208,7 @@ impl OptimizedMapping {
     /// The circular `(row, column)` offset applied for bank group `group`.
     #[must_use]
     pub fn stagger_offset(&self, group: u32) -> (u32, u32) {
-        if !self.stagger {
-            return (0, 0);
-        }
-        let groups = self.geometry.bank_groups;
-        (
-            group * (self.tile_h / groups),
-            group * (self.tile_w / groups),
-        )
+        (group * self.shifts.stagger_i, group * self.shifts.stagger_j)
     }
 
     /// The bank group serving position `(i, j)`.
@@ -225,75 +221,45 @@ impl OptimizedMapping {
 impl DramMapping for OptimizedMapping {
     fn map(&self, i: u32, j: u32) -> PhysicalAddress {
         debug_assert!(i < self.n && j < self.n, "({i},{j}) outside index space");
-        if let Some(s) = self.shifts {
-            // Shift/mask fast path (all divisors are powers of two for the
-            // preset geometries; the stagger wrap needs at most one
-            // subtraction because `i < padded_height` and the offset is
-            // below one tile height).
-            let group = (i + j) & ((1 << s.groups) - 1);
-            let (off_i, off_j) = if self.stagger {
-                (
-                    group << (s.tile_h - s.groups),
-                    group << (s.tile_w - s.groups),
-                )
-            } else {
-                (0, 0)
-            };
-            let mut i_shifted = i + off_i;
-            if i_shifted >= self.padded_height {
-                i_shifted -= self.padded_height;
-            }
-            let mut j_shifted = j + off_j;
-            if j_shifted >= self.padded_width {
-                j_shifted -= self.padded_width;
-            }
-            let ti = i_shifted >> s.tile_h;
-            let tj = j_shifted >> s.tile_w;
-            let oi = i_shifted & ((1 << s.tile_h) - 1);
-            let oj = j_shifted & ((1 << s.tile_w) - 1);
-            let bank = (ti + tj) & ((1 << s.banks_per_group) - 1);
-            let row = ti * s.row_stride + (tj >> s.banks_per_group);
-            let column = oi * s.col_stride + (oj >> s.groups);
-            return PhysicalAddress {
-                rank: 0,
-                bank_group: group,
-                bank,
-                row,
-                column,
-            };
-        }
-        let groups = self.geometry.bank_groups;
-        let banks_per_group = self.geometry.banks_per_group;
+        let s = self.shifts;
 
         // Optimization 1: the bank group rotates with every access in both
         // directions.
-        let group = self.bank_group_of(i, j);
+        let group = (i + j) & ((1 << s.groups) - 1);
 
         // Optimization 3: bank-group-dependent circular shift so that tile
         // boundaries of different groups are crossed at different times.
+        // The wrap needs at most one subtraction: `i < padded_height` and the
+        // offset is below one tile height (likewise for `j`).
         let (off_i, off_j) = self.stagger_offset(group);
-        let i_shifted = (i + off_i) % self.padded_height;
-        let j_shifted = (j + off_j) % self.padded_width;
+        let mut i_shifted = i + off_i;
+        if i_shifted >= self.padded_height {
+            i_shifted -= self.padded_height;
+        }
+        let mut j_shifted = j + off_j;
+        if j_shifted >= self.padded_width {
+            j_shifted -= self.padded_width;
+        }
 
         // Optimization 2: tiles of `groups * page` positions; the positions of
         // one bank group inside a tile fill exactly one DRAM page.
-        let ti = i_shifted / self.tile_h;
-        let tj = j_shifted / self.tile_w;
-        let oi = i_shifted % self.tile_h;
-        let oj = j_shifted % self.tile_w;
+        let ti = i_shifted >> s.tile_h;
+        let tj = j_shifted >> s.tile_w;
+        let oi = i_shifted & ((1 << s.tile_h) - 1);
+        let oj = j_shifted & ((1 << s.tile_w) - 1);
 
         // The bank inside the group follows the tile diagonal, so neighbouring
         // tiles (in either direction) use different banks and their activates
         // overlap with transfers on the other banks.
-        let bank = (ti + tj) % banks_per_group;
+        let bank = (ti + tj) & ((1 << s.banks_per_group) - 1);
 
         // Tiles owned by the same (group, bank) within one tile-row have `tj`
         // spaced by `banks_per_group`; packing them densely yields the row.
-        let row = ti * (self.tiles_per_row_padded / banks_per_group) + tj / banks_per_group;
+        let row = ti * s.row_stride + (tj >> s.banks_per_group);
 
         // Within the tile the positions of `group` lie on one residue class of
         // `oj`; packing them densely yields the column.
-        let column = oi * (self.tile_w / groups) + oj / groups;
+        let column = oi * s.col_stride + (oj >> s.groups);
 
         PhysicalAddress {
             rank: 0,
@@ -304,23 +270,14 @@ impl DramMapping for OptimizedMapping {
         }
     }
 
-    /// Batched optimized mapping: on the power-of-two fast path every lane
-    /// is filled in one branch-free pass (the stagger wrap is a select, not
-    /// a jump) through [`AddressBatch::append_with`]; other geometries map
-    /// one element at a time.
+    /// Batched optimized mapping: every lane is filled in one branch-free
+    /// pass (the stagger wrap is a select, not a jump) through
+    /// [`AddressBatch::append_with`].
     fn map_batch(&self, coords: &[(u32, u32)], out: &mut AddressBatch) {
-        let Some(s) = self.shifts else {
-            out.reserve(coords.len());
-            for &(i, j) in coords {
-                out.push(0, self.map(i, j));
-            }
-            return;
-        };
+        let s = self.shifts;
         let group_mask = (1u32 << s.groups) - 1;
         let (tile_h_mask, tile_w_mask) = ((1u32 << s.tile_h) - 1, (1u32 << s.tile_w) - 1);
         let bank_mask = (1u32 << s.banks_per_group) - 1;
-        // A zero stagger multiplier turns the bank-group offsets off.
-        let stagger = u32::from(self.stagger);
         let (height, width) = (self.padded_height, self.padded_width);
         out.append_with(coords.len(), |lanes| {
             let slots = lanes
@@ -332,9 +289,9 @@ impl DramMapping for OptimizedMapping {
             for ((((group_slot, bank_slot), row_slot), column_slot), &(i, j)) in slots.zip(coords) {
                 debug_assert!(i < self.n && j < self.n, "({i},{j}) outside index space");
                 let group = (i + j) & group_mask;
-                let i_shifted = i + stagger * (group << (s.tile_h - s.groups));
+                let i_shifted = i + group * s.stagger_i;
                 let i_shifted = i_shifted - height * u32::from(i_shifted >= height);
-                let j_shifted = j + stagger * (group << (s.tile_w - s.groups));
+                let j_shifted = j + group * s.stagger_j;
                 let j_shifted = j_shifted - width * u32::from(j_shifted >= width);
                 let (ti, tj) = (i_shifted >> s.tile_h, j_shifted >> s.tile_w);
                 *group_slot = group;
@@ -367,50 +324,100 @@ impl DramMapping for OptimizedMapping {
 mod tests {
     use super::*;
 
+    /// Per geometry, the FNV-1a hash of `map` over the whole 300 × 300
+    /// square with the stagger on and off.  Recorded from the divide-chain
+    /// arithmetic this mapping replaced; the stagger wraps past the padded
+    /// edges on that square.  The last three geometries have pages smaller
+    /// than the bank-group count, so their tiles are shorter than the
+    /// group count and the row stagger step is zero.
+    const MAP_GOLDEN: [(&str, [u64; 2]); 19] = [
+        ("DDR3-800", [0x59dd415fab973e65, 0x59dd415fab973e65]),
+        ("DDR3-1600", [0x59dd415fab973e65, 0x59dd415fab973e65]),
+        ("DDR4-1600", [0xbc8da45c9e191319, 0xa5ef86ba873fc26d]),
+        ("DDR4-3200", [0xbc8da45c9e191319, 0xa5ef86ba873fc26d]),
+        ("DDR5-3200", [0xb6569fa74d3e91a9, 0x465aa817a22c0745]),
+        ("DDR5-6400", [0xb6569fa74d3e91a9, 0x465aa817a22c0745]),
+        ("LPDDR4-2133", [0xcd966686c4c12255, 0xcd966686c4c12255]),
+        ("LPDDR4-4266", [0xcd966686c4c12255, 0xcd966686c4c12255]),
+        ("LPDDR5-4267", [0xeab310dcc4326565, 0xca4cfbf71556e0a5]),
+        ("LPDDR5-8533", [0xeab310dcc4326565, 0xca4cfbf71556e0a5]),
+        ("HBM2-2000", [0xeab310dcc4326565, 0xca4cfbf71556e0a5]),
+        ("HBM2-2400", [0xeab310dcc4326565, 0xca4cfbf71556e0a5]),
+        ("GDDR6-14000", [0xeab310dcc4326565, 0xca4cfbf71556e0a5]),
+        ("GDDR6-16000", [0xeab310dcc4326565, 0xca4cfbf71556e0a5]),
+        ("DDR5-3DS-4800", [0xb6569fa74d3e91a9, 0x465aa817a22c0745]),
+        ("DDR5-3DS-6400", [0xb6569fa74d3e91a9, 0x465aa817a22c0745]),
+        ("bg8-c4", [0x782660d8814c1d75, 0xcbf571d1534d81ad]),
+        ("bg4-c2", [0x0b451089b0eeefe5, 0x5b25bcd1641799dd]),
+        ("bg8-c1", [0x1bf4786ecfc7523b, 0x85c8c6adc521ab9d]),
+    ];
+
+    /// The geometries of [`MAP_GOLDEN`], in order: every preset, then
+    /// DDR5-6400 with (bank groups, columns per row) of (8, 4), (4, 2) and
+    /// (8, 1).
+    fn golden_geometries() -> Vec<(String, DeviceGeometry)> {
+        let mut geometries: Vec<(String, DeviceGeometry)> = tbi_dram::standards::ALL_CONFIGS
+            .iter()
+            .chain(tbi_dram::standards::MODERN_CONFIGS)
+            .map(|&(standard, rate)| {
+                let config = DramConfig::preset(standard, rate).unwrap();
+                (config.label(), config.geometry)
+            })
+            .collect();
+        for (groups, columns) in [(8u32, 4u32), (4, 2), (8, 1)] {
+            let mut geometry = geometry(DramStandard::Ddr5, 6400);
+            geometry.bank_groups = groups;
+            geometry.columns_per_row = columns;
+            geometries.push((format!("bg{groups}-c{columns}"), geometry));
+        }
+        geometries
+    }
+
     #[test]
-    fn shift_mask_fast_path_matches_generic_arithmetic() {
-        // Force the generic divide chain on an otherwise identical mapping
-        // and compare every position of a moderately sized index space, with
-        // and without the stagger.
-        for standard_rate in [
-            (tbi_dram::DramStandard::Ddr3, 800),
-            (tbi_dram::DramStandard::Ddr4, 3200),
-            (tbi_dram::DramStandard::Ddr5, 6400),
-            (tbi_dram::DramStandard::Lpddr4, 4266),
-            (tbi_dram::DramStandard::Lpddr5, 8533),
-        ] {
-            let geometry = tbi_dram::DramConfig::preset(standard_rate.0, standard_rate.1)
-                .unwrap()
-                .geometry;
-            for stagger in [true, false] {
-                let fast = OptimizedMapping::build(geometry, 300, stagger).unwrap();
-                assert!(fast.shifts.is_some(), "presets must take the fast path");
-                let mut generic = fast.clone();
-                generic.shifts = None;
-                for i in 0..300 {
-                    for j in 0..300 {
-                        assert_eq!(
-                            fast.map(i, j),
-                            generic.map(i, j),
-                            "({i},{j}) stagger={stagger} {standard_rate:?}"
-                        );
+    fn map_reproduces_the_recorded_golden_and_map_batch_equals_map() {
+        let coords: Vec<(u32, u32)> = (0..300)
+            .flat_map(|i| (0..300).map(move |j| (i, j)))
+            .collect();
+        for ((label, geometry), (golden_label, expected)) in
+            golden_geometries().into_iter().zip(MAP_GOLDEN)
+        {
+            assert_eq!(label, golden_label);
+            for (stagger, expected) in [true, false].into_iter().zip(expected) {
+                let mapping = OptimizedMapping::build(geometry, 300, stagger).unwrap();
+                let mut hash = 0xcbf2_9ce4_8422_2325u64;
+                for &(i, j) in &coords {
+                    let a = mapping.map(i, j);
+                    for value in [0, a.rank, a.bank_group, a.bank, a.row, a.column] {
+                        hash = (hash ^ u64::from(value)).wrapping_mul(0x0000_0100_0000_01B3);
                     }
                 }
-                // Both batch kernels agree with the scalar map on the whole
-                // square (the stagger wraps past the padded edges here).
-                let coords: Vec<(u32, u32)> = (0..300)
-                    .flat_map(|i| (0..300).map(move |j| (i, j)))
-                    .collect();
-                for mapping in [&fast, &generic] {
-                    let mut batch = AddressBatch::new();
-                    mapping.map_batch(&coords, &mut batch);
-                    for (index, &(i, j)) in coords.iter().enumerate() {
-                        assert_eq!(batch.get(index), (0, fast.map(i, j)), "({i},{j})");
-                    }
+                assert_eq!(hash, expected, "{label} stagger={stagger}");
+                let mut batch = AddressBatch::new();
+                mapping.map_batch(&coords, &mut batch);
+                for (index, &(i, j)) in coords.iter().enumerate() {
+                    assert_eq!(batch.get(index), (0, mapping.map(i, j)), "({i},{j})");
                 }
             }
         }
     }
+
+    #[test]
+    fn non_power_of_two_geometries_are_rejected() {
+        for field in 0..4 {
+            let mut odd = ddr4();
+            match field {
+                0 => odd.bank_groups = 3,
+                1 => odd.banks_per_group = 6,
+                2 => odd.rows = 3 << 14,
+                _ => odd.columns_per_row = 96,
+            }
+            assert!(matches!(
+                OptimizedMapping::new(odd, 64),
+                Err(InterleaverError::Dram(_))
+            ));
+        }
+    }
+
     use std::collections::HashSet;
     use tbi_dram::{DramConfig, DramStandard};
 

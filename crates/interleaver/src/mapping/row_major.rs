@@ -1,7 +1,8 @@
 //! The row-major baseline mapping.
 
 use tbi_dram::{
-    AddressBatch, AddressDecoder, DecodeScheme, DeviceGeometry, DramConfig, PhysicalAddress,
+    AddressBatch, ChannelTopology, DecodeScheme, DeviceGeometry, DramConfig, PermutationMapping,
+    PhysicalAddress,
 };
 
 use crate::mapping::{DramMapping, BATCH_CHUNK};
@@ -11,7 +12,8 @@ use crate::InterleaverError;
 /// The baseline mapping used by SRAM implementations: positions are stored in
 /// storage-compact row-major order (row 0 first, then row 1, ...) and the
 /// resulting *linear* burst index is decoded into bank/row/column by the
-/// memory controller's regular address decoder.
+/// memory controller's regular address decoder (the [`DecodeScheme`]'s
+/// bit permutation, [`PermutationMapping::for_scheme`]).
 ///
 /// The write phase therefore produces a perfectly sequential DRAM access
 /// stream, while the column-wise read phase jumps by roughly one row length
@@ -40,7 +42,7 @@ use crate::InterleaverError;
 #[derive(Debug, Clone)]
 pub struct RowMajorMapping {
     geometry: DeviceGeometry,
-    decoder: AddressDecoder,
+    decoder: PermutationMapping,
     interleaver: TriangularInterleaver,
 }
 
@@ -56,8 +58,8 @@ impl RowMajorMapping {
     ///
     /// # Errors
     ///
-    /// Returns [`InterleaverError`] if `n` is zero or the index space exceeds
-    /// the device capacity.
+    /// Returns [`InterleaverError`] if `n` is zero, the index space exceeds
+    /// the device capacity or a geometry dimension is not a power of two.
     pub fn new(geometry: DeviceGeometry, n: u32) -> Result<Self, InterleaverError> {
         Self::with_scheme(geometry, DecodeScheme::default(), n)
     }
@@ -66,8 +68,7 @@ impl RowMajorMapping {
     ///
     /// # Errors
     ///
-    /// Returns [`InterleaverError`] if `n` is zero or the index space exceeds
-    /// the device capacity.
+    /// As [`RowMajorMapping::new`].
     pub fn with_scheme(
         geometry: DeviceGeometry,
         scheme: DecodeScheme,
@@ -82,7 +83,7 @@ impl RowMajorMapping {
         }
         Ok(Self {
             geometry,
-            decoder: AddressDecoder::new(geometry, scheme),
+            decoder: PermutationMapping::for_scheme(scheme, geometry, ChannelTopology::default())?,
             interleaver,
         })
     }
@@ -107,12 +108,12 @@ impl RowMajorMapping {
 
 impl DramMapping for RowMajorMapping {
     fn map(&self, i: u32, j: u32) -> PhysicalAddress {
-        self.decoder.decode(self.linear_index(i, j))
+        self.decoder.decode(self.linear_index(i, j)).1
     }
 
     /// Batched baseline mapping: stages linear burst indices through a stack
     /// chunk and decodes whole slices with
-    /// [`AddressDecoder::decode_batch`].
+    /// [`PermutationMapping::decode_batch`].
     fn map_batch(&self, coords: &[(u32, u32)], out: &mut AddressBatch) {
         let mut linear = [0u64; BATCH_CHUNK];
         for chunk in coords.chunks(BATCH_CHUNK) {
@@ -188,6 +189,18 @@ mod tests {
         let default_scheme = RowMajorMapping::new(config.geometry, 64).unwrap();
         assert_eq!(by_config.map(5, 3), by_scheme.map(5, 3));
         assert_ne!(by_config.map(5, 3), default_scheme.map(5, 3));
+    }
+
+    #[test]
+    fn non_power_of_two_geometries_are_rejected() {
+        let mut geometry = DramConfig::preset(DramStandard::Ddr4, 3200)
+            .unwrap()
+            .geometry;
+        geometry.rows = 3 << 14;
+        assert!(matches!(
+            RowMajorMapping::new(geometry, 64),
+            Err(InterleaverError::Dram(_))
+        ));
     }
 
     #[test]

@@ -6,9 +6,9 @@
 //! whole phase order, route every position with [`ChannelMapping::route`]
 //! and keep the ones on the channel.  The check covers every channel and
 //! both phases, every router (linear splice, stripe tile in every
-//! [`TileOrder`], permutations and folds with channel bits), the generic
-//! divide path (3 × 1), and index spaces that are not a multiple of the
-//! stripe tile — including sizes where the tile shrinks — drained through
+//! [`TileOrder`], permutations and folds with channel bits), and index
+//! spaces that are not a multiple of the stripe tile — including sizes
+//! where the tile shrinks — drained through
 //! `fill_batch` in slices of 1, 7 and 4096, through the iterator, and both
 //! mixed.
 
@@ -20,8 +20,8 @@ use tbi_dram::{
 use tbi_interleaver::mapping::{ChannelMapping, ChannelTrace, ChannelTraceGenerator};
 use tbi_interleaver::{AccessPhase, MappingKind, TileOrder};
 
-/// Channel/rank topologies under test: 3 × 1 takes the generic divide path.
-const TOPOLOGIES: [(u32, u32); 5] = [(1, 1), (2, 1), (2, 2), (3, 1), (8, 1)];
+/// Channel/rank topologies under test.
+const TOPOLOGIES: [(u32, u32); 4] = [(1, 1), (2, 1), (2, 2), (8, 1)];
 
 /// `fill_batch` slice sizes: one request, an odd slice, a whole drain.
 const FILL_MAX: [usize; 3] = [1, 7, 4096];
@@ -76,30 +76,28 @@ fn drain(mut trace: ChannelTrace<'_>, max: usize, total: usize) -> Vec<Request> 
 }
 
 /// The kinds a topology can route: the named schemes, plus a permutation
-/// and an xorfold that carry the topology's channel bits (power-of-two
-/// topologies only).  The fold rewrites the channel field itself when the
-/// topology has one, so the lane depends on row bits too.
+/// and an xorfold that carry the topology's channel bits.  The fold
+/// rewrites the channel field itself when the topology has one, so the lane
+/// depends on row bits too.
 fn kinds_for(dram: &DramConfig) -> Vec<MappingKind> {
-    let mut kinds = MappingKind::ALL.to_vec();
     let topology = dram.topology;
-    if let Ok(permutation) =
-        BitPermutation::for_scheme(dram.decode_scheme, &dram.geometry, topology)
-    {
-        let target = if topology.channels > 1 {
-            AddressField::Channel
-        } else {
-            AddressField::Bank
-        };
-        let fold = XorFold::new(&[FoldStep {
-            target,
-            source: AddressField::Row,
-            shift: 0,
-            op: FoldOp::Xor,
-        }])
-        .unwrap();
-        kinds.push(MappingKind::Permutation(permutation));
-        kinds.push(MappingKind::XorFolded(permutation, fold));
-    }
+    let permutation =
+        BitPermutation::for_scheme(dram.decode_scheme, &dram.geometry, topology).unwrap();
+    let target = if topology.channels > 1 {
+        AddressField::Channel
+    } else {
+        AddressField::Bank
+    };
+    let fold = XorFold::new(&[FoldStep {
+        target,
+        source: AddressField::Row,
+        shift: 0,
+        op: FoldOp::Xor,
+    }])
+    .unwrap();
+    let mut kinds = MappingKind::ALL.to_vec();
+    kinds.push(MappingKind::Permutation(permutation));
+    kinds.push(MappingKind::XorFolded(permutation, fold));
     kinds
 }
 
