@@ -120,11 +120,13 @@ impl GateReport {
 /// The checks `perf_gate` applies to an artifact with this `bench` tag, or
 /// `None` for a bench it does not gate.
 ///
-/// Every tolerance is set for a fresh artifact from the same binary at
-/// smoke scale (`--bursts 20000`, `100000` for `engine_speed`): identity
-/// flags must hold at any scale, ratio metrics may lose a bounded fraction
-/// of the full-size committed value, and speed ratios whose size depends
-/// on the host get absolute floors.
+/// Every tolerance is set for a fresh artifact from the same binary as CI
+/// runs it: at smoke scale (`--bursts 20000`, `100000` for
+/// `engine_speed`), or at the committed size for `mapgen_speed` and
+/// `tenant_sweep`.  Identity flags must hold at any scale, ratio metrics
+/// may lose a bounded fraction of the full-size committed value,
+/// deterministic metrics of a committed-size run must equal it, and speed
+/// ratios whose size depends on the host get absolute floors.
 #[must_use]
 pub fn checks_for(bench: &str) -> Option<Vec<Check>> {
     use CheckKind::{AbsFloor, MinRatio, MustBeTrue, SameAsCommitted};
@@ -159,7 +161,12 @@ pub fn checks_for(bench: &str) -> Option<Vec<Check>> {
             ("all_identical", MustBeTrue),
             ("min_permutation_gather_speedup", AbsFloor(2.0)),
         ],
-        "tenant_sweep" => &[("max_premium_p99_ratio", AbsFloor(1.1))],
+        // The fresh run is the committed size, and every pick is
+        // deterministic, so the headline ratio reproduces exactly.
+        "tenant_sweep" => &[
+            ("bursts", SameAsCommitted),
+            ("max_premium_p99_ratio", SameAsCommitted),
+        ],
         // The link seeds do not depend on the burst count, so with the
         // committed seed and trials the waterfall reproduces exactly.  The
         // mapping shift grows with the burst count, hence a floor rather

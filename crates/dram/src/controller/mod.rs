@@ -523,6 +523,29 @@ impl Controller {
         self.finalize_elapsed();
     }
 
+    /// Advances a controller with no queued requests to cycle `target`,
+    /// exactly as repeated [`Self::step`] calls would: while nothing is
+    /// owed it jumps to the earlier of `target` and the next refresh
+    /// deadline, and it steps through owed refreshes and closed-page
+    /// precharges.  Like those calls, a step that issues may end past
+    /// `target`.
+    pub fn advance_idle_to(&mut self, target: u64) {
+        debug_assert!(
+            self.queues.is_empty(),
+            "advance_idle_to needs an empty queue"
+        );
+        while self.now < target {
+            self.refresh.tick(self.now);
+            let owed = self.refresh.is_pending()
+                || (self.ctrl.page_policy == PagePolicy::Closed && !self.banks.all_idle());
+            if owed {
+                self.step();
+            } else {
+                self.now = target.min(self.refresh.next_due());
+            }
+        }
+    }
+
     fn finalize_elapsed(&mut self) {
         let end = self.last_completion.max(self.window_start);
         self.stats.elapsed_cycles = end - self.window_start;
@@ -1186,6 +1209,55 @@ mod tests {
             c.tick();
         }
         assert!(c.bank_state(BankId(0)).is_idle());
+    }
+
+    #[test]
+    fn advance_idle_to_matches_repeated_steps() {
+        let config = DramConfig::preset(DramStandard::Ddr4, 3200).unwrap();
+        let traffic = |c: &mut Controller| {
+            for i in 0..24u32 {
+                assert!(c.enqueue(Request::write(PhysicalAddress::new(i % 4, i % 3, i % 5, i))));
+            }
+            while c.step() {}
+        };
+        for engine in [TimingEngine::Cycle, TimingEngine::Event] {
+            for refresh in [
+                RefreshMode::AllBank,
+                RefreshMode::PerBank,
+                RefreshMode::Disabled,
+            ] {
+                for page_policy in [PagePolicy::Open, PagePolicy::Closed] {
+                    let ctrl = ControllerConfig {
+                        engine,
+                        refresh_mode: Some(refresh),
+                        page_policy,
+                        ..ControllerConfig::default()
+                    };
+                    let mut jumped = Controller::new(config.clone(), ctrl).unwrap();
+                    traffic(&mut jumped);
+                    // Right after traffic (closed-page precharges owed),
+                    // a short gap, and a gap across several refreshes.
+                    for gap in [3, 40, 3 * config.timing.t_refi + 17] {
+                        let target = jumped.now() + gap;
+                        let mut stepped = jumped.clone();
+                        while stepped.now() < target {
+                            stepped.step();
+                        }
+                        jumped.advance_idle_to(target);
+                        let case = format!("{engine:?} {refresh:?} {page_policy:?} gap {gap}");
+                        assert_eq!(jumped.now(), stepped.now(), "{case}");
+                        assert_eq!(jumped.stats(), stepped.stats(), "{case}");
+                        traffic(&mut jumped);
+                        traffic(&mut stepped);
+                        assert_eq!(jumped.now(), stepped.now(), "{case}");
+                        assert_eq!(jumped.stats(), stepped.stats(), "{case}");
+                    }
+                    let stats = jumped.stats();
+                    let refreshes = stats.refreshes_all_bank + stats.refreshes_per_bank;
+                    assert_eq!(refreshes > 0, refresh != RefreshMode::Disabled);
+                }
+            }
+        }
     }
 
     #[test]

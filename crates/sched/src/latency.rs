@@ -125,6 +125,13 @@ impl LatencyHistogram {
         self.count
     }
 
+    /// Sum of the recorded samples (`u64::MAX` once
+    /// [`LatencyHistogram::is_saturated`]).
+    #[must_use]
+    pub fn sum(&self) -> u64 {
+        self.sum
+    }
+
     /// Smallest recorded sample (0 when empty).
     #[must_use]
     pub fn min(&self) -> u64 {

@@ -5,7 +5,7 @@
 //! once, each with its own interleaver stream and service class.  This
 //! crate adds the missing layer: a tenant-aware scheduler that multiplexes
 //! thousands of concurrent interleaver streams onto the shared DRAM
-//! channels with admission control, pluggable QoS policies and per-tenant
+//! channels with admission control, three QoS policies and per-tenant
 //! latency accounting.
 //!
 //! - [`StreamSpec`] / [`SchedConfig`] describe the workload: tenant
@@ -16,9 +16,10 @@
 //!   clock whose per-channel projection is the router's phase drive; with
 //!   one stream the result is bit-identical to
 //!   [`ChannelRouter::run_phase_sources`](tbi_dram::ChannelRouter::run_phase_sources).
-//! - [`SchedPolicy`] implementations (round-robin, weighted bandwidth
-//!   share, earliest-deadline-first) decide which ready stream feeds each
-//!   channel's free queue slots.
+//! - [`SchedPolicyKind`] (round-robin, weighted bandwidth share,
+//!   earliest-deadline-first) decides which ready stream feeds each
+//!   channel's free queue slots; each channel keeps its ready streams
+//!   ordered the way the policy picks.
 //! - [`LatencyHistogram`] tracks enqueue-to-completion latency per tenant
 //!   in fixed log2 buckets with conservative p50/p99 extraction, and
 //!   [`jain_fairness`] condenses cross-tenant spread into one index.
@@ -30,7 +31,7 @@ mod scheduler;
 mod spec;
 
 pub use latency::{jain_fairness, LatencyHistogram};
-pub use policy::{build_policy, CandidateView, SchedPolicy, SchedPolicyKind};
+pub use policy::SchedPolicyKind;
 pub use pool::{BlockPool, BlockSlot};
 pub use scheduler::{SchedReport, StreamScheduler, TenantReport};
 pub use spec::{ArrivalModel, PhasePattern, QosClass, SchedConfig, StreamSpec};

@@ -4,19 +4,25 @@
 //! channels of one [`ChannelRouter`] under the router's laggard-first
 //! clock.  Each scheduler step:
 //!
-//! 1. **admits** arrived blocks while the in-flight [`BlockPool`] has free
-//!    slots (admission control / backpressure),
-//! 2. **fills** every channel's free queue slots, asking the active
-//!    [`SchedPolicy`](crate::SchedPolicy) which ready stream feeds each
-//!    slot,
+//! 1. **admits** arrived blocks, earliest `(arrival, stream)` first from a
+//!    heap holding each stream's next block, while the in-flight
+//!    [`BlockPool`] has free slots (admission control / backpressure),
+//! 2. **fills** every channel's free queue slots from the channel's ready
+//!    streams, which are kept ordered the way the active policy picks
+//!    ([`SchedPolicyKind`]), so a pick is one ordered-set lookup rather
+//!    than a pass over every ready stream,
 //! 3. **advances** the laggard channel — the channel whose clock is
 //!    furthest behind ([`ChannelRouter::laggard_channel`]) — until it can
-//!    accept again, and
+//!    accept again, or, when every channel is idle before the next block
+//!    arrives, idles every channel until that arrival, and
 //! 4. **collects** completions from the controllers' observational logs,
 //!    attributing each to its block via per-`(channel, bank)` FIFO tags
 //!    (per-bank service is strictly FIFO under FR-FCFS — only queue heads
 //!    receive column commands — so the tag queues mirror retirement order
 //!    exactly).
+//!
+//! No step passes over every stream, so the host cost of a request does
+//! not grow with the stream count beyond the ordered sets' logarithm.
 //!
 //! With a single stream every policy always picks the sole candidate and
 //! serves whole free batches, so the enqueue sequence — and therefore the
@@ -24,10 +30,11 @@
 //! [`ChannelRouter::run_phase_sources`] over the equivalent per-channel
 //! traces.  Tests pin this on both timing engines.
 
-use std::collections::{BTreeSet, VecDeque};
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, VecDeque};
 
 use crate::latency::{jain_fairness, LatencyHistogram};
-use crate::policy::{build_policy, CandidateView, SchedPolicy, SchedPolicyKind};
+use crate::policy::{ReadySet, SchedPolicyKind};
 use crate::pool::{BlockPool, BlockSlot};
 use crate::spec::{QosClass, SchedConfig, StreamSpec};
 use crate::SchedError;
@@ -201,19 +208,20 @@ pub struct StreamScheduler {
     router: ChannelRouter,
     specs: Vec<StreamSpec>,
     streams: Vec<StreamState>,
-    policy: Box<dyn SchedPolicy>,
     pool: BlockPool,
     /// Completion-attribution FIFOs: `tags[channel][flat_bank]` mirrors the
     /// per-bank enqueue order as `(stream, slot)` pairs.
     tags: Vec<Vec<VecDeque<(u32, u32)>>>,
-    /// Streams with at least one generated request queued, per channel.
-    ready: Vec<BTreeSet<u32>>,
+    /// Streams with at least one generated request queued, per channel,
+    /// in the policy's pick order.
+    ready: ReadySet,
+    /// Each stream's next unadmitted block as `(arrival, stream)`,
+    /// earliest first.
+    arrivals: BinaryHeap<Reverse<(u64, u32)>>,
     geometry: DeviceGeometry,
     channels: u32,
     /// Shared scratch for the batched routing kernel.
     scratch: AddressBatch,
-    /// Scratch candidate list rebuilt on every policy pick.
-    candidates: Vec<CandidateView>,
     /// Worker threads for the final per-channel drain
     /// ([`SchedConfig::threads`]).
     drain_threads: usize,
@@ -264,20 +272,25 @@ impl StreamScheduler {
             })
             .collect::<Result<Vec<_>, SchedError>>()?;
         let budget = sched.budget_for(streams.len());
+        let arrivals = streams
+            .iter()
+            .enumerate()
+            .filter(|(_, spec)| spec.blocks > 0)
+            .map(|(index, spec)| Reverse((spec.arrival.arrival_cycle(0), index as u32)))
+            .collect();
         Ok(Self {
             router,
-            policy: build_policy(sched.policy, streams.len(), channels),
+            ready: ReadySet::new(sched.policy, streams.len(), channels),
             specs: streams,
             streams: states,
             pool: BlockPool::new(budget),
             tags: (0..channels as usize)
                 .map(|_| vec![VecDeque::new(); flat_banks])
                 .collect(),
-            ready: vec![BTreeSet::new(); channels as usize],
+            arrivals,
             geometry,
             channels,
             scratch: AddressBatch::new(),
-            candidates: Vec::new(),
             drain_threads: sched.threads.max(1),
         })
     }
@@ -304,14 +317,15 @@ impl StreamScheduler {
                     }
                 }
                 None => {
-                    if self.all_exhausted() {
+                    // Every channel is idle, so every admitted block has
+                    // retired and the next block arrives in the future:
+                    // idle the channels until it does, or stop.
+                    debug_assert_eq!(self.pool.in_flight(), 0);
+                    let Some(&Reverse((arrival, _))) = self.arrivals.peek() else {
                         break;
-                    }
-                    // Idle but not done: every remaining block arrives in
-                    // the future.  Jump to the earliest arrival.
-                    if !self.admit_future() {
-                        debug_assert!(false, "scheduler stalled with work outstanding");
-                        break;
+                    };
+                    for channel in 0..self.channels {
+                        self.router.controller_mut(channel).advance_idle_to(arrival);
                     }
                 }
             }
@@ -345,67 +359,33 @@ impl StreamScheduler {
             .unwrap_or(0)
     }
 
-    /// Whether every stream has admitted all blocks and every admitted
-    /// block has retired.
-    fn all_exhausted(&self) -> bool {
-        self.pool.in_flight() == 0
-            && self
-                .specs
-                .iter()
-                .zip(&self.streams)
-                .all(|(spec, state)| state.next_block >= spec.blocks)
-    }
-
     /// Admits blocks that have arrived by the shared clock, earliest
     /// `(arrival, stream)` first, while the pool has free slots.
     fn admit_eligible(&mut self) {
+        if self.pool.is_full() || self.arrivals.is_empty() {
+            return;
+        }
         let clock = self.clock();
         while !self.pool.is_full() {
-            match self.next_admission_candidate() {
-                Some((arrival, stream)) if arrival <= clock => self.admit(stream),
+            match self.arrivals.peek() {
+                Some(&Reverse((arrival, stream))) if arrival <= clock => {
+                    self.arrivals.pop();
+                    self.admit(stream, arrival);
+                }
                 _ => break,
             }
         }
     }
 
-    /// Force-admits the earliest future block (used when the system has
-    /// gone idle before all arrivals).  Returns whether anything was
-    /// admitted.
-    fn admit_future(&mut self) -> bool {
-        if self.pool.is_full() {
-            return false;
-        }
-        match self.next_admission_candidate() {
-            Some((_, stream)) => {
-                self.admit(stream);
-                true
-            }
-            None => false,
-        }
-    }
-
-    /// The earliest `(arrival, stream)` among unadmitted blocks.
-    fn next_admission_candidate(&self) -> Option<(u64, u32)> {
-        self.specs
-            .iter()
-            .zip(&self.streams)
-            .enumerate()
-            .filter(|(_, (spec, state))| state.next_block < spec.blocks)
-            .map(|(index, (spec, state))| {
-                (spec.arrival.arrival_cycle(state.next_block), index as u32)
-            })
-            .min()
-    }
-
-    /// Admits stream `stream`'s next block: allocates a pool slot, appends
-    /// it to the stream's admitted list and wakes any stalled channel
-    /// cursors.
-    fn admit(&mut self, stream: u32) {
+    /// Admits stream `stream`'s next block, which arrives at `arrival`:
+    /// allocates a pool slot, appends it to the stream's admitted list,
+    /// queues the stream's following block for admission and wakes any
+    /// stalled channel cursors.
+    fn admit(&mut self, stream: u32, arrival: u64) {
         let s = stream as usize;
         let per_block = self.per_block_requests(s);
         let spec = &self.specs[s];
         let block = self.streams[s].next_block;
-        let arrival = spec.arrival.arrival_cycle(block);
         let deadline = arrival.saturating_add(spec.qos.deadline_cycles());
         let slot = self
             .pool
@@ -421,21 +401,38 @@ impl StreamScheduler {
         let state = &mut self.streams[s];
         state.admitted.push((block, slot));
         state.next_block += 1;
+        if state.next_block < spec.blocks {
+            self.arrivals.push(Reverse((
+                spec.arrival.arrival_cycle(state.next_block),
+                stream,
+            )));
+        }
         let rows = self.geometry.rows;
         for channel in 0..self.channels as usize {
+            let state = &mut self.streams[s];
             if state.queues[channel].is_empty() {
                 Self::refill_channel(
                     state,
-                    spec,
+                    &self.specs[s],
                     &mut self.pool,
                     channel,
                     rows,
                     &mut self.scratch,
                 );
             }
-            if !state.queues[channel].is_empty() {
-                self.ready[channel].insert(stream);
+            self.rekey(channel, stream);
+        }
+    }
+
+    /// Re-keys `stream` in `channel`'s ready set from the head of its
+    /// queue there, or removes it once that queue is empty.
+    fn rekey(&mut self, channel: usize, stream: u32) {
+        match self.streams[stream as usize].queues[channel].front() {
+            Some(head) => {
+                let deadline = self.pool.get(head.slot).deadline;
+                self.ready.insert(channel as u32, stream, deadline);
             }
+            None => self.ready.remove(channel as u32, stream),
         }
     }
 
@@ -504,25 +501,14 @@ impl StreamScheduler {
         for channel in 0..self.channels as usize {
             loop {
                 let free = self.router.controller(channel as u32).free_slots();
-                if free == 0 || self.ready[channel].is_empty() {
+                if free == 0 {
                     break;
                 }
-                self.candidates.clear();
-                for &stream in &self.ready[channel] {
-                    let state = &self.streams[stream as usize];
-                    let head = state.queues[channel]
-                        .front()
-                        .expect("ready streams have queued work");
-                    self.candidates.push(CandidateView {
-                        stream,
-                        weight: self.specs[stream as usize].weight(),
-                        head_deadline: self.pool.get(head.slot).deadline,
-                    });
-                }
-                let picked = self.policy.pick(channel as u32, &self.candidates);
+                let Some(picked) = self.ready.pick(channel as u32) else {
+                    break;
+                };
                 let weight = self.specs[picked as usize].weight();
-                let quantum = self.policy.quantum(weight);
-                let serve = free.min(quantum);
+                let serve = free.min(self.ready.quantum(weight));
                 let mut served = 0u64;
                 while (served as usize) < serve {
                     let Some(tagged) = self.streams[picked as usize].queues[channel].pop_front()
@@ -548,10 +534,8 @@ impl StreamScheduler {
                         );
                     }
                 }
-                self.policy.on_served(picked, served, weight);
-                if self.streams[picked as usize].queues[channel].is_empty() {
-                    self.ready[channel].remove(&picked);
-                }
+                self.ready.on_served(picked, served, weight);
+                self.rekey(channel, picked);
                 if served == 0 {
                     break;
                 }
@@ -610,7 +594,7 @@ impl StreamScheduler {
             })
             .collect();
         SchedReport {
-            policy: self.policy.kind(),
+            policy: self.ready.kind(),
             stats,
             tenants,
         }
@@ -681,8 +665,8 @@ mod tests {
     #[test]
     fn periodic_arrivals_admit_after_idle_and_complete() {
         let spec = InterleaverSpec::from_burst_count(300);
-        // Interval far beyond a block's service time forces the idle
-        // force-admission path.
+        // An interval far beyond a block's service time leaves every
+        // channel idle before each later block arrives.
         let streams = vec![StreamSpec::new("periodic", spec)
             .with_blocks(3)
             .with_arrival(ArrivalModel::Periodic {
@@ -690,12 +674,16 @@ mod tests {
             })];
         let report = run_with(config(2), streams, SchedConfig::new(SchedPolicyKind::Edf));
         assert_eq!(report.tenants[0].blocks, 3);
-        // Later blocks arrive after the system drained, so their requests
-        // are served "instantly" relative to arrival (saturating latency).
         assert_eq!(
             report.tenants[0].requests,
             report.tenants[0].latency.count()
         );
+        // The channels idle until each block arrives, so no request is
+        // served before its block exists.
+        assert!(report.tenants[0].latency.min() > 0);
+        for stats in report.stats.per_channel() {
+            assert!(stats.elapsed_cycles > 100_000_000, "{stats:?}");
+        }
     }
 
     #[test]

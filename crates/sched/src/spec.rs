@@ -257,7 +257,7 @@ impl StreamSpec {
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SchedConfig {
-    /// Which [`SchedPolicy`](crate::SchedPolicy) selects streams.
+    /// Which policy selects streams.
     pub policy: SchedPolicyKind,
     /// Bound on concurrently in-flight triangular blocks (the admission
     /// budget backing the slab pool); `0` means auto (two blocks per

@@ -12,7 +12,9 @@ use tbi_dram::{
 };
 use tbi_interleaver::mapping::{channel_mapping_for_spec, ChannelTraceGenerator};
 use tbi_interleaver::{AccessPhase, InterleaverSpec, MappingKind};
-use tbi_sched::{QosClass, SchedConfig, SchedPolicyKind, StreamScheduler, StreamSpec};
+use tbi_sched::{
+    ArrivalModel, QosClass, SchedConfig, SchedPolicyKind, StreamScheduler, StreamSpec,
+};
 
 fn config(channels: u32, ranks: u32) -> DramConfig {
     DramConfig::preset(DramStandard::Ddr4, 3200)
@@ -163,24 +165,35 @@ fn engines_agree_on_multi_tenant_runs() {
                 .with_blocks(2),
         ]
     };
-    for policy in SchedPolicyKind::ALL {
-        let cycle = StreamScheduler::new(
-            config(2, 1),
-            ctrl(TimingEngine::Cycle),
-            streams(),
-            SchedConfig::new(policy),
-        )
-        .unwrap()
-        .run();
-        let event = StreamScheduler::new(
-            config(2, 1),
-            ctrl(TimingEngine::Event),
-            streams(),
-            SchedConfig::new(policy),
-        )
-        .unwrap()
-        .run();
-        assert_eq!(cycle, event, "{policy}");
+    // Blocks arriving long after the channels went idle: the channels
+    // idle through refreshes until each arrival.
+    let periodic = vec![
+        StreamSpec::new("periodic", InterleaverSpec::from_burst_count(300))
+            .with_blocks(3)
+            .with_arrival(ArrivalModel::Periodic {
+                interval_cycles: 200_000,
+            }),
+    ];
+    for streams in [streams(), periodic] {
+        for policy in SchedPolicyKind::ALL {
+            let cycle = StreamScheduler::new(
+                config(2, 1),
+                ctrl(TimingEngine::Cycle),
+                streams.clone(),
+                SchedConfig::new(policy),
+            )
+            .unwrap()
+            .run();
+            let event = StreamScheduler::new(
+                config(2, 1),
+                ctrl(TimingEngine::Event),
+                streams.clone(),
+                SchedConfig::new(policy),
+            )
+            .unwrap()
+            .run();
+            assert_eq!(cycle, event, "{policy}");
+        }
     }
 }
 
