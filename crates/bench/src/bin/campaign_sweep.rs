@@ -15,8 +15,6 @@
 //! preset.  The link simulations are independent of the DRAM burst count,
 //! so the committed error rates reproduce exactly at any `--bursts`.
 
-use std::path::PathBuf;
-
 use tbi_bench::{
     build_campaign, HarnessOptions, CAMPAIGN_PEAK_ELEVATION_DEG, CAMPAIGN_PRESETS, CAMPAIGN_TRIALS,
     CAMPAIGN_WEATHER,
@@ -24,17 +22,10 @@ use tbi_bench::{
 use tbi_exp::campaign::{DEFAULT_CAMPAIGN_SEED, DEFAULT_CODE_RATES, DEFAULT_DEPTHS};
 use tbi_exp::serialize::{json_number, json_string, records_to_json};
 
-const DEFAULT_OUTPUT: &str = "BENCH_campaign.json";
-
 const FLAGS: &[&str] = &["--full", "--bursts", "--workers", "--json"];
 
 fn main() {
     let options = HarnessOptions::from_env("campaign_sweep", FLAGS);
-    let output = options
-        .json
-        .clone()
-        .unwrap_or_else(|| PathBuf::from(DEFAULT_OUTPUT));
-
     let campaign = match build_campaign(options.bursts, options.workers) {
         Ok(campaign) => campaign,
         Err(error) => {
@@ -175,9 +166,11 @@ fn main() {
         frontier_json.join(",\n    "),
         records_to_json(&report.records),
     );
-    if let Err(error) = std::fs::write(&output, json) {
-        eprintln!("error: cannot write {}: {error}", output.display());
-        std::process::exit(1);
+    if let Some(output) = &options.json {
+        if let Err(error) = std::fs::write(output, json) {
+            eprintln!("error: cannot write {}: {error}", output.display());
+            std::process::exit(1);
+        }
+        eprintln!("wrote {}", output.display());
     }
-    eprintln!("wrote {}", output.display());
 }

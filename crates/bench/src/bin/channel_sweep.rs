@@ -14,15 +14,12 @@
 //! channel-interleaved stripe keeps per-channel utilization flat while the
 //! peak doubles).
 
-use std::path::PathBuf;
-
 use tbi_bench::HarnessOptions;
 use tbi_dram::DramStandard;
 use tbi_exp::serialize::{json_number, json_string, records_to_json};
 use tbi_exp::{Record, SweepGrid};
 use tbi_interleaver::MappingKind;
 
-const DEFAULT_OUTPUT: &str = "BENCH_channels.json";
 const CHANNEL_AXIS: [u32; 3] = [1, 2, 4];
 const PRESETS: [(DramStandard, u32); 2] =
     [(DramStandard::Ddr4, 3200), (DramStandard::Lpddr4, 4266)];
@@ -45,11 +42,6 @@ fn find<'a>(records: &'a [Record], dram: &str, mapping: &str, channels: u32) -> 
 
 fn main() {
     let options = HarnessOptions::from_env("channel_sweep", FLAGS);
-    let output = options
-        .json
-        .clone()
-        .unwrap_or_else(|| PathBuf::from(DEFAULT_OUTPUT));
-
     let mut grid = SweepGrid::new()
         .channels(CHANNEL_AXIS)
         .rank_count(options.ranks)
@@ -140,9 +132,11 @@ fn main() {
         scaling_json.join(",\n    "),
         records_to_json(&records),
     );
-    if let Err(error) = std::fs::write(&output, json) {
-        eprintln!("error: cannot write {}: {error}", output.display());
-        std::process::exit(1);
+    if let Some(output) = &options.json {
+        if let Err(error) = std::fs::write(output, json) {
+            eprintln!("error: cannot write {}: {error}", output.display());
+            std::process::exit(1);
+        }
+        eprintln!("wrote {}", output.display());
     }
-    eprintln!("wrote {}", output.display());
 }

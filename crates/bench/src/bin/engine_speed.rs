@@ -10,18 +10,16 @@
 //!                                                        --workers <n> | --json <p>]
 //! ```
 //!
-//! `--json` overrides the output path (default `BENCH_engine.json` in the
-//! current directory).
+//! `--json` names the output file (`--full --json BENCH_engine.json`
+//! regenerates the committed artifact); without it the binary prints its
+//! table and writes nothing.
 
-use std::path::PathBuf;
 use std::time::Instant;
 
 use tbi_bench::{run_table1, HarnessOptions};
 use tbi_dram::TimingEngine;
 use tbi_exp::serialize::{json_number, json_string};
 use tbi_exp::Record;
-
-const DEFAULT_OUTPUT: &str = "BENCH_engine.json";
 
 const FLAGS: &[&str] = &[
     "--full",
@@ -50,11 +48,6 @@ fn timed_sweep(base: &HarnessOptions, engine: TimingEngine) -> (Vec<Record>, f64
 
 fn main() {
     let options = HarnessOptions::from_env("engine_speed", FLAGS);
-
-    let output = options
-        .json
-        .clone()
-        .unwrap_or_else(|| PathBuf::from(DEFAULT_OUTPUT));
 
     eprintln!(
         "engine_speed: full Table I sweep at {} bursts per scenario",
@@ -116,11 +109,13 @@ fn main() {
         json_number(simulated_cycles as f64 / event_wall_s.max(f64::MIN_POSITIVE)),
         identical,
     );
-    if let Err(error) = std::fs::write(&output, json) {
-        eprintln!("error: cannot write {}: {error}", output.display());
-        std::process::exit(1);
+    if let Some(output) = &options.json {
+        if let Err(error) = std::fs::write(output, json) {
+            eprintln!("error: cannot write {}: {error}", output.display());
+            std::process::exit(1);
+        }
+        eprintln!("wrote {}", output.display());
     }
-    eprintln!("wrote {}", output.display());
 
     if !identical {
         std::process::exit(1);

@@ -18,13 +18,12 @@
 //! [`TARGET_POSITIONS`] positions, so rates stay comparable across sizes.
 //! `--channels`/`--ranks` select the topology of the channel-routed rows
 //! (a `2 × 2` subsystem when left at the single-channel default).  `--json`
-//! overrides the output path (default `BENCH_mapgen.json` in the current
-//! directory).  Every mapping is built before the triangle's coordinates
+//! names the output file; without it the binary prints its table and writes
+//! nothing.  Every mapping is built before the triangle's coordinates
 //! are materialised, so a size some preset cannot hold exits 1 with the
 //! construction error straight away.  Exits 1 too if any batch diverges
 //! from its scalar reference.
 
-use std::path::PathBuf;
 use std::rc::Rc;
 use std::time::Instant;
 
@@ -35,8 +34,6 @@ use tbi_dram::{
 use tbi_exp::serialize::{json_number, json_string};
 use tbi_interleaver::mapping::{ChannelMapping, DramMapping, PermutedMapping};
 use tbi_interleaver::MappingKind;
-
-const DEFAULT_OUTPUT: &str = "BENCH_mapgen.json";
 
 /// Every measurement maps at least this many positions (small index spaces
 /// are repeated), keeping rates stable independent of `--bursts`.
@@ -330,10 +327,6 @@ fn build_cases(n: u32, topology: ChannelTopology) -> Result<Vec<Case>, String> {
 fn main() {
     let options = HarnessOptions::from_env("mapgen_speed", FLAGS);
 
-    let output = options
-        .json
-        .clone()
-        .unwrap_or_else(|| PathBuf::from(DEFAULT_OUTPUT));
     let n = dimension_for(options.bursts);
     // Channel-routed rows need a real multi-channel subsystem; default to
     // 2 × 2 when the options leave the paper's single-channel topology.
@@ -410,11 +403,13 @@ fn main() {
         all_identical,
         rows_json.join(",\n"),
     );
-    if let Err(error) = std::fs::write(&output, json) {
-        eprintln!("error: cannot write {}: {error}", output.display());
-        std::process::exit(1);
+    if let Some(output) = &options.json {
+        if let Err(error) = std::fs::write(output, json) {
+            eprintln!("error: cannot write {}: {error}", output.display());
+            std::process::exit(1);
+        }
+        eprintln!("wrote {}", output.display());
     }
-    eprintln!("wrote {}", output.display());
 
     if !all_identical {
         std::process::exit(1);

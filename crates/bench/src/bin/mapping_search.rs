@@ -26,16 +26,12 @@
 //! no-refresh condition, and the run is bit-reproducible for a fixed
 //! `--seed` at any worker count.
 
-use std::path::PathBuf;
-
 use tbi_bench::HarnessOptions;
 use tbi_dram::standards::ALL_CONFIGS;
 use tbi_dram::{BitPermutation, DramConfig, XorFold};
 use tbi_exp::search::{MappingSearch, SearchRecord, SearchSettings, MATCH_TOLERANCE};
 use tbi_exp::serialize::{json_number, json_string, search_records_to_json, write_search_csv};
 use tbi_interleaver::InterleaverSpec;
-
-const DEFAULT_OUTPUT: &str = "BENCH_dse.json";
 
 const FLAGS: &[&str] = &[
     "--full",
@@ -149,10 +145,6 @@ fn main() {
     .and_then(|rest| HarnessOptions::parse_for(rest, FLAGS));
     let options = HarnessOptions::or_exit(parsed, &usage());
     settings.workers = options.workers;
-    let output = options
-        .json
-        .clone()
-        .unwrap_or_else(|| PathBuf::from(DEFAULT_OUTPUT));
     let spec = InterleaverSpec::from_burst_count(options.bursts);
 
     eprintln!(
@@ -273,11 +265,13 @@ fn main() {
         json_number(min_gain),
         search_records_to_json(&records),
     );
-    if let Err(error) = std::fs::write(&output, json) {
-        eprintln!("error: cannot write {}: {error}", output.display());
-        std::process::exit(1);
+    if let Some(output) = &options.json {
+        if let Err(error) = std::fs::write(output, json) {
+            eprintln!("error: cannot write {}: {error}", output.display());
+            std::process::exit(1);
+        }
+        eprintln!("wrote {}", output.display());
     }
-    eprintln!("wrote {}", output.display());
     if let Some(path) = &options.csv {
         if let Err(error) = write_search_csv(path, &records) {
             eprintln!("error: {error}");

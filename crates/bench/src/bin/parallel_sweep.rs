@@ -27,7 +27,6 @@
 //! (e.g. the CI smoke check) can gate speedup assertions on it.  Exits
 //! non-zero if any threaded record diverges from its sequential reference.
 
-use std::path::PathBuf;
 use std::time::Instant;
 
 use tbi_bench::HarnessOptions;
@@ -37,7 +36,6 @@ use tbi_exp::{Experiment, Record, Scenario, TenantStage};
 use tbi_interleaver::{InterleaverSpec, MappingKind};
 use tbi_sched::SchedPolicyKind;
 
-const DEFAULT_OUTPUT: &str = "BENCH_parallel.json";
 const CHANNEL_AXIS: [u32; 3] = [1, 2, 4];
 const THREAD_AXIS: [usize; 3] = [1, 2, 4];
 const STREAM_AXIS: [u32; 2] = [8, 64];
@@ -135,10 +133,6 @@ fn sweep_threads(
 
 fn main() {
     let options = HarnessOptions::from_env("parallel_sweep", FLAGS);
-    let output = options
-        .json
-        .clone()
-        .unwrap_or_else(|| PathBuf::from(DEFAULT_OUTPUT));
     let host_parallelism =
         std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
 
@@ -218,11 +212,13 @@ fn main() {
         all_identical,
         rows_json.join(",\n"),
     );
-    if let Err(error) = std::fs::write(&output, json) {
-        eprintln!("error: cannot write {}: {error}", output.display());
-        std::process::exit(1);
+    if let Some(output) = &options.json {
+        if let Err(error) = std::fs::write(output, json) {
+            eprintln!("error: cannot write {}: {error}", output.display());
+            std::process::exit(1);
+        }
+        eprintln!("wrote {}", output.display());
     }
-    eprintln!("wrote {}", output.display());
 
     if !all_identical {
         std::process::exit(1);

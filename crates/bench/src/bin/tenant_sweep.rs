@@ -19,8 +19,6 @@
 //! scheduling policies (weight-aware policies protect premium tenants,
 //! round-robin does not).
 
-use std::path::PathBuf;
-
 use tbi_bench::HarnessOptions;
 use tbi_dram::{ChannelTopology, DramConfig, DramStandard};
 use tbi_exp::serialize::{json_number, json_string, records_to_json};
@@ -28,7 +26,6 @@ use tbi_exp::{Experiment, Record, Scenario, TenantStage};
 use tbi_interleaver::{InterleaverSpec, MappingKind};
 use tbi_sched::SchedPolicyKind;
 
-const DEFAULT_OUTPUT: &str = "BENCH_tenants.json";
 const STREAM_AXIS: [u32; 2] = [8, 64];
 const CHANNEL_AXIS: [u32; 2] = [1, 2];
 const PRESETS: [(DramStandard, u32); 2] =
@@ -82,11 +79,6 @@ fn find<'a>(
 
 fn main() {
     let options = HarnessOptions::from_env("tenant_sweep", FLAGS);
-    let output = options
-        .json
-        .clone()
-        .unwrap_or_else(|| PathBuf::from(DEFAULT_OUTPUT));
-
     let mut scenarios = Vec::new();
     for (standard, rate) in PRESETS {
         let preset = match DramConfig::preset(standard, rate) {
@@ -220,9 +212,11 @@ fn main() {
         cell_json.join(",\n    "),
         records_to_json(&records),
     );
-    if let Err(error) = std::fs::write(&output, json) {
-        eprintln!("error: cannot write {}: {error}", output.display());
-        std::process::exit(1);
+    if let Some(output) = &options.json {
+        if let Err(error) = std::fs::write(output, json) {
+            eprintln!("error: cannot write {}: {error}", output.display());
+            std::process::exit(1);
+        }
+        eprintln!("wrote {}", output.display());
     }
-    eprintln!("wrote {}", output.display());
 }

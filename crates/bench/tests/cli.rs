@@ -68,3 +68,26 @@ fn mapgen_speed_rejects_sizes_its_presets_cannot_hold_before_allocating() {
         );
     }
 }
+
+/// A sweep binary writes an artifact only where `--json` says: run without
+/// it, it prints its table and leaves its working directory untouched, so a
+/// bare run in the repository root cannot overwrite a committed
+/// `BENCH_*.json`.
+#[test]
+fn sweep_without_json_writes_no_file() {
+    let dir = std::env::temp_dir().join(format!("tbi_cli_no_json_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temporary directory");
+    let output = Command::new(env!("CARGO_BIN_EXE_channel_sweep"))
+        .args(["--bursts", "1000"])
+        .current_dir(&dir)
+        .output()
+        .expect("binary runs");
+    let written: Vec<_> = std::fs::read_dir(&dir)
+        .expect("temporary directory is readable")
+        .map(|entry| entry.expect("directory entry").file_name())
+        .collect();
+    std::fs::remove_dir_all(&dir).expect("temporary directory is removable");
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert!(output.status.success(), "channel_sweep failed:\n{stderr}");
+    assert!(written.is_empty(), "channel_sweep wrote {written:?}");
+}

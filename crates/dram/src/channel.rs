@@ -9,11 +9,10 @@
 //!
 //! Every phase runs through one saturating loop per channel: admit exactly
 //! the free queue slots from a slice pulled off the channel's source, step
-//! the controller until it can accept again, repeat, then drain.
-//! [`MemorySystem::run_trace`](crate::MemorySystem::run_trace) runs the
-//! same loop, so a `1 × 1` router reproduces a stand-alone
-//! [`MemorySystem`](crate::MemorySystem) bit-identically on both timing
-//! engines.  Aggregation happens in [`CombinedStats`]: byte counts and
+//! the controller until it can accept again, repeat, then drain.  The
+//! router is also the single-channel driver: a `1 × 1` router fed
+//! `vec![IteratorSource(trace)]` runs one controller over one trace.
+//! Aggregation happens in [`CombinedStats`]: byte counts and
 //! command counts sum across channels, while the elapsed time of the
 //! subsystem is the **maximum** over the per-channel elapsed times (the
 //! slowest channel finishes last).
@@ -323,6 +322,27 @@ impl ChannelRouter {
     /// # Panics
     ///
     /// Panics if `sources.len()` differs from the channel count.
+    ///
+    /// # Examples
+    ///
+    /// Stream a saturated sequence of writes through a single DDR4-3200
+    /// channel:
+    ///
+    /// ```
+    /// use tbi_dram::{ChannelRouter, ControllerConfig, DramConfig, DramStandard};
+    /// use tbi_dram::{IteratorSource, Request};
+    ///
+    /// # fn main() -> Result<(), tbi_dram::ConfigError> {
+    /// let config = DramConfig::preset(DramStandard::Ddr4, 3200)?;
+    /// let mut router = ChannelRouter::new(config.clone(), ControllerConfig::default())?;
+    /// let decoder = config.linear_decoder()?;
+    /// let trace = (0..4096).map(|i| Request::write(decoder.decode(i).1));
+    /// let stats = router.run_phase_sources(vec![IteratorSource(trace)]).aggregate();
+    /// assert_eq!(stats.completed_requests, 4096);
+    /// assert!(stats.bus_utilization() > 0.8);
+    /// # Ok(())
+    /// # }
+    /// ```
     pub fn run_phase_sources<S: RequestSource>(&mut self, sources: Vec<S>) -> CombinedStats {
         assert_sources(sources.len(), self.controllers.len());
         for (controller, source) in self.controllers.iter_mut().zip(sources) {
@@ -383,8 +403,7 @@ fn assert_sources(sources: usize, channels: usize) {
 const REFILL: usize = 4096;
 
 /// Drives one channel through a phase — the crate's only fill-and-step
-/// loop, shared by [`ChannelRouter`] and
-/// [`MemorySystem::run_trace`](crate::MemorySystem::run_trace).
+/// loop, shared by [`ChannelRouter`]'s inline and threaded drives.
 ///
 /// Each pass admits exactly the controller's free queue slots from a slice
 /// pulled off `source` ([`REFILL`] requests at a time), then steps the
@@ -430,9 +449,9 @@ pub(crate) fn drive_channel<S: RequestSource>(controller: &mut Controller, mut s
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::controller::RefreshMode;
     use crate::geometry::ChannelTopology;
     use crate::request::{IteratorSource, Request};
-    use crate::sim::MemorySystem;
     use crate::standards::DramStandard;
     use std::cell::Cell;
 
@@ -451,16 +470,97 @@ mod tests {
         traces.into_iter().map(IteratorSource).collect()
     }
 
+    /// Runs `trace` through a fresh `1 × 1` router: one phase window.
+    fn single_channel<I: Iterator<Item = Request>>(
+        cfg: &DramConfig,
+        ctrl: ControllerConfig,
+        trace: I,
+    ) -> Stats {
+        let mut router = ChannelRouter::new(cfg.clone(), ctrl).unwrap();
+        router.run_phase_sources(sources(vec![trace])).aggregate()
+    }
+
     #[test]
-    fn single_channel_router_matches_memory_system_bit_exactly() {
+    fn single_channel_router_matches_a_plain_controller_loop_bit_exactly() {
+        // The reference admits one request at a time and steps whenever the
+        // queue rejects one: no slices, no free-slot batching.
         let cfg = config(1, 1);
         let n = 20_000u64;
         let mut router = ChannelRouter::new(cfg.clone(), ControllerConfig::default()).unwrap();
         let combined = router.run_phase_sources(sources(vec![sequential(&cfg, n)]));
-        let mut system = MemorySystem::new(cfg.clone()).unwrap();
-        let reference = system.run_trace(sequential(&cfg, n));
+        let mut controller = Controller::new(cfg.clone(), ControllerConfig::default()).unwrap();
+        for request in sequential(&cfg, n) {
+            while !controller.enqueue(request) {
+                controller.step();
+            }
+        }
+        controller.drain();
+        let reference = controller.stats().clone();
         assert_eq!(combined.per_channel(), std::slice::from_ref(&reference));
         assert_eq!(combined.aggregate(), reference);
+    }
+
+    #[test]
+    fn single_channel_phase_completes_every_request() {
+        let cfg = DramConfig::preset(DramStandard::Ddr3, 1600).unwrap();
+        let n = 10_000u64;
+        let stats = single_channel(&cfg, ControllerConfig::default(), sequential(&cfg, n));
+        assert_eq!(stats.completed_requests, n);
+        assert_eq!(stats.write_bursts, n);
+        assert_eq!(stats.read_bursts, 0);
+    }
+
+    #[test]
+    fn sequential_writes_then_reads_measured_separately() {
+        let cfg = DramConfig::preset(DramStandard::Ddr4, 1600).unwrap();
+        let decoder = cfg.linear_decoder().unwrap();
+        let n = 5_000u64;
+        let mut router = ChannelRouter::new(cfg.clone(), ControllerConfig::default()).unwrap();
+        let write_stats = router
+            .run_phase_sources(sources(vec![sequential(&cfg, n)]))
+            .aggregate();
+        router.reset_stats();
+        let read_stats = router
+            .run_phase_sources(sources(vec![
+                (0..n).map(|i| Request::read(decoder.decode(i).1))
+            ]))
+            .aggregate();
+        assert_eq!(write_stats.write_bursts, n);
+        assert_eq!(read_stats.read_bursts, n);
+        assert!(write_stats.bus_utilization() > 0.5);
+        assert!(read_stats.bus_utilization() > 0.5);
+    }
+
+    #[test]
+    fn random_pattern_is_slower_than_sequential() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let cfg = DramConfig::preset(DramStandard::Lpddr4, 4266).unwrap();
+        let decoder = cfg.linear_decoder().unwrap();
+        let n = 20_000u64;
+        let ctrl = ControllerConfig {
+            refresh_mode: Some(RefreshMode::Disabled),
+            ..ControllerConfig::default()
+        };
+        let seq = single_channel(
+            &cfg,
+            ctrl,
+            (0..n).map(|i| Request::read(decoder.decode(i).1)),
+        );
+        let mut rng = StdRng::seed_from_u64(7);
+        let total = cfg.geometry.total_bursts();
+        let rnd = single_channel(
+            &cfg,
+            ctrl,
+            (0..n).map(|_| Request::read(decoder.decode(rng.gen_range(0..total)).1)),
+        );
+        assert!(
+            seq.bus_utilization() > rnd.bus_utilization(),
+            "sequential {} should beat random {}",
+            seq.bus_utilization(),
+            rnd.bus_utilization()
+        );
+        assert!(rnd.row_hit_rate() < seq.row_hit_rate());
     }
 
     #[test]

@@ -30,7 +30,8 @@
 //! property pinned by the cross-engine golden tests (see
 //! `tests/integration_engines.rs` at the workspace root).
 //!
-//! Most users drive the controller through [`MemorySystem`](crate::sim::MemorySystem)
+//! Most users drive the controller through a
+//! [`ChannelRouter`](crate::ChannelRouter) (a `1 × 1` router for one channel)
 //! rather than using it directly.
 
 mod event;
@@ -122,7 +123,7 @@ pub struct ControllerConfig {
     /// ([`DramConfig::default_refresh`]).
     pub refresh_mode: Option<RefreshMode>,
     /// Clock-advancement strategy used by [`Controller::step`] (and thereby
-    /// [`MemorySystem::run_trace`](crate::sim::MemorySystem::run_trace)).
+    /// by every [`ChannelRouter`](crate::ChannelRouter) drive).
     pub engine: TimingEngine,
 }
 
@@ -997,6 +998,25 @@ mod tests {
             ..ControllerConfig::default()
         };
         assert!(Controller::new(config, ctrl).is_err());
+    }
+
+    #[test]
+    fn enqueue_respects_backpressure() {
+        let config = DramConfig::preset(DramStandard::Ddr4, 3200).unwrap();
+        let decoder = config.linear_decoder().unwrap();
+        let mut c = Controller::new(config, ControllerConfig::default()).unwrap();
+        let mut accepted = 0u64;
+        for i in 0..1_000u64 {
+            if c.enqueue(Request::write(decoder.decode(i).1)) {
+                accepted += 1;
+            }
+        }
+        assert!(
+            accepted <= 64,
+            "default queue capacity should bound acceptance"
+        );
+        c.drain();
+        assert_eq!(c.stats().completed_requests, accepted);
     }
 
     #[test]

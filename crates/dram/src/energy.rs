@@ -186,6 +186,23 @@ mod tests {
     }
 
     #[test]
+    fn energy_report_is_positive_after_traffic() {
+        use crate::channel::ChannelRouter;
+        use crate::controller::ControllerConfig;
+        use crate::request::{IteratorSource, Request};
+        let config = DramConfig::preset(DramStandard::Ddr5, 6400).unwrap();
+        let decoder = config.linear_decoder().unwrap();
+        let mut router = ChannelRouter::new(config.clone(), ControllerConfig::default()).unwrap();
+        let trace = (0..2_000u64).map(|i| Request::write(decoder.decode(i).1));
+        let stats = router
+            .run_phase_sources(vec![IteratorSource(trace)])
+            .aggregate();
+        let report = EnergyReport::from_stats(&stats, &config, &EnergyParams::for_config(&config));
+        assert!(report.total_mj > 0.0);
+        assert!(report.nj_per_byte > 0.0);
+    }
+
+    #[test]
     fn more_activates_cost_more_energy() {
         let config = DramConfig::preset(DramStandard::Ddr4, 3200).unwrap();
         let params = EnergyParams::default();

@@ -6,7 +6,7 @@ use std::fmt;
 /// Error returned when a DRAM configuration is inconsistent.
 ///
 /// All geometry and timing values are validated when a
-/// [`MemorySystem`](crate::MemorySystem) or
+/// [`ChannelRouter`](crate::ChannelRouter) or
 /// [`Controller`](crate::Controller) is constructed so that simulation code
 /// can rely on invariants such as "burst length is a power of two" or
 /// "`t_rc >= t_ras + t_rp`".

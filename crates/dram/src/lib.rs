@@ -1,13 +1,13 @@
 //! # tbi-dram — a timing-faithful DRAM device and memory-controller model
 //!
-//! This crate is the DRAM substrate used by the
-//! [`tbi-interleaver`](https://example.org/tbi) workspace to study how the
-//! access pattern of a *triangular block interleaver* maps onto JEDEC DRAM
-//! devices (DDR3, DDR4, DDR5, LPDDR4, LPDDR5).  It plays the role that the
-//! DRAMSys simulator plays in the original paper: given a stream of read or
-//! write bursts addressed by (bank group, bank, row, column), it simulates a
-//! single-channel memory controller plus device under the JEDEC timing
-//! constraints and reports the achieved **data-bus bandwidth utilization**.
+//! This crate is the DRAM substrate the `tbi` workspace uses to study how
+//! the access pattern of a *triangular block interleaver* maps onto JEDEC DRAM
+//! devices (the paper's DDR3, DDR4, DDR5, LPDDR4 and LPDDR5, plus HBM2, GDDR6
+//! and DDR5-3DS).  It plays the role that the DRAMSys simulator plays in the
+//! original paper: given a stream of read or write bursts addressed by (bank
+//! group, bank, row, column), it simulates one memory controller plus device
+//! per channel under the JEDEC timing constraints and reports the achieved
+//! **data-bus bandwidth utilization**.
 //!
 //! Two interchangeable [`TimingEngine`]s advance the clock: the
 //! **event-driven** engine (default) jumps from state transition to state
@@ -34,17 +34,18 @@
 //! ## Quick start
 //!
 //! ```
-//! use tbi_dram::{DramConfig, DramStandard, MemorySystem, Request, PhysicalAddress};
+//! use tbi_dram::{ChannelRouter, ControllerConfig, DramConfig, DramStandard};
+//! use tbi_dram::{IteratorSource, Request};
 //!
 //! # fn main() -> Result<(), tbi_dram::ConfigError> {
 //! // A DDR4-3200 single-channel configuration.
 //! let config = DramConfig::preset(DramStandard::Ddr4, 3200)?;
-//! let mut system = MemorySystem::new(config.clone())?;
+//! let mut router = ChannelRouter::new(config.clone(), ControllerConfig::default())?;
 //!
 //! // Write 1024 sequential bursts (decoded with the default address mapping).
 //! let decoder = config.linear_decoder()?;
 //! let trace = (0..1024u64).map(|i| Request::write(decoder.decode(i).1));
-//! let stats = system.run_trace(trace);
+//! let stats = router.run_phase_sources(vec![IteratorSource(trace)]).aggregate();
 //! assert_eq!(stats.completed_requests, 1024);
 //! assert!(stats.bus_utilization() > 0.5);
 //! # Ok(())
@@ -58,7 +59,7 @@
 //! | [`geometry`] | [`DeviceGeometry`] (banks, bank groups, rows, columns, burst length) and [`ChannelTopology`] (channels × ranks) |
 //! | [`channel`] | [`ChannelRouter`]: one controller per channel, each fed from its own request source, with aggregated [`CombinedStats`] |
 //! | [`timing`] | [`TimingParams`]: all timing constraints in device clock cycles |
-//! | [`standards`] | presets for the ten configurations evaluated in the paper |
+//! | [`standards`] | presets for the paper's ten configurations plus six modern ones (HBM2, GDDR6, DDR5-3DS) |
 //! | [`address`] | [`PhysicalAddress`] and the [`DecodeScheme`] field orders of a controller's linear-address decode |
 //! | [`batch`] | [`AddressBatch`]: structure-of-arrays buffers for batched address generation |
 //! | [`permutation`] | [`BitPermutation`]/[`PermutationMapping`]: the linear-address decoder — the decode schemes and the searchable bit-permutation design space |
@@ -66,7 +67,6 @@
 //! | [`bank`] | per-bank state machine with earliest-issue bookkeeping |
 //! | [`request`] | read/write burst requests |
 //! | [`controller`] | transaction queues, FR-FCFS scheduler, page policies, refresh, the two timing engines |
-//! | [`sim`] | [`MemorySystem`]: the user-facing simulation driver |
 //! | [`stats`] | bandwidth and page hit/miss statistics |
 //! | [`energy`] | a DRAMPower-style energy estimate |
 
@@ -85,7 +85,6 @@ pub mod error;
 pub mod geometry;
 pub mod permutation;
 pub mod request;
-pub mod sim;
 pub mod standards;
 pub mod stats;
 pub mod timing;
@@ -107,7 +106,6 @@ pub use permutation::{
     AddressField, BitPermutation, FoldOp, FoldStep, PermutationMapping, XorFold,
 };
 pub use request::{IteratorSource, Request, RequestKind, RequestSource};
-pub use sim::MemorySystem;
 pub use standards::{DramConfig, DramStandard};
 pub use stats::Stats;
 pub use timing::TimingParams;

@@ -13,10 +13,10 @@ pub enum RequestKind {
 
 /// A single burst-granular memory request.
 ///
-/// Requests are the unit of work handed to the [`MemorySystem`]; data payloads
+/// Requests are the unit of work handed to a [`Controller`]; data payloads
 /// are not modelled because only timing matters for the bandwidth study.
 ///
-/// [`MemorySystem`]: crate::MemorySystem
+/// [`Controller`]: crate::Controller
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Request {
     /// Whether the request reads or writes.
@@ -57,8 +57,8 @@ impl Request {
 /// Batched trace generators implement this so the controller fill loop can
 /// amortize per-request mapping work over whole slices (see
 /// [`ChannelRouter::run_phase_sources_threaded`](crate::ChannelRouter::run_phase_sources_threaded));
-/// scalar iterators reach the same loop through [`IteratorSource`], as
-/// [`MemorySystem::run_trace`](crate::MemorySystem::run_trace) does.  The
+/// scalar iterators reach the same loop through [`IteratorSource`] (a `1 × 1`
+/// router fed `vec![IteratorSource(trace)]` drives one scalar trace).  The
 /// requests produced across successive `fill` calls must form the same
 /// sequence the equivalent scalar iterator would yield, so driver statistics
 /// stay bit-identical between the two paths.

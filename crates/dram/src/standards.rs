@@ -1,4 +1,5 @@
-//! Preset configurations for the ten DRAM devices evaluated in the paper.
+//! Preset configurations: the ten DRAM devices evaluated in the paper
+//! ([`ALL_CONFIGS`]) and six modern devices ([`MODERN_CONFIGS`]).
 //!
 //! The paper simulates five JEDEC standards at two speed grades each:
 //! DDR3-800/1600, DDR4-1600/3200, DDR5-3200/6400, LPDDR4-2133/4266 and
@@ -182,7 +183,8 @@ impl DramConfig {
     /// # Errors
     ///
     /// Returns [`ConfigError::UnknownPreset`] if the (standard, data rate)
-    /// pair is not one of the ten configurations from the paper.
+    /// pair is not one of the 16 presets ([`ALL_CONFIGS`] and
+    /// [`MODERN_CONFIGS`]).
     pub fn preset(standard: DramStandard, data_rate_mtps: u32) -> Result<Self, ConfigError> {
         let grades = standard.paper_speed_grades();
         if !grades.contains(&data_rate_mtps) {
@@ -269,7 +271,7 @@ impl DramConfig {
     }
 }
 
-/// Builds one of the ten presets.  Only called with validated pairs.
+/// Builds one of the 16 presets.  Only called with validated pairs.
 fn build_preset(standard: DramStandard, rate: u32) -> DramConfig {
     let clock = f64::from(rate) / 2.0;
     let c = |ns: f64| ns_to_cycles(ns, clock);

@@ -16,8 +16,8 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use tbi_dram::{
-    ChannelTopology, Controller, ControllerConfig, DramConfig, MemorySystem, PagePolicy,
-    RefreshMode, Request, SchedulingPolicy, Stats, TimingEngine,
+    ChannelRouter, ChannelTopology, Controller, ControllerConfig, DramConfig, IteratorSource,
+    PagePolicy, RefreshMode, Request, SchedulingPolicy, Stats, TimingEngine,
 };
 
 /// Builds a small, valid DRAM configuration from sampled axis indices: a
@@ -87,9 +87,9 @@ fn pattern(config: &DramConfig, seed: u64, requests: usize) -> Vec<Request> {
     out
 }
 
-/// Runs `requests` through a fresh memory system under `engine` (the same
-/// saturating [`MemorySystem::run_trace`] drive loop every harness uses)
-/// and returns the final window statistics.
+/// Runs `requests` through a fresh single-channel [`ChannelRouter`] under
+/// `engine` (the same saturating drive loop every harness uses) and returns
+/// the final window statistics.
 fn run(
     config: &DramConfig,
     base: ControllerConfig,
@@ -97,9 +97,10 @@ fn run(
     requests: &[Request],
 ) -> Stats {
     let ctrl = ControllerConfig { engine, ..base };
-    let mut system =
-        MemorySystem::with_controller(config.clone(), ctrl).expect("memory system builds");
-    system.run_trace(requests.iter().copied())
+    let mut router = ChannelRouter::new(config.clone(), ctrl).expect("router builds");
+    router
+        .run_phase_sources(vec![IteratorSource(requests.iter().copied())])
+        .aggregate()
 }
 
 proptest! {

@@ -4,11 +4,13 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use tbi_dram::{
-    CombinedStats, ConfigError, ControllerConfig, DramConfig, DramStandard, EnergyParams,
-    EnergyReport, RefreshMode, TimingEngine,
+    ChannelRouter, CombinedStats, ConfigError, ControllerConfig, DramConfig, DramStandard,
+    EnergyParams, EnergyReport, RefreshMode, TimingEngine,
 };
 use tbi_interleaver::mapping::DramMapping;
-use tbi_interleaver::{InterleaverSpec, MappingKind, ThroughputEvaluator};
+use tbi_interleaver::{
+    AccessPhase, ChannelMapping, ChannelTraceGenerator, InterleaverSpec, MappingKind,
+};
 use tbi_satcom::{GilbertElliott, LinkConfig, LinkProfile, LinkSimulation};
 
 use tbi_sched::{
@@ -384,13 +386,6 @@ impl Scenario {
         self.tenants.as_ref()
     }
 
-    /// The throughput evaluator implied by the scenario.
-    #[must_use]
-    pub fn evaluator(&self) -> ThroughputEvaluator {
-        ThroughputEvaluator::with_controller(self.dram.clone(), self.spec, self.controller)
-            .with_threads(self.threads)
-    }
-
     /// Builds the scenario's DRAM mapping (used e.g. to render Figure 1
     /// grids without running a simulation).
     ///
@@ -421,19 +416,61 @@ impl Scenario {
         }
     }
 
-    /// The write and read phase on any topology: traffic is striped across
-    /// the channels by the mapping's channel-aware variant, each channel
-    /// runs under its own controller, and the per-channel statistics are
-    /// aggregated (see [`ChannelRouter`](tbi_dram::channel::ChannelRouter)).
+    /// Simulates the write phase and then the read phase, and returns their
+    /// per-channel statistics in that order.
+    ///
+    /// The mapping's channel-aware variant stripes the traffic across the
+    /// channels, and each channel runs under its own controller of one
+    /// [`ChannelRouter`], driven on [`Scenario::threads`] workers.  Each
+    /// phase gets a fresh statistics window while bank state carries over,
+    /// so the read phase starts on the rows the write phase left open.
+    /// [`Scenario::run`] times this call and builds its record from the
+    /// result.  This method ignores any tenant stage: it always runs the
+    /// two plain phases.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ExpError::Dram`] if the DRAM or controller configuration is
+    /// rejected (checked first), and [`ExpError::Interleaver`] if the mapping
+    /// cannot be built, e.g. because the interleaver does not fit the device.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use tbi_dram::DramStandard;
+    /// use tbi_interleaver::{InterleaverSpec, MappingKind};
+    /// use tbi_exp::Scenario;
+    ///
+    /// # fn main() -> Result<(), tbi_exp::ExpError> {
+    /// let spec = InterleaverSpec::from_burst_count(10_000);
+    /// let scenario = Scenario::preset(DramStandard::Lpddr4, 4266, MappingKind::Optimized, spec)?;
+    /// let [write, read] = scenario.phase_stats()?;
+    /// assert_eq!(write.aggregate().write_bursts, spec.total_positions());
+    /// assert_eq!(read.aggregate().read_bursts, spec.total_positions());
+    /// assert!(write.utilization().min(read.utilization()) > 0.5);
+    /// # Ok(())
+    /// # }
+    /// ```
+    pub fn phase_stats(&self) -> Result<[CombinedStats; 2], ExpError> {
+        let mut router = ChannelRouter::new(self.dram.clone(), self.controller)?;
+        let mapping = ChannelMapping::new(self.mapping, &self.dram, self.spec.dimension())?;
+        let generator = ChannelTraceGenerator::new(&mapping);
+        Ok(AccessPhase::ALL.map(|phase| {
+            router.reset_stats();
+            let sources = (0..self.dram.topology.channels)
+                .map(|channel| generator.channel_requests(phase, channel))
+                .collect();
+            router.run_phase_sources_threaded(sources, self.threads)
+        }))
+    }
+
+    /// The write and read phase on any topology ([`Scenario::phase_stats`]),
+    /// timed.
     fn run_phases(&self) -> Result<Record, ExpError> {
         let started = std::time::Instant::now();
-        let report = self.evaluator().evaluate(self.mapping)?;
+        let [write, read] = self.phase_stats()?;
         let wall_time_s = started.elapsed().as_secs_f64();
-        self.record(
-            &[&report.write.stats, &report.read.stats],
-            wall_time_s,
-            None,
-        )
+        self.record(&[&write, &read], wall_time_s, None)
     }
 
     /// The multi-tenant path: `streams` concurrent copies of the
@@ -762,6 +799,125 @@ mod tests {
     }
 
     #[test]
+    fn optimized_beats_row_major_on_fast_ddr4() {
+        let run = |mapping| {
+            let spec = InterleaverSpec::from_burst_count(60_000);
+            Scenario::preset(DramStandard::Ddr4, 3200, mapping, spec)
+                .unwrap()
+                .run()
+                .unwrap()
+        };
+        let (baseline, optimized) = (run(MappingKind::RowMajor), run(MappingKind::Optimized));
+        assert!(
+            optimized.min_utilization > baseline.min_utilization,
+            "optimized {} must beat row-major {}",
+            optimized.min_utilization,
+            baseline.min_utilization
+        );
+        assert!(optimized.min_utilization > 0.85);
+        // The baseline's weak phase is the column-wise read phase.
+        assert!(baseline.read_utilization < baseline.write_utilization);
+    }
+
+    #[test]
+    fn records_carry_labels_and_phase_counts() {
+        let s = Scenario::preset(
+            DramStandard::Ddr3,
+            800,
+            MappingKind::Optimized,
+            InterleaverSpec::from_burst_count(5_000),
+        )
+        .unwrap();
+        let record = s.run().unwrap();
+        assert_eq!(record.dram_label, "DDR3-800");
+        assert_eq!(record.mapping, "optimized");
+        let [write, read] = s.phase_stats().unwrap();
+        assert_eq!(
+            write.aggregate().completed_requests,
+            s.spec().total_positions()
+        );
+        assert_eq!(
+            read.aggregate().completed_requests,
+            s.spec().total_positions()
+        );
+        assert_eq!(record.write_utilization, write.utilization());
+        assert_eq!(record.read_utilization, read.utilization());
+        assert!(record.aggregate_gbps > 0.0);
+        assert!(record.min_utilization <= record.write_utilization);
+        assert!(record.min_utilization <= record.read_utilization);
+    }
+
+    #[test]
+    fn disabling_refresh_improves_utilization() {
+        let s = Scenario::preset(
+            DramStandard::Ddr4,
+            1600,
+            MappingKind::Optimized,
+            InterleaverSpec::from_burst_count(40_000),
+        )
+        .unwrap();
+        let with_refresh = s.run().unwrap();
+        let without_refresh = s.without_refresh().run().unwrap();
+        assert!(without_refresh.min_utilization >= with_refresh.min_utilization);
+        assert!(
+            without_refresh.min_utilization > 0.9,
+            "refresh-free optimized mapping should be >90%, got {}",
+            without_refresh.min_utilization
+        );
+    }
+
+    #[test]
+    fn two_channels_nearly_double_aggregate_bandwidth() {
+        use tbi_dram::ChannelTopology;
+        let dram = DramConfig::preset(DramStandard::Ddr4, 3200).unwrap();
+        let spec = InterleaverSpec::from_burst_count(100_000);
+        let single = Scenario::custom(dram.clone(), MappingKind::Optimized, spec)
+            .run()
+            .unwrap();
+        let dual = Scenario::custom(
+            dram.with_topology(ChannelTopology::new(2, 1)),
+            MappingKind::Optimized,
+            spec,
+        )
+        .run()
+        .unwrap();
+        let scaling = dual.aggregate_gbps / single.aggregate_gbps;
+        assert!(
+            scaling > 1.8,
+            "2-channel aggregate bandwidth should scale ≥1.8x, got {scaling} \
+             ({} vs {})",
+            single.aggregate_gbps,
+            dual.aggregate_gbps
+        );
+        assert!(
+            dual.channel_utilization_spread < 0.1,
+            "channel load should be balanced, spread {}",
+            dual.channel_utilization_spread
+        );
+    }
+
+    #[test]
+    fn threaded_phase_stats_are_bit_identical() {
+        use tbi_dram::ChannelTopology;
+        let dram = DramConfig::preset(DramStandard::Ddr4, 3200)
+            .unwrap()
+            .with_topology(ChannelTopology::new(4, 1));
+        let s = Scenario::custom(
+            dram,
+            MappingKind::Optimized,
+            InterleaverSpec::from_burst_count(40_000),
+        );
+        let sequential = s.phase_stats().unwrap();
+        for threads in [2, 3, 4, 8] {
+            assert_eq!(
+                s.clone().with_threads(threads).phase_stats().unwrap(),
+                sequential,
+                "threads={threads} must match the sequential phases"
+            );
+        }
+    }
+
+    #[test]
     fn id_override_wins() {
         let s = Scenario::preset(DramStandard::Ddr3, 800, MappingKind::RowMajor, small_spec())
             .unwrap()
@@ -800,6 +956,55 @@ mod tests {
         )
         .unwrap();
         assert!(matches!(s.run(), Err(ExpError::Interleaver(_))));
+    }
+
+    #[test]
+    fn capacity_errors_propagate() {
+        use tbi_interleaver::InterleaverError;
+        let s = Scenario::preset(
+            DramStandard::Lpddr4,
+            2133,
+            MappingKind::RowMajor,
+            InterleaverSpec::from_burst_count(100_000_000_000),
+        )
+        .unwrap();
+        assert!(matches!(
+            s.phase_stats(),
+            Err(ExpError::Interleaver(
+                InterleaverError::CapacityExceeded { .. }
+            ))
+        ));
+    }
+
+    #[test]
+    fn rejected_configurations_report_the_same_error_in_both_modes() {
+        use tbi_dram::ChannelTopology;
+        let dram = DramConfig::preset(DramStandard::Ddr4, 3200).unwrap();
+        let zero_queue = Scenario::custom(dram.clone(), MappingKind::Optimized, small_spec())
+            .with_controller(ControllerConfig {
+                queue_capacity: 0,
+                ..ControllerConfig::default()
+            });
+        let three_channels = Scenario::custom(
+            dram.with_topology(ChannelTopology::new(3, 1)),
+            MappingKind::Optimized,
+            small_spec(),
+        );
+        let tenants = TenantStage::new(4, SchedPolicyKind::Edf);
+        for s in [zero_queue.clone(), zero_queue.with_tenants(tenants)] {
+            let error = s.run().unwrap_err();
+            assert!(
+                matches!(error, ExpError::Dram(ConfigError::InvalidController { .. })),
+                "{s}: {error:?}"
+            );
+        }
+        for s in [three_channels.clone(), three_channels.with_tenants(tenants)] {
+            let error = s.run().unwrap_err();
+            assert!(
+                matches!(error, ExpError::Dram(ConfigError::InvalidGeometry { .. })),
+                "{s}: {error:?}"
+            );
+        }
     }
 
     #[test]

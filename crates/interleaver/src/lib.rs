@@ -26,19 +26,23 @@
 //!
 //! ## Quick start
 //!
+//! Route both phases of the optimized mapping through one DRAM channel
+//! (whole scenarios, with records and sweeps, run through `tbi_exp`):
+//!
 //! ```
-//! use tbi_dram::{DramConfig, DramStandard};
-//! use tbi_interleaver::{InterleaverSpec, MappingKind, ThroughputEvaluator};
+//! use tbi_dram::{ChannelRouter, ControllerConfig, DramConfig, DramStandard};
+//! use tbi_interleaver::{AccessPhase, ChannelMapping, ChannelTraceGenerator, MappingKind};
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
 //! let dram = DramConfig::preset(DramStandard::Ddr4, 3200)?;
-//! // A small interleaver so the example runs quickly.
-//! let spec = InterleaverSpec::from_burst_count(20_000);
-//! let evaluator = ThroughputEvaluator::new(dram, spec);
-//!
-//! let baseline = evaluator.evaluate(MappingKind::RowMajor)?;
-//! let optimized = evaluator.evaluate(MappingKind::Optimized)?;
-//! assert!(optimized.min_utilization() >= baseline.min_utilization());
+//! // A small interleaver (dimension 200) so the example runs quickly.
+//! let mapping = ChannelMapping::new(MappingKind::Optimized, &dram, 200)?;
+//! let generator = ChannelTraceGenerator::new(&mapping);
+//! let mut router = ChannelRouter::new(dram, ControllerConfig::default())?;
+//! let write = router.run_phase_sources(vec![generator.channel_requests(AccessPhase::Write, 0)]);
+//! router.reset_stats();
+//! let read = router.run_phase_sources(vec![generator.channel_requests(AccessPhase::Read, 0)]);
+//! assert!(write.utilization().min(read.utilization()) > 0.85);
 //! # Ok(())
 //! # }
 //! ```
@@ -52,7 +56,6 @@
 //! | [`two_stage`] | SRAM + DRAM two-stage interleaver composition |
 //! | [`mapping`] | the [`DramMapping`] trait and all mapping schemes |
 //! | [`trace`] | write-phase / read-phase DRAM request generation |
-//! | [`throughput`] | drives `tbi-dram`'s channel router and reports per-phase utilization |
 //! | [`config`] | interleaver sizing helpers |
 //! | [`analysis`] | analytic access-pattern statistics (activations, hit rates, bank balance) |
 
@@ -63,7 +66,6 @@ pub mod analysis;
 pub mod block;
 pub mod config;
 pub mod mapping;
-pub mod throughput;
 pub mod trace;
 pub mod triangular;
 pub mod two_stage;
@@ -74,7 +76,6 @@ pub use mapping::{
     ChannelMapping, ChannelTraceGenerator, DramMapping, MappingKind, OptimizedMapping,
     RowMajorMapping, TileOrder,
 };
-pub use throughput::{ChannelPhaseReport, ChannelUtilizationReport, ThroughputEvaluator};
 pub use trace::{AccessPhase, PhaseTrace, TraceGenerator};
 pub use triangular::TriangularInterleaver;
 pub use two_stage::TwoStageInterleaver;

@@ -108,8 +108,9 @@ impl<'a> TraceGenerator<'a> {
     /// The returned [`PhaseTrace`] streams one [`Request`] at a time —
     /// nothing is materialised, so even the paper's 12.5 M-burst interleaver
     /// costs O(1) memory, and the DRAM engines consume requests exactly as
-    /// fast as they can retire them (back-pressure through
-    /// [`MemorySystem::run_trace`](tbi_dram::MemorySystem::run_trace)).
+    /// fast as they can retire them (back-pressure through a `1 × 1`
+    /// [`ChannelRouter`](tbi_dram::ChannelRouter) fed
+    /// [`IteratorSource`](tbi_dram::IteratorSource)`(trace)`).
     #[must_use]
     pub fn requests(&self, phase: AccessPhase) -> PhaseTrace<'a> {
         PhaseTrace {

@@ -2,8 +2,8 @@
 //!
 //! Facade crate for the reproduction of *"A Mapping of Triangular Block
 //! Interleavers to DRAM for Optical Satellite Communication"* (DATE 2024).
-//! It re-exports the three workspace layers so that applications can depend
-//! on a single crate:
+//! It re-exports the five workspace library crates so that applications can
+//! depend on a single crate:
 //!
 //! * [`dram`] — the cycle-accurate DRAM device/controller model
 //!   ([`tbi_dram`]);
@@ -52,8 +52,8 @@ pub use tbi_sched as sched;
 
 pub use tbi_dram::{
     AddressField, BitPermutation, ChannelRouter, ChannelTopology, CombinedStats, ControllerConfig,
-    DramConfig, DramStandard, MemorySystem, PagePolicy, PermutationMapping, PhysicalAddress,
-    RefreshMode, Request, SchedulingPolicy, Stats, TimingEngine,
+    DramConfig, DramStandard, PagePolicy, PermutationMapping, PhysicalAddress, RefreshMode,
+    Request, SchedulingPolicy, Stats, TimingEngine,
 };
 pub use tbi_exp::{
     Campaign, CampaignConfig, CampaignReport, ExpError, Experiment, FrontierPoint, LinkRecord,
@@ -61,9 +61,9 @@ pub use tbi_exp::{
     SearchSettings, SweepGrid,
 };
 pub use tbi_interleaver::{
-    AccessPhase, BlockInterleaver, ChannelMapping, ChannelUtilizationReport, DramMapping,
-    InterleaverSpec, MappingKind, OptimizedMapping, RowMajorMapping, ThroughputEvaluator,
-    TileOrder, TraceGenerator, TriangularInterleaver, TwoStageInterleaver,
+    AccessPhase, BlockInterleaver, ChannelMapping, DramMapping, InterleaverSpec, MappingKind,
+    OptimizedMapping, RowMajorMapping, TileOrder, TraceGenerator, TriangularInterleaver,
+    TwoStageInterleaver,
 };
 pub use tbi_satcom::{
     BandwidthBudget, CoherenceFading, GilbertElliott, LinkConfig, LinkProfile, LinkReport,

@@ -9,7 +9,7 @@
 //! ```
 
 use tbi::dram::DramConfigBuilder;
-use tbi::{BandwidthBudget, DramStandard, InterleaverSpec, MappingKind, ThroughputEvaluator};
+use tbi::{BandwidthBudget, DramStandard, InterleaverSpec, MappingKind, Scenario};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // A hypothetical next-generation part: DDR4 core timings scaled to
@@ -27,16 +27,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         custom.peak_bandwidth_gbps()
     );
 
-    let evaluator =
-        ThroughputEvaluator::new(custom.clone(), InterleaverSpec::from_burst_count(150_000));
+    let spec = InterleaverSpec::from_burst_count(150_000);
     for kind in MappingKind::TABLE1 {
-        let report = evaluator.evaluate(kind)?;
-        let budget = BandwidthBudget::new(100.0, report.min_utilization());
+        let record = Scenario::custom(custom.clone(), kind, spec).run()?;
+        let budget = BandwidthBudget::new(100.0, record.min_utilization);
         println!(
             "  {:<10} write {:6.2} %  read {:6.2} %  -> 100 Gbit/s needs {:5.0} Gbit/s provisioned ({}ok)",
-            report.mapping_name,
-            report.write_utilization() * 100.0,
-            report.read_utilization() * 100.0,
+            record.mapping,
+            record.write_utilization * 100.0,
+            record.read_utilization * 100.0,
             budget.required_peak_bandwidth_gbps(),
             if budget.is_satisfied_by(&custom) { "" } else { "not " }
         );

@@ -16,7 +16,7 @@ use tbi::satcom::channel::SymbolChannel;
 use tbi::satcom::link::{interleaving_gain, InterleaverChoice, LinkConfig};
 use tbi::{
     BandwidthBudget, DramConfig, DramStandard, GilbertElliott, InterleaverSpec, MappingKind,
-    ThroughputEvaluator,
+    Scenario,
 };
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -59,16 +59,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         spec.fill_time_ms(100.0)
     );
     let dram = DramConfig::preset(DramStandard::Lpddr5, 8533)?;
-    let evaluator =
-        ThroughputEvaluator::new(dram.clone(), InterleaverSpec::from_burst_count(200_000));
+    let simulated = InterleaverSpec::from_burst_count(200_000);
     for kind in MappingKind::TABLE1 {
-        let report = evaluator.evaluate(kind)?;
-        let budget = BandwidthBudget::new(100.0, report.min_utilization());
+        let record = Scenario::custom(dram.clone(), kind, simulated).run()?;
+        let budget = BandwidthBudget::new(100.0, record.min_utilization);
         println!(
             "  {} on {}: min utilization {:5.1} % -> needs {:5.0} Gbit/s provisioned ({}satisfied, peak {:.0} Gbit/s)",
-            report.mapping_name,
+            record.mapping,
             dram.label(),
-            report.min_utilization() * 100.0,
+            record.min_utilization * 100.0,
             budget.required_peak_bandwidth_gbps(),
             if budget.is_satisfied_by(&dram) { "" } else { "NOT " },
             dram.peak_bandwidth_gbps()

@@ -5,9 +5,7 @@
 //! cargo run --release -p tbi --example quickstart
 //! ```
 
-use tbi::{
-    BandwidthBudget, DramConfig, DramStandard, InterleaverSpec, MappingKind, ThroughputEvaluator,
-};
+use tbi::{BandwidthBudget, DramConfig, DramStandard, InterleaverSpec, MappingKind, Scenario};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // An LPDDR4-4266 channel: 136.5 Gbit/s of peak bandwidth.
@@ -28,18 +26,17 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         spec.storage_bytes() as f64 / 1e6
     );
 
-    let evaluator = ThroughputEvaluator::new(dram.clone(), spec);
     for kind in MappingKind::TABLE1 {
-        let report = evaluator.evaluate(kind)?;
+        let record = Scenario::custom(dram.clone(), kind, spec).run()?;
         println!(
             "  {:<10}  write {:6.2} %   read {:6.2} %   min {:6.2} %   sustained {:6.1} Gbit/s",
-            report.mapping_name,
-            report.write_utilization() * 100.0,
-            report.read_utilization() * 100.0,
-            report.min_utilization() * 100.0,
-            report.sustained_throughput_gbps()
+            record.mapping,
+            record.write_utilization * 100.0,
+            record.read_utilization * 100.0,
+            record.min_utilization * 100.0,
+            record.aggregate_gbps
         );
-        let budget = BandwidthBudget::new(100.0, report.min_utilization());
+        let budget = BandwidthBudget::new(100.0, record.min_utilization);
         println!(
             "              -> a 100 Gbit/s downlink needs {:.0} Gbit/s of provisioned DRAM bandwidth ({}satisfied by this device)",
             budget.required_peak_bandwidth_gbps(),

@@ -18,8 +18,8 @@ use tbi::dram::controller::TimingEngine;
 use tbi::dram::CombinedStats;
 use tbi::exp::SweepGrid;
 use tbi::{
-    ControllerConfig, DramConfig, DramStandard, InterleaverSpec, MappingKind, PagePolicy, Record,
-    RefreshMode, SchedulingPolicy, ThroughputEvaluator,
+    ControllerConfig, DramStandard, InterleaverSpec, MappingKind, PagePolicy, Record, RefreshMode,
+    Scenario, SchedulingPolicy,
 };
 
 const REDUCED_BURSTS: u64 = 6_000;
@@ -62,15 +62,13 @@ fn phase_stats(
     rate: u32,
     mapping: MappingKind,
     ctrl: ControllerConfig,
-) -> (CombinedStats, CombinedStats) {
-    let dram = DramConfig::preset(standard, rate).expect("preset exists");
-    let evaluator = ThroughputEvaluator::with_controller(
-        dram,
-        InterleaverSpec::from_burst_count(REDUCED_BURSTS),
-        ctrl,
-    );
-    let report = evaluator.evaluate(mapping).expect("evaluation runs");
-    (report.write.stats, report.read.stats)
+) -> [CombinedStats; 2] {
+    let spec = InterleaverSpec::from_burst_count(REDUCED_BURSTS);
+    Scenario::preset(standard, rate, mapping, spec)
+        .expect("preset exists")
+        .with_controller(ctrl)
+        .phase_stats()
+        .expect("phases run")
 }
 
 /// Raw per-phase statistics — every field, including diagnostics — must be
@@ -94,8 +92,8 @@ fn cycle_and_event_engines_agree_on_raw_stats() {
                 engine: TimingEngine::Event,
                 ..ControllerConfig::default()
             };
-            let (cw, cr) = phase_stats(standard, rate, mapping, cycle_ctrl);
-            let (ew, er) = phase_stats(standard, rate, mapping, event_ctrl);
+            let [cw, cr] = phase_stats(standard, rate, mapping, cycle_ctrl);
+            let [ew, er] = phase_stats(standard, rate, mapping, event_ctrl);
             assert_eq!(cw, ew, "{standard:?}-{rate}/{mapping} write phase");
             assert_eq!(cr, er, "{standard:?}-{rate}/{mapping} read phase");
         }
@@ -140,8 +138,8 @@ fn engines_agree_across_controller_ablations() {
                 engine: TimingEngine::Event,
                 ..base
             };
-            let (cw, cr) = phase_stats(DramStandard::Lpddr5, 8533, mapping, cycle_ctrl);
-            let (ew, er) = phase_stats(DramStandard::Lpddr5, 8533, mapping, event_ctrl);
+            let [cw, cr] = phase_stats(DramStandard::Lpddr5, 8533, mapping, cycle_ctrl);
+            let [ew, er] = phase_stats(DramStandard::Lpddr5, 8533, mapping, event_ctrl);
             assert_eq!(cw, ew, "{base:?}/{mapping} write phase");
             assert_eq!(cr, er, "{base:?}/{mapping} read phase");
         }

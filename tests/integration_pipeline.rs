@@ -2,10 +2,11 @@
 //! trace-generation → controller → statistics pipeline.
 
 use tbi::dram::controller::TimingEngine;
+use tbi::dram::IteratorSource;
 use tbi::interleaver::trace::{AccessPhase, TraceGenerator};
 use tbi::{
-    ControllerConfig, DramConfig, DramStandard, InterleaverSpec, MappingKind, MemorySystem,
-    PagePolicy, RefreshMode, SchedulingPolicy, ThroughputEvaluator,
+    ChannelRouter, ControllerConfig, DramConfig, DramStandard, InterleaverSpec, MappingKind,
+    PagePolicy, RefreshMode, Scenario, SchedulingPolicy,
 };
 
 #[test]
@@ -14,21 +15,26 @@ fn every_mapping_completes_every_request_on_every_preset() {
     for (standard, rate) in tbi::dram::standards::ALL_CONFIGS {
         let dram = DramConfig::preset(*standard, *rate).unwrap();
         for kind in MappingKind::ALL {
-            let evaluator = ThroughputEvaluator::new(dram.clone(), spec);
-            let report = evaluator.evaluate(kind).unwrap();
+            let [write, read] = Scenario::custom(dram.clone(), kind, spec)
+                .phase_stats()
+                .unwrap();
             assert_eq!(
-                report.write.stats.aggregate().completed_requests,
+                write.aggregate().completed_requests,
                 spec.total_positions(),
                 "{kind} write on {}",
                 dram.label()
             );
             assert_eq!(
-                report.read.stats.aggregate().completed_requests,
+                read.aggregate().completed_requests,
                 spec.total_positions(),
                 "{kind} read on {}",
                 dram.label()
             );
-            assert!(report.min_utilization() > 0.0, "{kind} on {}", dram.label());
+            assert!(
+                write.utilization().min(read.utilization()) > 0.0,
+                "{kind} on {}",
+                dram.label()
+            );
         }
     }
 }
@@ -38,14 +44,18 @@ fn optimized_mapping_never_loses_to_row_major_on_the_limiting_phase() {
     let spec = InterleaverSpec::from_burst_count(30_000);
     for (standard, rate) in tbi::dram::standards::ALL_CONFIGS {
         let dram = DramConfig::preset(*standard, *rate).unwrap();
-        let evaluator = ThroughputEvaluator::new(dram.clone(), spec);
-        let (row_major, optimized) = evaluator.evaluate_table1_pair().unwrap();
+        let min_utilization = |kind| {
+            Scenario::custom(dram.clone(), kind, spec)
+                .run()
+                .unwrap()
+                .min_utilization
+        };
+        let row_major = min_utilization(MappingKind::RowMajor);
+        let optimized = min_utilization(MappingKind::Optimized);
         assert!(
-            optimized.min_utilization() >= row_major.min_utilization() * 0.98,
-            "{}: optimized {} vs row-major {}",
-            dram.label(),
-            optimized.min_utilization(),
-            row_major.min_utilization()
+            optimized >= row_major * 0.98,
+            "{}: optimized {optimized} vs row-major {row_major}",
+            dram.label()
         );
     }
 }
@@ -83,13 +93,13 @@ fn controller_ablations() -> [ControllerConfig; 7] {
     ]
 }
 
-/// The scalar reference pipeline — the `TraceGenerator` iterator fed
-/// through `MemorySystem::run_trace`, with no channel-routing code — must
-/// give per-phase statistics bit-identical to `ThroughputEvaluator::evaluate`
-/// for every mapping family, under the default controller and every
-/// ablation, on both timing engines.
+/// The scalar reference pipeline — the `TraceGenerator` iterator fed through
+/// an `IteratorSource` into a `1 × 1` `ChannelRouter`, with no channel
+/// mapping, cursor or batched trace code — must give per-phase statistics
+/// bit-identical to `Scenario::phase_stats` for every mapping family, under
+/// the default controller and every ablation, on both timing engines.
 #[test]
-fn trace_through_memory_system_matches_evaluator_counts() {
+fn scalar_trace_through_a_1x1_router_matches_phase_stats() {
     let spec = InterleaverSpec::from_burst_count(3_000);
     let interleaver = spec.triangular();
     for (standard, rate) in [
@@ -105,28 +115,26 @@ fn trace_through_memory_system_matches_evaluator_counts() {
                 for engine in [TimingEngine::Cycle, TimingEngine::Event] {
                     let ctrl = ControllerConfig { engine, ..base };
                     let context = format!("{} {kind} {ctrl:?}", dram.label());
-                    let mut system = MemorySystem::with_controller(dram.clone(), ctrl).unwrap();
-                    let write_stats = system.run_trace(generator.requests(AccessPhase::Write));
-                    system.reset_stats();
-                    let read_stats = system.run_trace(generator.requests(AccessPhase::Read));
+                    let source = |phase| vec![IteratorSource(generator.requests(phase))];
+                    let mut router = ChannelRouter::new(dram.clone(), ctrl).unwrap();
+                    let write_stats = router
+                        .run_phase_sources(source(AccessPhase::Write))
+                        .aggregate();
+                    router.reset_stats();
+                    let read_stats = router
+                        .run_phase_sources(source(AccessPhase::Read))
+                        .aggregate();
                     assert_eq!(write_stats.write_bursts, interleaver.len(), "{context}");
                     assert_eq!(read_stats.read_bursts, interleaver.len(), "{context}");
                     assert_eq!(write_stats.read_bursts, 0, "{context}");
                     assert_eq!(read_stats.write_bursts, 0, "{context}");
 
-                    let report = ThroughputEvaluator::with_controller(dram.clone(), spec, ctrl)
-                        .evaluate(kind)
+                    let [write, read] = Scenario::custom(dram.clone(), kind, spec)
+                        .with_controller(ctrl)
+                        .phase_stats()
                         .unwrap();
-                    assert_eq!(
-                        report.write.stats.per_channel(),
-                        [write_stats],
-                        "{context} write phase"
-                    );
-                    assert_eq!(
-                        report.read.stats.per_channel(),
-                        [read_stats],
-                        "{context} read phase"
-                    );
+                    assert_eq!(write.per_channel(), [write_stats], "{context} write phase");
+                    assert_eq!(read.per_channel(), [read_stats], "{context} read phase");
                 }
             }
         }
@@ -143,10 +151,11 @@ fn fcfs_scheduling_is_never_faster_than_frfcfs_for_the_baseline() {
             refresh_mode: Some(RefreshMode::Disabled),
             ..ControllerConfig::default()
         };
-        ThroughputEvaluator::with_controller(dram.clone(), spec, controller)
-            .evaluate(MappingKind::RowMajor)
+        Scenario::custom(dram.clone(), MappingKind::RowMajor, spec)
+            .with_controller(controller)
+            .run()
             .unwrap()
-            .min_utilization()
+            .min_utilization
     };
     assert!(run(SchedulingPolicy::FrFcfs) >= run(SchedulingPolicy::Fcfs));
 }
@@ -161,15 +170,17 @@ fn disabling_refresh_lifts_optimized_mapping_above_99_percent() {
         refresh_mode: Some(RefreshMode::Disabled),
         ..ControllerConfig::default()
     };
-    let evaluator = ThroughputEvaluator::with_controller(
+    let record = Scenario::custom(
         dram,
+        MappingKind::Optimized,
         InterleaverSpec::from_burst_count(120_000),
-        controller,
-    );
-    let report = evaluator.evaluate(MappingKind::Optimized).unwrap();
+    )
+    .with_controller(controller)
+    .run()
+    .unwrap();
     assert!(
-        report.min_utilization() > 0.97,
+        record.min_utilization > 0.97,
         "expected near-ideal utilization without refresh, got {}",
-        report.min_utilization()
+        record.min_utilization
     );
 }

@@ -6,7 +6,7 @@ use tbi::satcom::channel::SymbolChannel;
 use tbi::satcom::link::{interleaving_gain, InterleaverChoice, LinkConfig};
 use tbi::{
     BandwidthBudget, CoherenceFading, DramConfig, DramStandard, GilbertElliott, InterleaverSpec,
-    ReedSolomon, ThroughputEvaluator, TwoStageInterleaver,
+    MappingKind, ReedSolomon, Scenario, TwoStageInterleaver,
 };
 
 #[test]
@@ -101,14 +101,13 @@ fn dram_utilization_feeds_the_link_budget() {
     // utilization of both mappings on LPDDR5-8533 and check what line rate
     // they can sustain.
     let dram = DramConfig::preset(DramStandard::Lpddr5, 8533).unwrap();
-    let evaluator =
-        ThroughputEvaluator::new(dram.clone(), InterleaverSpec::from_burst_count(30_000));
-    let (row_major, optimized) = evaluator.evaluate_table1_pair().unwrap();
-
-    let max_rate_row_major =
-        BandwidthBudget::max_line_rate_gbps(&dram, row_major.min_utilization());
-    let max_rate_optimized =
-        BandwidthBudget::max_line_rate_gbps(&dram, optimized.min_utilization());
+    let spec = InterleaverSpec::from_burst_count(30_000);
+    let max_line_rate = |kind| {
+        let record = Scenario::custom(dram.clone(), kind, spec).run().unwrap();
+        BandwidthBudget::max_line_rate_gbps(&dram, record.min_utilization)
+    };
+    let max_rate_row_major = max_line_rate(MappingKind::RowMajor);
+    let max_rate_optimized = max_line_rate(MappingKind::Optimized);
     assert!(
         max_rate_optimized > max_rate_row_major,
         "optimized mapping must sustain a higher line rate"
