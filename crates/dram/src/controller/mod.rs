@@ -302,12 +302,6 @@ impl Controller {
         &self.config
     }
 
-    /// The controller configuration.
-    #[must_use]
-    pub fn controller_config(&self) -> &ControllerConfig {
-        &self.ctrl
-    }
-
     /// The effective refresh mode.
     #[must_use]
     pub fn refresh_mode(&self) -> RefreshMode {

@@ -79,13 +79,6 @@ impl DramStandard {
         }
     }
 
-    /// Whether the standard defines bank groups (and therefore a
-    /// `t_ccd_l`/`t_ccd_s` distinction).
-    #[must_use]
-    pub fn has_bank_groups(self) -> bool {
-        !matches!(self, DramStandard::Ddr3 | DramStandard::Lpddr4)
-    }
-
     /// Display name matching the paper ("DDR4", "LPDDR5", ...).
     #[must_use]
     pub fn name(self) -> &'static str {
@@ -208,14 +201,6 @@ impl DramConfig {
     #[must_use]
     pub fn peak_bandwidth_gbps(&self) -> f64 {
         f64::from(self.data_rate_mtps) * 1.0e6 * f64::from(self.geometry.bus_width_bits) / 1.0e9
-    }
-
-    /// Theoretical peak bandwidth of the whole subsystem in Gbit/s (one
-    /// channel times the channel count; ranks share a bus and do not add
-    /// bandwidth).
-    #[must_use]
-    pub fn aggregate_peak_bandwidth_gbps(&self) -> f64 {
-        self.peak_bandwidth_gbps() * f64::from(self.topology.channels)
     }
 
     /// Returns a copy of this configuration scaled out to `topology`.

@@ -339,15 +339,6 @@ pub fn search_records_to_csv(records: &[SearchRecord]) -> String {
     out
 }
 
-/// Writes the JSON serialization of `records` to `path`.
-///
-/// # Errors
-///
-/// Returns [`ExpError::Io`] if the file cannot be written.
-pub fn write_search_json(path: &Path, records: &[SearchRecord]) -> Result<(), ExpError> {
-    write_artifact(path, &search_records_to_json(records))
-}
-
 /// Writes the CSV serialization of `records` to `path`.
 ///
 /// # Errors

@@ -74,7 +74,7 @@ pub use block::BlockInterleaver;
 pub use config::InterleaverSpec;
 pub use mapping::{
     ChannelMapping, ChannelTraceGenerator, DramMapping, MappingKind, OptimizedMapping,
-    RowMajorMapping, TileOrder,
+    RowMajorMapping,
 };
 pub use trace::{AccessPhase, PhaseTrace, TraceGenerator};
 pub use triangular::TriangularInterleaver;

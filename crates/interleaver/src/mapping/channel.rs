@@ -4,11 +4,11 @@
 //! A [`ChannelMapping`] wraps one of the [`MappingKind`] schemes and routes
 //! every index-space position to a `(channel, PhysicalAddress)` pair:
 //!
-//! * **Row-major** (the paper's baseline) decodes the linear index through
-//!   the controller's decode scheme scaled out to the topology
-//!   ([`PermutationMapping::for_scheme`]): the channel bits at the very bottom
-//!   (`channel = linear mod C`) and the rank bits directly above the bank
-//!   bits — the classic channel/rank-interleaved controller mapping.
+//! * **Row-major** (the paper's baseline) is [`RowMajorMapping`] scaled out
+//!   to the topology: the controller's decode scheme puts the channel bits
+//!   at the very bottom (`channel = linear mod C`) and the rank bits
+//!   directly above the bank bits — the classic channel/rank-interleaved
+//!   controller mapping.
 //! * **Coordinate schemes** (bank round-robin, tiled, optimized) rotate
 //!   `channel` and `rank` along the diagonal of a coarse *stripe-tile* grid
 //!   (`lane = (i/T + j/T) mod (C·R)`), so both the row-wise write phase and
@@ -35,14 +35,12 @@
 //! Chavet et al., *Static Address Generation Easing*).
 
 use tbi_dram::{
-    AddressBatch, ChannelTopology, DramConfig, PermutationMapping, PhysicalAddress, Request,
-    RequestKind, RequestSource,
+    AddressBatch, ChannelTopology, DramConfig, PhysicalAddress, Request, RequestKind, RequestSource,
 };
 
 use crate::config::InterleaverSpec;
-use crate::mapping::{DramMapping, MappingKind, PermutedMapping, BATCH_CHUNK};
+use crate::mapping::{DramMapping, MappingKind, PermutedMapping, RowMajorMapping, BATCH_CHUNK};
 use crate::trace::AccessPhase;
-use crate::triangular::TriangularInterleaver;
 use crate::InterleaverError;
 
 /// Default stripe-tile edge in index-space positions (clamped down for
@@ -60,89 +58,25 @@ struct StripeShifts {
     channels: u32,
 }
 
-/// The lane-ordering scheme of the stripe-tile router: which function of the
-/// tile coordinates `(i/T, j/T)` picks the `(channel, rank)` lane.
-///
-/// [`TileOrder::Diagonal`] is the legacy order (and the default): both
-/// phases rotate lanes along the anti-diagonal.  The other orders enlarge
-/// the searchable lane-ordering family: X-major stripes lanes along rows,
-/// Y-major along columns, and a rotated order shears the diagonal by an
-/// arbitrary factor.
-///
-/// The per-channel column compaction (`j' = (j/(T·C))·T + j mod T`) is only
-/// applied for orders where the channel determines `(j/T) mod C` (diagonal
-/// and X-major); Y-major and rotated orders route the uncompacted column so
-/// routing stays injective for every rotation factor.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
-pub enum TileOrder {
-    /// `lane = (i/T + j/T) mod L` — the legacy anti-diagonal rotation.
-    #[default]
-    Diagonal,
-    /// `lane = (j/T) mod L` — lanes stripe along the row (write) direction.
-    XMajor,
-    /// `lane = (i/T) mod L` — lanes stripe along the column (read)
-    /// direction.
-    YMajor,
-    /// `lane = (i/T + r·(j/T)) mod L` — the diagonal sheared by rotation
-    /// factor `r` (`r = 1` is the uncompacted diagonal).
-    Rotated(u32),
-}
-
-impl TileOrder {
-    /// All fixed orders plus two representative rotations (for tests and
-    /// search enumeration).
-    pub const ALL: [TileOrder; 5] = [
-        TileOrder::Diagonal,
-        TileOrder::XMajor,
-        TileOrder::YMajor,
-        TileOrder::Rotated(1),
-        TileOrder::Rotated(3),
-    ];
-
-    /// Whether the per-channel column compaction is sound for this order
-    /// (the channel must pin down `(j/T) mod C`).
-    fn compacts(self) -> bool {
-        matches!(self, TileOrder::Diagonal | TileOrder::XMajor)
-    }
-
-    /// Lane of tile coordinates: `tile_shift` is log2 of the stripe-tile
-    /// edge, `lanes_mask` the (power-of-two) lane count minus one.
-    fn lane(self, i: u32, j: u32, tile_shift: u32, lanes_mask: u32) -> u32 {
-        let (ti, tj) = (i >> tile_shift, j >> tile_shift);
-        let mixed = match self {
-            TileOrder::Diagonal => ti.wrapping_add(tj),
-            TileOrder::XMajor => tj,
-            TileOrder::YMajor => ti,
-            TileOrder::Rotated(r) => ti.wrapping_add(r.wrapping_mul(tj)),
-        };
-        mixed & lanes_mask
-    }
-}
-
-impl std::fmt::Display for TileOrder {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            TileOrder::Diagonal => f.write_str("diagonal"),
-            TileOrder::XMajor => f.write_str("xmajor"),
-            TileOrder::YMajor => f.write_str("ymajor"),
-            TileOrder::Rotated(r) => write!(f, "rot{r}"),
-        }
+impl StripeShifts {
+    /// The `(channel, rank)` lane of `(i, j)`: the stripe-tile diagonal
+    /// `(i/T + j/T) mod lanes`, with `lanes_mask` the (power-of-two) lane
+    /// count minus one.
+    fn lane(self, i: u32, j: u32, lanes_mask: u32) -> u32 {
+        ((i >> self.tile) + (j >> self.tile)) & lanes_mask
     }
 }
 
 /// How positions are routed to channels/ranks.
 enum Router {
-    /// The triangle's linear index decoded through the decode scheme's
-    /// permutation: `channel = linear mod C`, rank bits above the bank bits.
-    LinearSplice {
-        interleaver: TriangularInterleaver,
-        decoder: Box<PermutationMapping>,
-    },
+    /// The row-major baseline scaled out to the topology: the triangle's
+    /// linear index decoded through the decode scheme's permutation,
+    /// `channel = linear mod C`, rank bits above the bank bits.
+    RowMajor { mapping: Box<RowMajorMapping> },
     /// Stripe-tile rotation over a wrapped coordinate mapping.
     TileRotate {
         inner: Box<dyn DramMapping>,
         shifts: StripeShifts,
-        order: TileOrder,
     },
     /// Bit-permutation routing: the permutation's own channel/rank bits
     /// select the lane directly (see [`PermutedMapping`]).
@@ -198,61 +132,12 @@ impl ChannelMapping {
     /// zero or the index space does not fit the subsystem under this
     /// scheme.
     pub fn new(kind: MappingKind, config: &DramConfig, n: u32) -> Result<Self, InterleaverError> {
-        Self::with_tile_order(kind, config, n, TileOrder::default())
-    }
-
-    /// Builds the channel-aware variant of `kind` routed with `order` (see
-    /// [`TileOrder`]).  The default order reproduces
-    /// [`ChannelMapping::new`] bit-identically.
-    ///
-    /// # Errors
-    ///
-    /// As [`ChannelMapping::new`], plus
-    /// [`InterleaverError::InvalidDimension`] when a non-default order is
-    /// requested for a scheme that does not route through the stripe-tile
-    /// router (row-major and permutation/fold mappings route linearly).
-    pub fn with_tile_order(
-        kind: MappingKind,
-        config: &DramConfig,
-        n: u32,
-        order: TileOrder,
-    ) -> Result<Self, InterleaverError> {
         config.topology.validate()?;
         let topology = config.topology;
-        if order != TileOrder::default()
-            && matches!(
-                kind,
-                MappingKind::RowMajor | MappingKind::Permutation(_) | MappingKind::XorFolded(..)
-            )
-        {
-            return Err(InterleaverError::InvalidDimension {
-                reason: format!(
-                    "tile order {order} applies to coordinate schemes, not {}",
-                    kind.name()
-                ),
-            });
-        }
         let router = match kind {
-            MappingKind::RowMajor => {
-                let interleaver = TriangularInterleaver::new(n)?;
-                let available = config.geometry.total_bursts()
-                    * u64::from(topology.channels)
-                    * u64::from(topology.ranks);
-                if interleaver.len() > available {
-                    return Err(InterleaverError::CapacityExceeded {
-                        required_bursts: interleaver.len(),
-                        available_bursts: available,
-                    });
-                }
-                Router::LinearSplice {
-                    interleaver,
-                    decoder: Box::new(PermutationMapping::for_scheme(
-                        config.decode_scheme,
-                        config.geometry,
-                        topology,
-                    )?),
-                }
-            }
+            MappingKind::RowMajor => Router::RowMajor {
+                mapping: Box::new(RowMajorMapping::for_config(config, n)?),
+            },
             MappingKind::Permutation(permutation) => Router::Permuted {
                 mapping: Box::new(PermutedMapping::new(
                     config.geometry,
@@ -270,29 +155,19 @@ impl ChannelMapping {
                     n,
                 )?),
             },
-            _ => {
-                let inner = kind.build_for_geometry(config.geometry, n)?;
-                let shifts = StripeShifts {
+            _ => Router::TileRotate {
+                inner: kind.build_for_geometry(config.geometry, n)?,
+                shifts: StripeShifts {
                     tile: stripe_tile(n, topology.units()).trailing_zeros(),
                     channels: topology.channels.trailing_zeros(),
-                };
-                Router::TileRotate {
-                    inner,
-                    shifts,
-                    order,
-                }
-            }
-        };
-        let label = if order == TileOrder::default() {
-            kind.label()
-        } else {
-            format!("{}@{order}", kind.label())
+                },
+            },
         };
         Ok(Self {
             router,
             topology,
             dimension: n,
-            label,
+            label: kind.label(),
         })
     }
 
@@ -328,18 +203,9 @@ impl ChannelMapping {
             "({i},{j}) outside index space"
         );
         match &self.router {
-            // Channel bits at the very bottom of the linear space:
-            // consecutive bursts rotate channels.
-            Router::LinearSplice {
-                interleaver,
-                decoder,
-            } => decoder.decode(interleaver.write_rank(i, j)),
-            Router::TileRotate {
-                inner,
-                shifts,
-                order,
-            } => {
-                let (lane, j_inner) = self.tile_lane(*shifts, *order, i, j);
+            Router::RowMajor { mapping } => mapping.route(i, j),
+            Router::TileRotate { inner, shifts } => {
+                let (lane, j_inner) = self.tile_lane(*shifts, i, j);
                 let channel = lane & (self.topology.channels - 1);
                 let rank = lane >> shifts.channels;
                 (channel, inner.map(i, j_inner).with_rank(rank))
@@ -353,14 +219,13 @@ impl ChannelMapping {
     /// `out`.
     ///
     /// The row-major and permutation routers stage linear indices through a
-    /// stack chunk and decode whole slices (see
-    /// [`PermutationMapping::decode_batch`] and
-    /// [`PermutedMapping::route_batch`]); the stripe-tile router stages lane
-    /// indices and compacted inner coordinates through a stack chunk, maps
-    /// the inner coordinates with the wrapped scheme's
-    /// [`DramMapping::map_batch`] kernel and then overwrites the channel and
-    /// rank lanes in two tight per-lane loops.  Results are bit-identical to
-    /// per-element `route`.
+    /// stack chunk and decode whole slices (see [`RowMajorMapping`]'s
+    /// [`DramMapping::map_batch`] and [`PermutedMapping::route_batch`]); the
+    /// stripe-tile router stages lane indices and compacted inner
+    /// coordinates through a stack chunk, maps the inner coordinates with
+    /// the wrapped scheme's [`DramMapping::map_batch`] kernel and then
+    /// overwrites the channel and rank lanes in two tight per-lane loops.
+    /// Results are bit-identical to per-element `route`.
     ///
     /// # Panics
     ///
@@ -368,24 +233,8 @@ impl ChannelMapping {
     /// space.
     pub fn route_batch(&self, coords: &[(u32, u32)], out: &mut AddressBatch) {
         match &self.router {
-            Router::LinearSplice {
-                interleaver,
-                decoder,
-            } => {
-                let mut linear = [0u64; BATCH_CHUNK];
-                for chunk in coords.chunks(BATCH_CHUNK) {
-                    let staged = &mut linear[..chunk.len()];
-                    for (slot, &(i, j)) in staged.iter_mut().zip(chunk) {
-                        *slot = interleaver.write_rank(i, j);
-                    }
-                    decoder.decode_batch(staged, out);
-                }
-            }
-            Router::TileRotate {
-                inner,
-                shifts,
-                order,
-            } => {
+            Router::RowMajor { mapping } => mapping.map_batch(coords, out),
+            Router::TileRotate { inner, shifts } => {
                 let channel_mask = self.topology.channels - 1;
                 let mut inner_coords = [(0u32, 0u32); BATCH_CHUNK];
                 let mut lane = [0u32; BATCH_CHUNK];
@@ -396,7 +245,7 @@ impl ChannelMapping {
                     for ((slot, lane_slot), &(i, j)) in
                         staged.iter_mut().zip(lanes_staged.iter_mut()).zip(chunk)
                     {
-                        let (lane, j_inner) = self.tile_lane(*shifts, *order, i, j);
+                        let (lane, j_inner) = self.tile_lane(*shifts, i, j);
                         *lane_slot = lane;
                         *slot = (i, j_inner);
                     }
@@ -429,9 +278,10 @@ impl ChannelMapping {
     ///
     /// * the stripe-tile router tests one position per tile, because the
     ///   lane depends only on `(i/T, j/T)`, and skips whole foreign tiles;
-    /// * the linear splice jumps by `C` along a row (the linear index grows
-    ///   by one per position) and, down a column, steps the linear index by
-    ///   `n − i` and tests `linear mod C` (a mask for power-of-two `C`);
+    /// * the row-major router jumps by `C` along a row (the linear index
+    ///   grows by one per position) and, down a column, steps the linear
+    ///   index by `n − i` and tests `linear mod C` (a mask for power-of-two
+    ///   `C`);
     /// * the permutation router routes every position and keeps its own.
     ///
     /// Each owned position is routed once, with the
@@ -443,18 +293,15 @@ impl ChannelMapping {
             return 0;
         }
         match &self.router {
-            Router::LinearSplice {
-                interleaver,
-                decoder,
-            } => {
+            Router::RowMajor { mapping } => {
                 let mut linear = [0u64; BATCH_CHUNK];
-                let staged = self.owned_linear(interleaver, cursor, &mut linear);
-                decoder.decode_batch(&linear[..staged], out);
+                let staged = self.owned_linear(mapping, cursor, &mut linear);
+                mapping.decoder().decode_batch(&linear[..staged], out);
                 staged
             }
-            Router::TileRotate { shifts, order, .. } => {
+            Router::TileRotate { shifts, .. } => {
                 let mut coords = [(0u32, 0u32); BATCH_CHUNK];
-                let staged = self.owned_tiles(*shifts, *order, cursor, &mut coords);
+                let staged = self.owned_tiles(*shifts, cursor, &mut coords);
                 self.route_batch(&coords[..staged], out);
                 staged
             }
@@ -475,24 +322,22 @@ impl ChannelMapping {
     }
 
     /// The stripe-tile router's lane of `(i, j)` and the column the wrapped
-    /// mapping sees there (compacted per channel for orders that allow it).
-    fn tile_lane(&self, shifts: StripeShifts, order: TileOrder, i: u32, j: u32) -> (u32, u32) {
-        let lane = order.lane(i, j, shifts.tile, self.topology.units() - 1);
-        let j_inner = if order.compacts() {
-            let tile_mask = (1 << shifts.tile) - 1;
-            ((j >> (shifts.tile + shifts.channels)) << shifts.tile) | (j & tile_mask)
-        } else {
-            j
-        };
+    /// mapping sees there, compacted per channel: the lane's channel fixes
+    /// `(j/T) mod C` within a tile row, so `j' = (j / (T·C))·T + j mod T`
+    /// keeps the routing injective.
+    fn tile_lane(&self, shifts: StripeShifts, i: u32, j: u32) -> (u32, u32) {
+        let lane = shifts.lane(i, j, self.topology.units() - 1);
+        let tile_mask = (1 << shifts.tile) - 1;
+        let j_inner = ((j >> (shifts.tile + shifts.channels)) << shifts.tile) | (j & tile_mask);
         (lane, j_inner)
     }
 
     /// Stages the linear indices of the cursor's next (at most
-    /// [`BATCH_CHUNK`]) positions under the linear-splice router, where
+    /// [`BATCH_CHUNK`]) positions under the row-major router, where
     /// `channel = linear mod C`.
     fn owned_linear(
         &self,
-        interleaver: &TriangularInterleaver,
+        mapping: &RowMajorMapping,
         cursor: &mut ChannelCursor,
         linear: &mut [u64; BATCH_CHUNK],
     ) -> usize {
@@ -509,7 +354,7 @@ impl ChannelMapping {
                 AccessPhase::Write => {
                     // Row `outer` is a run of consecutive linear indices, so
                     // the channel owns every C-th one.
-                    let row_start = interleaver.write_rank(cursor.outer, 0);
+                    let row_start = mapping.linear_index(cursor.outer, 0);
                     let row_end = row_start + u64::from(len);
                     let here = row_start + u64::from(cursor.inner);
                     let mut l = here + (channel.wrapping_sub(here) & mask);
@@ -521,10 +366,10 @@ impl ChannelMapping {
                     cursor.inner = (l.min(row_end) - row_start) as u32;
                 }
                 AccessPhase::Read => {
-                    // Down column `outer`, write_rank(i + 1, j) =
-                    // write_rank(i, j) + n − i.  Staging is branch-free: every
+                    // Down column `outer`, linear(i + 1, j) =
+                    // linear(i, j) + n − i.  Staging is branch-free: every
                     // index is written, only owned ones advance the count.
-                    let mut l = interleaver.write_rank(cursor.inner, cursor.outer);
+                    let mut l = mapping.linear_index(cursor.inner, cursor.outer);
                     let mut i = cursor.inner;
                     while i < len && staged < BATCH_CHUNK {
                         linear[staged] = l;
@@ -546,7 +391,6 @@ impl ChannelMapping {
     fn owned_tiles(
         &self,
         shifts: StripeShifts,
-        order: TileOrder,
         cursor: &mut ChannelCursor,
         coords: &mut [(u32, u32); BATCH_CHUNK],
     ) -> usize {
@@ -562,7 +406,7 @@ impl ChannelMapping {
                 };
                 let tile_end = ((cursor.inner | tile_mask) + 1).min(len);
                 let (i, j) = cursor.position();
-                if order.lane(i, j, shifts.tile, lanes_mask) & channel_mask == cursor.channel {
+                if shifts.lane(i, j, lanes_mask) & channel_mask == cursor.channel {
                     cursor.run_end = tile_end;
                 } else {
                     cursor.inner = tile_end;
@@ -969,7 +813,7 @@ mod tests {
     fn route_batch_matches_scalar_route_for_every_router() {
         let n = 200u32;
         // Permutations with channel bits exercise the Permuted router's
-        // batched path; ALL covers LinearSplice and TileRotate.
+        // batched path; ALL covers RowMajor and TileRotate.
         for (channels, ranks) in [(1, 1), (2, 1), (2, 2), (8, 1)] {
             let cfg = config(channels, ranks);
             let permutation =

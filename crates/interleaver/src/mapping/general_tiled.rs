@@ -62,6 +62,9 @@ pub struct GeneralTiledMapping {
     /// Tiles per tile-row, padded up to a multiple of the flat bank count
     /// so every bank owns the same number of row slots.
     tiles_per_row_padded: u32,
+    /// `tiled` for the page-square tile of Fig. 1b, `general-tiled`
+    /// otherwise.
+    name: &'static str,
 }
 
 impl GeneralTiledMapping {
@@ -95,22 +98,53 @@ impl GeneralTiledMapping {
                 reason: format!("tile {tile_h}x{tile_w} exceeds the {page}-column page"),
             });
         }
-        let banks = geometry.total_banks();
-        let tiles_per_row_padded = n.div_ceil(tile_w).div_ceil(banks) * banks;
-        let tile_rows = n.div_ceil(tile_h);
-        let rows_needed = u64::from(tile_rows) * u64::from(tiles_per_row_padded / banks);
+        // Size the tile grid in u64: near the top of the u32 dimension
+        // range, padding `n` up to whole tiles and banks would wrap and slip
+        // past the capacity check.
+        let banks = u64::from(geometry.total_banks());
+        let tiles_per_row_padded = u64::from(n.div_ceil(tile_w)).div_ceil(banks) * banks;
+        let tile_rows = u64::from(n.div_ceil(tile_h));
+        let rows_needed = tile_rows * (tiles_per_row_padded / banks);
         if rows_needed > u64::from(geometry.rows) {
             return Err(InterleaverError::CapacityExceeded {
-                required_bursts: rows_needed.saturating_mul(u64::from(page) * u64::from(banks)),
+                required_bursts: rows_needed.saturating_mul(u64::from(page) * banks),
                 available_bursts: geometry.total_bursts(),
             });
         }
+        let tiles_per_row_padded = u32::try_from(tiles_per_row_padded).map_err(|_| {
+            InterleaverError::InvalidDimension {
+                reason: format!("dimension {n} padded to whole tiles exceeds u32"),
+            }
+        })?;
         Ok(Self {
             geometry,
             n,
             tile_w,
             tile_h,
             tiles_per_row_padded,
+            name: "general-tiled",
+        })
+    }
+
+    /// The paper's page tiling alone (Fig. 1b,
+    /// [`MappingKind::Tiled`](crate::MappingKind::Tiled)): the power-of-two
+    /// tile that fills one page and is as square as possible,
+    /// `tile_h = 2^⌊log₂(page)/2⌋` rows by `page / tile_h` columns.
+    ///
+    /// The bank changes only from tile to tile, not with every access, so
+    /// page misses split between both phases while consecutive accesses
+    /// stay within one bank group for a whole tile row or column:
+    /// bank-group devices remain limited by `t_ccd_l`.
+    ///
+    /// # Errors
+    ///
+    /// As [`GeneralTiledMapping::new`].
+    pub fn page_square(geometry: DeviceGeometry, n: u32) -> Result<Self, InterleaverError> {
+        let page = geometry.columns_per_row;
+        let tile_h = 1 << (page.trailing_zeros() / 2);
+        Ok(Self {
+            name: "tiled",
+            ..Self::new(geometry, n, tile_h, page / tile_h)?
         })
     }
 
@@ -156,7 +190,7 @@ impl DramMapping for GeneralTiledMapping {
     }
 
     fn name(&self) -> &'static str {
-        "general-tiled"
+        self.name
     }
 
     fn geometry(&self) -> &DeviceGeometry {
@@ -180,6 +214,40 @@ mod tests {
 
     fn ddr3() -> DeviceGeometry {
         geometry(DramStandard::Ddr3, 800)
+    }
+
+    fn ddr4() -> DeviceGeometry {
+        geometry(DramStandard::Ddr4, 3200)
+    }
+
+    #[test]
+    fn tiled_keeps_a_tile_inside_one_page() {
+        let m = GeneralTiledMapping::page_square(ddr4(), 256).unwrap();
+        let g = ddr4();
+        let first = m.map(0, 0);
+        let mut columns = HashSet::new();
+        for i in 0..m.tile_height() {
+            for j in 0..m.tile_width() {
+                let addr = m.map(i, j);
+                assert_eq!(addr.flat_bank(&g), first.flat_bank(&g));
+                assert_eq!(addr.row, first.row);
+                assert!(columns.insert(addr.column));
+            }
+        }
+        // The tile fills the page exactly.
+        assert_eq!(columns.len() as u32, g.columns_per_row);
+        assert_eq!(m.name(), "tiled");
+    }
+
+    #[test]
+    fn tiled_neighbouring_tiles_use_different_banks() {
+        let m = GeneralTiledMapping::page_square(ddr4(), 256).unwrap();
+        let g = ddr4();
+        let here = m.map(0, 0).flat_bank(&g);
+        let right = m.map(0, m.tile_width()).flat_bank(&g);
+        let below = m.map(m.tile_height(), 0).flat_bank(&g);
+        assert_ne!(here, right);
+        assert_ne!(here, below);
     }
 
     #[test]
@@ -238,6 +306,7 @@ mod tests {
     #[test]
     fn rejects_degenerate_and_oversized_tiles() {
         assert!(GeneralTiledMapping::new(ddr3(), 0, 11, 11).is_err());
+        assert!(GeneralTiledMapping::page_square(ddr4(), 0).is_err());
         assert!(GeneralTiledMapping::new(ddr3(), 64, 0, 11).is_err());
         assert!(GeneralTiledMapping::new(ddr3(), 64, 11, 0).is_err());
         // 12 x 11 = 132 > 128 page columns.
@@ -248,6 +317,9 @@ mod tests {
             GeneralTiledMapping::new(tiny, 100_000, 11, 11),
             Err(InterleaverError::CapacityExceeded { .. })
         ));
+        let mut shrunk = ddr4();
+        shrunk.rows = 64;
+        assert!(GeneralTiledMapping::page_square(shrunk, 100_000).is_err());
     }
 
     #[test]

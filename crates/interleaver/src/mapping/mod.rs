@@ -10,7 +10,7 @@
 //! |---|---|---|---|---|
 //! | [`RowMajorMapping`] | – | – | – | baseline (Table I "Row-Major") |
 //! | [`BankRoundRobinMapping`] | ✓ | – | – | Fig. 1a |
-//! | [`TiledMapping`] | per tile | ✓ | – | Fig. 1b |
+//! | [`GeneralTiledMapping::page_square`] | per tile | ✓ | – | Fig. 1b |
 //! | [`OptimizedMapping`] (no stagger) | ✓ | ✓ | – | Fig. 1c |
 //! | [`OptimizedMapping`] | ✓ | ✓ | ✓ | Fig. 1d (Table I "Optimized") |
 //! | [`PermutedMapping`] | depends | depends | – | searchable bit-permutation family (`docs/MAPPING.md`) |
@@ -25,13 +25,12 @@ mod simple;
 
 pub use channel::{
     channel_mapping_for_spec, ChannelCursor, ChannelMapping, ChannelTrace, ChannelTraceGenerator,
-    TileOrder,
 };
 pub use general_tiled::GeneralTiledMapping;
 pub use optimized::OptimizedMapping;
 pub use permuted::PermutedMapping;
 pub use row_major::RowMajorMapping;
-pub use simple::{BankRoundRobinMapping, TiledMapping};
+pub use simple::BankRoundRobinMapping;
 
 use tbi_dram::{
     AddressBatch, BitPermutation, ChannelTopology, DeviceGeometry, DramConfig, PhysicalAddress,
@@ -102,7 +101,8 @@ pub enum MappingKind {
     RowMajor,
     /// Bank index advances with every access (optimization 1 only).
     BankRoundRobin,
-    /// Index space tiled into pages, one bank per tile (optimization 2 only).
+    /// Index space tiled into pages, one bank per tile (optimization 2 only):
+    /// [`GeneralTiledMapping::page_square`].
     Tiled,
     /// Bank round-robin + page tiling, without the bank-dependent stagger
     /// (optimizations 1 + 2, Fig. 1c).
@@ -268,28 +268,15 @@ impl MappingKind {
         dimension: u32,
     ) -> Result<Box<dyn DramMapping>, InterleaverError> {
         if self == MappingKind::RowMajor {
-            Ok(Box::new(RowMajorMapping::for_config(config, dimension)?))
+            Ok(Box::new(RowMajorMapping::with_scheme(
+                config.geometry,
+                ChannelTopology::default(),
+                config.decode_scheme,
+                dimension,
+            )?))
         } else {
             self.build_for_geometry(config.geometry, dimension)
         }
-    }
-
-    /// Builds the channel/rank-aware variant of this scheme for `config`'s
-    /// [`ChannelTopology`] (see
-    /// [`ChannelMapping`]).  With the default `1 × 1` topology the variant
-    /// routes every position to channel 0, rank 0 with exactly the addresses
-    /// of [`MappingKind::build`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`InterleaverError`] if the index space does not fit the
-    /// subsystem under this scheme.
-    pub fn build_channel(
-        self,
-        config: &DramConfig,
-        dimension: u32,
-    ) -> Result<ChannelMapping, InterleaverError> {
-        ChannelMapping::new(self, config, dimension)
     }
 
     /// Builds the mapping for a bare device geometry and an index space of
@@ -313,7 +300,7 @@ impl MappingKind {
             MappingKind::BankRoundRobin => {
                 Box::new(BankRoundRobinMapping::new(geometry, dimension)?)
             }
-            MappingKind::Tiled => Box::new(TiledMapping::new(geometry, dimension)?),
+            MappingKind::Tiled => Box::new(GeneralTiledMapping::page_square(geometry, dimension)?),
             MappingKind::OptimizedNoStagger => {
                 Box::new(OptimizedMapping::without_stagger(geometry, dimension)?)
             }
@@ -409,14 +396,13 @@ mod tests {
     #[test]
     fn every_kind_rejects_dimensions_near_u32_max_on_every_preset() {
         // Padding such a dimension to whole tiles or pages must neither wrap
-        // past the capacity check nor overflow the error's burst count.
-        let tiled = MappingKind::GeneralTiled {
-            tile_h: 8,
-            tile_w: 8,
-        };
+        // past the capacity check nor overflow the error's burst count; a
+        // 1 x 1 tile pads the tile grid the most.
+        let tiled =
+            [(8, 8), (1, 1)].map(|(tile_h, tile_w)| MappingKind::GeneralTiled { tile_h, tile_w });
         for (standard, rate) in tbi_dram::standards::ALL_CONFIGS {
             let config = DramConfig::preset(*standard, *rate).unwrap();
-            for kind in MappingKind::ALL.into_iter().chain([tiled]) {
+            for kind in MappingKind::ALL.into_iter().chain(tiled) {
                 for dimension in [u32::MAX - 1, u32::MAX] {
                     assert!(
                         kind.build(&config, dimension).is_err(),

@@ -210,12 +210,6 @@ impl OptimizedMapping {
     pub fn stagger_offset(&self, group: u32) -> (u32, u32) {
         (group * self.shifts.stagger_i, group * self.shifts.stagger_j)
     }
-
-    /// The bank group serving position `(i, j)`.
-    #[must_use]
-    pub fn bank_group_of(&self, i: u32, j: u32) -> u32 {
-        (i + j) % self.geometry.bank_groups
-    }
 }
 
 impl DramMapping for OptimizedMapping {

@@ -20,6 +20,11 @@ use crate::InterleaverError;
 /// per access and thrashes the row buffers — exactly the behaviour the paper
 /// sets out to fix.
 ///
+/// Scaled out to a [`ChannelTopology`], the decoder is the classic
+/// channel/rank-interleaved controller mapping: the channel bits sit at the
+/// very bottom of the linear index (`channel = linear mod C`) and the rank
+/// bits directly above the bank bits (see [`RowMajorMapping::route`]).
+///
 /// # Examples
 ///
 /// ```
@@ -47,55 +52,66 @@ pub struct RowMajorMapping {
 }
 
 impl RowMajorMapping {
-    /// Creates the baseline mapping for an index space of dimension `n` on
-    /// the given device geometry, decoded with the default
+    /// Creates the single-channel baseline mapping for an index space of
+    /// dimension `n` on the given device geometry, decoded with the default
     /// [`DecodeScheme`] (the convention assumed for the paper's baseline).
     ///
     /// The signature is deliberately identical to the other mapping
     /// constructors (geometry + dimension); use
     /// [`RowMajorMapping::with_scheme`] to model a controller with a
-    /// different address-decode scheme.
+    /// different address-decode scheme or topology.
     ///
     /// # Errors
     ///
     /// Returns [`InterleaverError`] if `n` is zero, the index space exceeds
     /// the device capacity or a geometry dimension is not a power of two.
     pub fn new(geometry: DeviceGeometry, n: u32) -> Result<Self, InterleaverError> {
-        Self::with_scheme(geometry, DecodeScheme::default(), n)
+        Self::with_scheme(
+            geometry,
+            ChannelTopology::default(),
+            DecodeScheme::default(),
+            n,
+        )
     }
 
-    /// Creates the baseline mapping with an explicit address-decode scheme.
+    /// Creates the baseline mapping with an explicit address-decode scheme,
+    /// scaled out to `topology`: the capacity is that of every channel and
+    /// rank together.
     ///
     /// # Errors
     ///
-    /// As [`RowMajorMapping::new`].
+    /// As [`RowMajorMapping::new`], plus [`InterleaverError::Dram`] if the
+    /// topology fails [`ChannelTopology::validate`].
     pub fn with_scheme(
         geometry: DeviceGeometry,
+        topology: ChannelTopology,
         scheme: DecodeScheme,
         n: u32,
     ) -> Result<Self, InterleaverError> {
+        topology.validate()?;
         let interleaver = TriangularInterleaver::new(n)?;
-        if interleaver.len() > geometry.total_bursts() {
+        let available = geometry.total_bursts() * u64::from(topology.units());
+        if interleaver.len() > available {
             return Err(InterleaverError::CapacityExceeded {
                 required_bursts: interleaver.len(),
-                available_bursts: geometry.total_bursts(),
+                available_bursts: available,
             });
         }
         Ok(Self {
             geometry,
-            decoder: PermutationMapping::for_scheme(scheme, geometry, ChannelTopology::default())?,
+            decoder: PermutationMapping::for_scheme(scheme, geometry, topology)?,
             interleaver,
         })
     }
 
     /// Creates the baseline mapping for a full DRAM configuration, honouring
-    /// the configuration's decode scheme.
+    /// the configuration's decode scheme and topology.
     ///
     /// # Errors
     ///
     /// See [`RowMajorMapping::with_scheme`].
     pub fn for_config(config: &DramConfig, n: u32) -> Result<Self, InterleaverError> {
-        Self::with_scheme(config.geometry, config.decode_scheme, n)
+        Self::with_scheme(config.geometry, config.topology, config.decode_scheme, n)
     }
 
     /// The linear burst index of position `(i, j)` (compact triangular
@@ -104,16 +120,29 @@ impl RowMajorMapping {
     pub fn linear_index(&self, i: u32, j: u32) -> u64 {
         self.interleaver.write_rank(i, j)
     }
+
+    /// Routes position `(i, j)` to its `(channel, address)` pair (the
+    /// address's rank field selects the rank within the channel).
+    #[must_use]
+    pub fn route(&self, i: u32, j: u32) -> (u32, PhysicalAddress) {
+        self.decoder.decode(self.linear_index(i, j))
+    }
+
+    /// The linear-address decoder (the decode scheme's permutation).
+    pub(crate) fn decoder(&self) -> &PermutationMapping {
+        &self.decoder
+    }
 }
 
 impl DramMapping for RowMajorMapping {
     fn map(&self, i: u32, j: u32) -> PhysicalAddress {
-        self.decoder.decode(self.linear_index(i, j)).1
+        self.route(i, j).1
     }
 
     /// Batched baseline mapping: stages linear burst indices through a stack
     /// chunk and decodes whole slices with
-    /// [`PermutationMapping::decode_batch`].
+    /// [`PermutationMapping::decode_batch`].  The channel lane holds the
+    /// routed channel ([`RowMajorMapping::route`]).
     fn map_batch(&self, coords: &[(u32, u32)], out: &mut AddressBatch) {
         let mut linear = [0u64; BATCH_CHUNK];
         for chunk in coords.chunks(BATCH_CHUNK) {
@@ -184,8 +213,13 @@ mod tests {
         let mut config = DramConfig::preset(DramStandard::Ddr4, 3200).unwrap();
         config.decode_scheme = tbi_dram::DecodeScheme::BankBankGroupRowColumn;
         let by_config = RowMajorMapping::for_config(&config, 64).unwrap();
-        let by_scheme =
-            RowMajorMapping::with_scheme(config.geometry, config.decode_scheme, 64).unwrap();
+        let by_scheme = RowMajorMapping::with_scheme(
+            config.geometry,
+            ChannelTopology::default(),
+            config.decode_scheme,
+            64,
+        )
+        .unwrap();
         let default_scheme = RowMajorMapping::new(config.geometry, 64).unwrap();
         assert_eq!(by_config.map(5, 3), by_scheme.map(5, 3));
         assert_ne!(by_config.map(5, 3), default_scheme.map(5, 3));

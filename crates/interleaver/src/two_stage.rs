@@ -96,12 +96,6 @@ impl TwoStageInterleaver {
         self.sram
     }
 
-    /// The triangular (burst-level) DRAM stage.
-    #[must_use]
-    pub fn dram_stage(&self) -> TriangularInterleaver {
-        self.dram
-    }
-
     /// Number of symbols carried by one DRAM burst.
     #[must_use]
     pub fn symbols_per_burst(&self) -> u32 {

@@ -5,12 +5,14 @@
 //! equal the brute-force filter this file keeps as the reference: walk the
 //! whole phase order, route every position with [`ChannelMapping::route`]
 //! and keep the ones on the channel.  The check covers every channel and
-//! both phases, every router (linear splice, stripe tile in every
-//! [`TileOrder`], permutations and folds with channel bits), and index
-//! spaces that are not a multiple of the stripe tile — including sizes
-//! where the tile shrinks — drained through
-//! `fill_batch` in slices of 1, 7 and 4096, through the iterator, and both
-//! mixed.
+//! both phases, every router (row-major, stripe tile, permutations and
+//! folds with channel bits), and index spaces that are not a multiple of
+//! the stripe tile — including sizes where the tile shrinks — drained
+//! through `fill_batch` in slices of 1, 7 and 4096, through the iterator,
+//! and both mixed.
+//!
+//! The property test runs 12 cases by default; `PROPTEST_CASES` raises
+//! the count (CI runs 256 in release).
 
 use proptest::prelude::*;
 use tbi_dram::standards::{ALL_CONFIGS, MODERN_CONFIGS};
@@ -18,7 +20,7 @@ use tbi_dram::{
     AddressField, BitPermutation, ChannelTopology, DramConfig, FoldOp, FoldStep, Request, XorFold,
 };
 use tbi_interleaver::mapping::{ChannelMapping, ChannelTrace, ChannelTraceGenerator};
-use tbi_interleaver::{AccessPhase, MappingKind, TileOrder};
+use tbi_interleaver::{AccessPhase, MappingKind};
 
 /// Channel/rank topologies under test.
 const TOPOLOGIES: [(u32, u32); 4] = [(1, 1), (2, 1), (2, 2), (8, 1)];
@@ -154,8 +156,17 @@ fn assert_traces_match_the_filter(mapping: &ChannelMapping) {
     }
 }
 
+/// Cases of the property test: `PROPTEST_CASES` when set, else 12.
+fn cases() -> u32 {
+    std::env::var("PROPTEST_CASES")
+        .ok()
+        .and_then(|value| value.parse().ok())
+        .filter(|&cases| cases > 0)
+        .unwrap_or(12)
+}
+
 #[test]
-fn every_router_and_order_matches_the_filter_on_a_ragged_size() {
+fn every_router_matches_the_filter_on_a_ragged_size() {
     // n = 203 is no multiple of any stripe tile and shrinks the tile to 16
     // on the 8-channel topology.
     let n = 203;
@@ -165,36 +176,23 @@ fn every_router_and_order_matches_the_filter_on_a_ragged_size() {
             let mapping = ChannelMapping::new(kind, &dram, n).unwrap();
             assert_traces_match_the_filter(&mapping);
         }
-        for order in TileOrder::ALL {
-            let mapping =
-                ChannelMapping::with_tile_order(MappingKind::Optimized, &dram, n, order).unwrap();
-            assert_traces_match_the_filter(&mapping);
-        }
     }
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(12))]
+    #![proptest_config(ProptestConfig::with_cases(cases()))]
     #[test]
     fn channel_traces_equal_the_walk_and_filter_reference(
         preset_idx in 0usize..ALL_CONFIGS.len() + MODERN_CONFIGS.len(),
         topology_idx in 0usize..TOPOLOGIES.len(),
         kind_idx in 0usize..MappingKind::ALL.len() + 2,
-        order_idx in 0usize..TileOrder::ALL.len(),
         n in 20u32..600,
     ) {
         let (channels, ranks) = TOPOLOGIES[topology_idx];
         let dram = preset(preset_idx).with_topology(ChannelTopology::new(channels, ranks));
         let kinds = kinds_for(&dram);
         let kind = kinds[kind_idx % kinds.len()];
-        // Tile orders only apply to the stripe-tile router.
-        let order = match kind {
-            MappingKind::RowMajor | MappingKind::Permutation(_) | MappingKind::XorFolded(..) => {
-                TileOrder::default()
-            }
-            _ => TileOrder::ALL[order_idx],
-        };
-        let mapping = ChannelMapping::with_tile_order(kind, &dram, n, order).unwrap();
+        let mapping = ChannelMapping::new(kind, &dram, n).unwrap();
         assert_traces_match_the_filter(&mapping);
     }
 }

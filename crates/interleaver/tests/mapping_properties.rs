@@ -16,7 +16,7 @@ use tbi_dram::{
     FoldStep, PermutationMapping, XorFold,
 };
 use tbi_interleaver::mapping::{ChannelMapping, PermutedMapping};
-use tbi_interleaver::{InterleaverSpec, MappingKind, RowMajorMapping, TileOrder};
+use tbi_interleaver::{InterleaverSpec, MappingKind, RowMajorMapping};
 
 /// One combined preset axis: the paper's Table I configurations followed by
 /// the modern scale-out presets (HBM2 pseudo-channel, GDDR6, DDR5-3DS), so
@@ -445,18 +445,14 @@ proptest! {
         }
     }
 
-    /// Tile-rotation / lane-ordering schemes: for every Table I preset,
-    /// tile-routed mapping kind, [`TileOrder`] and channel/rank topology,
-    /// the generalized stripe-tile router stays injective over the whole
-    /// triangle and its batched kernel matches per-element `route()`.  The
-    /// non-compacting orders (Y-major, rotated) must be covered: they
-    /// bypass the per-channel column compaction whose blanket application
-    /// would break their injectivity.
+    /// Stripe-tile routing: for every preset, tile-routed mapping kind and
+    /// channel/rank topology, the stripe-tile router (the diagonal lane
+    /// with its per-channel column compaction) stays injective over the
+    /// whole triangle and its batched kernel matches per-element `route()`.
     #[test]
-    fn tile_orders_route_injectively_for_every_kind_preset_and_topology(
+    fn stripe_tiles_route_injectively_for_every_kind_preset_and_topology(
         preset_idx in 0usize..preset_count(),
         kind_idx in 0usize..4,
-        order_idx in 0usize..TileOrder::ALL.len(),
         channels_log2 in 0u32..3,
         ranks_log2 in 0u32..2,
         n in 64u32..250,
@@ -470,13 +466,12 @@ proptest! {
             MappingKind::Optimized,
         ];
         let kind = tile_kinds[kind_idx];
-        let order = TileOrder::ALL[order_idx];
         let (standard, rate) = preset_at(preset_idx);
         let topology = ChannelTopology::new(1 << channels_log2, 1 << ranks_log2);
         let dram = DramConfig::preset(standard, rate)
             .unwrap()
             .with_topology(topology);
-        let mapping = ChannelMapping::with_tile_order(kind, &dram, n, order).unwrap();
+        let mapping = ChannelMapping::new(kind, &dram, n).unwrap();
 
         let mut seen = HashSet::new();
         for i in 0..n {
@@ -486,8 +481,8 @@ proptest! {
                 prop_assert!(address.is_valid_for_ranks(&dram.geometry, topology.ranks));
                 prop_assert!(
                     seen.insert((channel, address)),
-                    "{}@{} on {} {}x{}: collision at ({},{})",
-                    kind, order, dram.label(), topology.channels, topology.ranks, i, j
+                    "{} on {} {}x{}: collision at ({},{})",
+                    kind, dram.label(), topology.channels, topology.ranks, i, j
                 );
             }
         }
@@ -502,8 +497,8 @@ proptest! {
             prop_assert_eq!(
                 batch.get(index),
                 mapping.route(i, j),
-                "{}@{} on {}: tile-order batch diverges at ({},{})",
-                kind, order, dram.label(), i, j
+                "{} on {}: stripe-tile batch diverges at ({},{})",
+                kind, dram.label(), i, j
             );
         }
     }

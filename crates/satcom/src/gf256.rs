@@ -151,12 +151,6 @@ impl Gf256 {
         out
     }
 
-    /// Scales a polynomial by a field element.
-    #[must_use]
-    pub fn poly_scale(&self, poly: &[u8], factor: u8) -> Vec<u8> {
-        poly.iter().map(|&c| self.mul(c, factor)).collect()
-    }
-
     /// Adds two polynomials (highest-degree coefficient first).
     #[must_use]
     pub fn poly_add(&self, a: &[u8], b: &[u8]) -> Vec<u8> {

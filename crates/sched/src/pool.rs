@@ -17,8 +17,6 @@ pub struct BlockSlot {
     pub deadline: u64,
     /// Requests of this block not yet completed by the memory system.
     pub remaining: u64,
-    /// Requests of this block already produced by the generator.
-    pub generated: u64,
     /// Largest completion cycle observed for this block so far.
     pub last_completion: u64,
 }
@@ -32,7 +30,7 @@ pub struct BlockSlot {
 ///
 /// let mut pool = BlockPool::new(2);
 /// let slot = pool
-///     .allocate(BlockSlot { stream: 0, arrival: 0, deadline: 100, remaining: 10, generated: 0, last_completion: 0 })
+///     .allocate(BlockSlot { stream: 0, arrival: 0, deadline: 100, remaining: 10, last_completion: 0 })
 ///     .unwrap();
 /// assert!(pool.is_full() == false && pool.in_flight() == 1);
 /// pool.release(slot);
@@ -55,7 +53,6 @@ impl BlockPool {
             arrival: 0,
             deadline: 0,
             remaining: 0,
-            generated: 0,
             last_completion: 0,
         };
         Self {
@@ -127,7 +124,6 @@ mod tests {
             arrival: 5,
             deadline: 105,
             remaining: 3,
-            generated: 0,
             last_completion: 0,
         }
     }

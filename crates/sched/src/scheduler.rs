@@ -394,7 +394,6 @@ impl StreamScheduler {
                 arrival,
                 deadline,
                 remaining: per_block,
-                generated: 0,
                 last_completion: 0,
             })
             .expect("admit is only called with pool capacity available");
@@ -411,14 +410,7 @@ impl StreamScheduler {
         for channel in 0..self.channels as usize {
             let state = &mut self.streams[s];
             if state.queues[channel].is_empty() {
-                Self::refill_channel(
-                    state,
-                    &self.specs[s],
-                    &mut self.pool,
-                    channel,
-                    rows,
-                    &mut self.scratch,
-                );
+                Self::refill_channel(state, &self.specs[s], channel, rows, &mut self.scratch);
             }
             self.rekey(channel, stream);
         }
@@ -443,7 +435,6 @@ impl StreamScheduler {
     fn refill_channel(
         state: &mut StreamState,
         spec: &StreamSpec,
-        pool: &mut BlockPool,
         channel: usize,
         rows: u32,
         scratch: &mut AddressBatch,
@@ -489,7 +480,6 @@ impl StreamScheduler {
                     slot: cursor.slot,
                 });
             }
-            pool.get_mut(cursor.slot).generated += routed as u64;
         }
     }
 
@@ -527,7 +517,6 @@ impl StreamScheduler {
                         Self::refill_channel(
                             &mut self.streams[picked as usize],
                             &self.specs[picked as usize],
-                            &mut self.pool,
                             channel,
                             rows,
                             &mut self.scratch,
