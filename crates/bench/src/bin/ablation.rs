@@ -4,7 +4,7 @@
 //! ```text
 //! cargo run --release -p tbi_bench --bin ablation [-- --bursts <n> | --no-refresh | --full |
 //!                                                    --channels <n> | --ranks <n> |
-//!                                                    --workers <n> | --json <p> | --csv <p>]
+//!                                                    --workers <n> | --threads <n> | --json <p>]
 //! ```
 //!
 //! Declared as one [`tbi_exp::SweepGrid`]: all presets × every mapping

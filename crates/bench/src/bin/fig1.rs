@@ -4,8 +4,11 @@
 //!
 //! ```text
 //! cargo run -p tbi_bench --bin fig1 [-- a|b|c|d|all [rows cols]] [--workers <n>]
-//!                                   [--json <p>] [--csv <p>]
+//!                                   [--json <p>]
 //! ```
+//!
+//! The grid corner defaults to 8 × 8 and may grow to the whole 64-dimension
+//! index space; a larger, malformed or extra argument exits 2 with the usage.
 //!
 //! * `a` — bank round-robin only (Fig. 1a)
 //! * `b` — page tiling only (Fig. 1b)
@@ -64,33 +67,39 @@ const PANELS: [(&str, MappingKind, &str); 4] = [
     ),
 ];
 
-const FLAGS: &[&str] = &["--workers", "--json", "--csv"];
+const FLAGS: &[&str] = &["--workers", "--json"];
 
 fn main() {
     let usage = HarnessOptions::usage_for("fig1", FLAGS)
-        + "\n\npositional arguments: [a|b|c|d|all] [rows cols] (grid corner size)";
-    let usage_exit = || -> ! {
+        + "\n\npositional arguments: [a|b|c|d|all] [rows cols] (grid corner size, default 8 8)";
+    let usage_exit = |message: &str| -> ! {
+        eprintln!("error: {message}");
         eprintln!("{usage}");
         std::process::exit(2);
     };
     let (options, positionals) =
         match HarnessOptions::parse_with_positionals(std::env::args().skip(1), FLAGS) {
             Ok(parsed) => parsed,
-            Err(message) => {
-                eprintln!("error: {message}");
-                usage_exit();
-            }
+            Err(message) => usage_exit(&message),
         };
     if options.help {
         println!("{usage}");
         return;
     }
+    if let Some(extra) = positionals.get(3) {
+        usage_exit(&format!("unexpected argument `{extra}`"));
+    }
     let which = positionals.first().map(String::as_str).unwrap_or("all");
     if !matches!(which, "a" | "b" | "c" | "d" | "all") {
-        usage_exit();
+        usage_exit(&format!("unknown panel `{which}`"));
     }
-    let rows: u32 = positionals.get(1).and_then(|s| s.parse().ok()).unwrap_or(8);
-    let cols: u32 = positionals.get(2).and_then(|s| s.parse().ok()).unwrap_or(8);
+    let grid_size = |index: usize| match positionals.get(index) {
+        None => 8,
+        Some(value) => value
+            .parse::<u32>()
+            .unwrap_or_else(|_| usage_exit(&format!("invalid grid size `{value}`"))),
+    };
+    let (rows, cols) = (grid_size(1), grid_size(2));
 
     let config = figure_config();
     // A 64-dimension triangle (2080 bursts) — the largest size that keeps the
@@ -111,6 +120,12 @@ fn main() {
                 std::process::exit(1);
             }
         };
+        let dimension = mapping.dimension();
+        if rows > dimension || cols > dimension {
+            usage_exit(&format!(
+                "a {rows} x {cols} grid exceeds the {dimension}-dimension index space"
+            ));
+        }
         println!("{caption}");
         println!("{}", render_grid(mapping.as_ref(), rows, cols));
         scenarios.push(scenario);

@@ -4,7 +4,7 @@
 //!
 //! ```text
 //! cargo run --release -p tbi_bench --bin size_sweep [-- --no-refresh | --workers <n> |
-//!                                                      --json <p> | --csv <p>]
+//!                                                      --json <p>]
 //! ```
 //!
 //! Declared as one three-axis [`tbi_exp::SweepGrid`]: the bandwidth-sensitive
@@ -18,7 +18,7 @@ use tbi_bench::HarnessOptions;
 
 const SIZES: [u64; 4] = [100_000, 400_000, 1_600_000, 6_400_000];
 
-const FLAGS: &[&str] = &["--no-refresh", "--workers", "--json", "--csv"];
+const FLAGS: &[&str] = &["--no-refresh", "--workers", "--json"];
 
 fn main() {
     let options = HarnessOptions::from_env("size_sweep", FLAGS);

@@ -4,12 +4,13 @@
 //!
 //! ```text
 //! cargo run --release -p tbi_bench --bin table1 [-- --full | --bursts <n> | --no-refresh |
-//!                                                  --workers <n> | --json <p> | --csv <p>]
+//!                                                  --channels <n> | --ranks <n> |
+//!                                                  --workers <n> | --threads <n> | --json <p>]
 //! ```
 //!
 //! The sweep is declared as a [`tbi_exp::SweepGrid`] (all presets × the
-//! Table I mapping pair) and executed in parallel; `--json`/`--csv` emit the
-//! records as machine-readable artifacts.
+//! Table I mapping pair) and executed in parallel; `--json` writes the
+//! records as a machine-readable artifact.
 
 use tbi_bench::{format_table1_row, run_table1, HarnessOptions, ALL_FLAGS};
 

@@ -27,7 +27,7 @@ pub const DEFAULT_BURSTS: u64 = 1 << 20;
 /// Every shared harness flag, in usage order.  Each binary passes the
 /// subset it reads to [`HarnessOptions::parse_for`] and
 /// [`HarnessOptions::usage_for`].
-pub const ALL_FLAGS: [&str; 9] = [
+pub const ALL_FLAGS: [&str; 8] = [
     "--full",
     "--bursts",
     "--no-refresh",
@@ -36,7 +36,6 @@ pub const ALL_FLAGS: [&str; 9] = [
     "--workers",
     "--threads",
     "--json",
-    "--csv",
 ];
 
 /// Command-line options shared by the harness binaries.
@@ -53,8 +52,6 @@ pub struct HarnessOptions {
     pub threads: usize,
     /// Write the records as JSON to this path.
     pub json: Option<PathBuf>,
-    /// Write the records as CSV to this path.
-    pub csv: Option<PathBuf>,
     /// Timing engine advancing the DRAM clock.  No flag sets it: the
     /// event-driven default serves every run, and the cycle-accurate
     /// reference is selected only by oracles such as `engine_speed`.
@@ -77,7 +74,6 @@ impl HarnessOptions {
             workers: 0,
             threads: 1,
             json: None,
-            csv: None,
             engine: TimingEngine::default(),
             channels: 1,
             ranks: 1,
@@ -90,9 +86,8 @@ impl HarnessOptions {
     ///
     /// Supported flags: `--full` (12.5 M bursts as in the paper),
     /// `--bursts <n>`, `--no-refresh`, `--workers <n>`, `--threads <n>`,
-    /// `--json <path>`, `--csv <path>`, `--channels <n>`, `--ranks <n>` and
-    /// `--help`/`-h` (which sets [`HarnessOptions::help`] and stops
-    /// parsing).
+    /// `--json <path>`, `--channels <n>`, `--ranks <n>` and `--help`/`-h`
+    /// (which sets [`HarnessOptions::help`] and stops parsing).
     ///
     /// # Errors
     ///
@@ -212,7 +207,6 @@ impl HarnessOptions {
                     }
                 }
                 "--json" => options.json = Some(PathBuf::from(next_value("--json")?)),
-                "--csv" => options.csv = Some(PathBuf::from(next_value("--csv")?)),
                 other if !other.starts_with('-') => positionals.push(arg),
                 other => return Err(format!("unknown option `{other}`")),
             }
@@ -261,7 +255,7 @@ impl HarnessOptions {
     #[must_use]
     pub fn usage_for(binary: &str, flags: &[&str]) -> String {
         // Usage form and help of each entry of `ALL_FLAGS`, in the same order.
-        let known: [(&str, String); 9] = [
+        let known: [(&str, String); 8] = [
             (
                 "--full",
                 "evaluate the paper's exact 12.5 M-burst interleaver".to_string(),
@@ -290,10 +284,6 @@ impl HarnessOptions {
             (
                 "--json <path>",
                 "write the records as JSON to <path>".to_string(),
-            ),
-            (
-                "--csv <path>",
-                "write the records as CSV to <path>".to_string(),
             ),
         ];
         let selected: Vec<_> = ALL_FLAGS
@@ -350,19 +340,15 @@ impl HarnessOptions {
         experiment.run()
     }
 
-    /// Writes the requested JSON/CSV artifacts, reporting each written path
-    /// on standard error.
+    /// Writes the records to the `--json` path, if one was given, and
+    /// reports the written path on standard error.
     ///
     /// # Errors
     ///
-    /// Returns [`ExpError::Io`] if a file cannot be written.
+    /// Returns [`ExpError::Io`] if the file cannot be written.
     pub fn write_outputs(&self, records: &[Record]) -> Result<(), ExpError> {
         if let Some(path) = &self.json {
             serialize::write_json(path, records)?;
-            eprintln!("wrote {} records to {}", records.len(), path.display());
-        }
-        if let Some(path) = &self.csv {
-            serialize::write_csv(path, records)?;
             eprintln!("wrote {} records to {}", records.len(), path.display());
         }
         Ok(())
@@ -464,7 +450,7 @@ mod tests {
         assert_eq!(options.bursts, DEFAULT_BURSTS);
         assert!(!options.no_refresh);
         assert_eq!(options.workers, 0);
-        assert!(options.json.is_none() && options.csv.is_none());
+        assert!(options.json.is_none());
         assert!(!options.help);
     }
 
@@ -480,17 +466,12 @@ mod tests {
 
     #[test]
     fn parse_output_and_worker_flags() {
-        let options = HarnessOptions::parse(
-            ["--json", "out.json", "--csv", "out.csv", "--workers", "3"].map(String::from),
-        )
-        .unwrap();
+        let options =
+            HarnessOptions::parse(["--json", "out.json", "--workers", "3"].map(String::from))
+                .unwrap();
         assert_eq!(
             options.json.as_deref(),
             Some(std::path::Path::new("out.json"))
-        );
-        assert_eq!(
-            options.csv.as_deref(),
-            Some(std::path::Path::new("out.csv"))
         );
         assert_eq!(options.workers, 3);
     }
@@ -555,7 +536,7 @@ mod tests {
         assert!(HarnessOptions::parse(["--bursts", "0"].map(String::from)).is_err());
         assert!(HarnessOptions::parse(["--workers", "x"].map(String::from)).is_err());
         assert!(HarnessOptions::parse(["--json"].map(String::from)).is_err());
-        assert!(HarnessOptions::parse(["--csv"].map(String::from)).is_err());
+        assert!(HarnessOptions::parse(["--csv", "out.csv"].map(String::from)).is_err());
     }
 
     /// Every malformed command line must produce a clean `Err` with a
@@ -571,7 +552,6 @@ mod tests {
             &["--workers"],
             &["--threads"],
             &["--json"],
-            &["--csv"],
             &["--channels"],
             &["--ranks"],
             // Unknown flags, including near-misses.
@@ -607,7 +587,7 @@ mod tests {
             // A valid value, so only the binary's flag list decides.
             let value = match flag {
                 "--full" | "--no-refresh" => None,
-                "--json" | "--csv" => Some("out"),
+                "--json" => Some("out"),
                 _ => Some("2"),
             };
             let args: Vec<String> = std::iter::once(flag)
@@ -678,11 +658,11 @@ mod tests {
             "--workers",
             "--threads",
             "--json",
-            "--csv",
             "--help",
         ] {
             assert!(usage.contains(flag), "usage missing {flag}");
         }
+        assert!(!usage.contains("--csv"), "usage lists the retired --csv");
         assert!(usage.starts_with("usage: table1"));
     }
 
@@ -701,8 +681,8 @@ mod tests {
 
     #[test]
     fn usage_for_lists_only_the_supported_flags() {
-        let usage = HarnessOptions::usage_for("fig1", &["--workers", "--json", "--csv"]);
-        for flag in ["--workers", "--json", "--csv", "--help"] {
+        let usage = HarnessOptions::usage_for("fig1", &["--workers", "--json"]);
+        for flag in ["--workers", "--json", "--help"] {
             assert!(usage.contains(flag), "usage missing {flag}");
         }
         for flag in ["--full", "--bursts", "--no-refresh"] {

@@ -1,14 +1,27 @@
 //! The harness binaries reject every shared flag they do not read: one flag
 //! list per binary drives both its usage text and its parser, so an
 //! unlisted flag exits 2 with an error that names it instead of being
-//! silently ignored.  Retired flags (`--engine`, `mapping_search
-//! --strategy`) take the same path.
+//! silently ignored.  Retired flags (`--engine`, `--csv`, and
+//! `mapping_search`'s `--strategy`, `--surrogate`, `--promote`, `--sa-temp`
+//! and `--transfer`) take the same path.
 
+use std::path::Path;
 use std::process::Command;
+
+/// The names of the entries of `dir`.
+fn entries(dir: &Path) -> Vec<std::ffi::OsString> {
+    std::fs::read_dir(dir)
+        .expect("directory is readable")
+        .map(|entry| entry.expect("directory entry").file_name())
+        .collect()
+}
 
 #[test]
 fn unlisted_flags_exit_2_and_are_named() {
-    let cases: [(&str, &[&str]); 8] = [
+    let csv = Path::new(env!("CARGO_TARGET_TMPDIR")).join("t.csv");
+    std::fs::remove_file(&csv).ok();
+    let csv_arg = csv.to_str().expect("UTF-8 target directory");
+    let cases: [(&str, &[&str]); 13] = [
         (env!("CARGO_BIN_EXE_campaign_sweep"), &["--threads", "4"]),
         (env!("CARGO_BIN_EXE_mapgen_speed"), &["--threads", "4"]),
         (env!("CARGO_BIN_EXE_mapping_search"), &["--threads", "4"]),
@@ -20,10 +33,19 @@ fn unlisted_flags_exit_2_and_are_named() {
             &["--strategy", "portfolio"],
         ),
         (env!("CARGO_BIN_EXE_table1"), &["--engine", "cycle"]),
+        (env!("CARGO_BIN_EXE_table1"), &["--csv", csv_arg]),
+        (env!("CARGO_BIN_EXE_mapping_search"), &["--surrogate", "4"]),
+        (env!("CARGO_BIN_EXE_mapping_search"), &["--promote", "2"]),
+        (env!("CARGO_BIN_EXE_mapping_search"), &["--sa-temp", "0"]),
+        (env!("CARGO_BIN_EXE_mapping_search"), &["--transfer"]),
     ];
+    let dir = Path::new(env!("CARGO_TARGET_TMPDIR")).join("unlisted_flags");
+    std::fs::remove_dir_all(&dir).ok();
+    std::fs::create_dir_all(&dir).expect("temporary directory");
     for (binary, args) in cases {
         let output = Command::new(binary)
             .args(args)
+            .current_dir(&dir)
             .output()
             .expect("binary runs");
         let stderr = String::from_utf8_lossy(&output.stderr);
@@ -37,6 +59,35 @@ fn unlisted_flags_exit_2_and_are_named() {
             stderr.contains(&format!("`{flag}`")),
             "{binary} {args:?} must name {flag}:\n{stderr}"
         );
+        assert!(entries(&dir).is_empty(), "{binary} {args:?} wrote a file");
+    }
+    assert!(!csv.exists(), "table1 --csv wrote {}", csv.display());
+}
+
+/// `fig1` renders a grid corner of its 64-dimension index space: a larger,
+/// malformed or extra grid argument exits 2 with the usage instead of
+/// mapping positions outside the space (a debug panic; row 0's addresses
+/// repeated in release) or falling back to the default silently.
+#[test]
+fn fig1_grid_size_must_fit_the_index_space() {
+    for (args, code) in [
+        (&["d", "70", "2"][..], 2),
+        (&["d", "abc"], 2),
+        (&["d", "2", "2", "9"], 2),
+        (&["d", "64", "64"], 0),
+    ] {
+        let output = Command::new(env!("CARGO_BIN_EXE_fig1"))
+            .args(args)
+            .output()
+            .expect("binary runs");
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert_eq!(output.status.code(), Some(code), "fig1 {args:?}:\n{stderr}");
+        if code == 2 {
+            assert!(
+                stderr.contains("usage: fig1"),
+                "fig1 {args:?} must print the usage:\n{stderr}"
+            );
+        }
     }
 }
 
@@ -82,10 +133,7 @@ fn sweep_without_json_writes_no_file() {
         .current_dir(&dir)
         .output()
         .expect("binary runs");
-    let written: Vec<_> = std::fs::read_dir(&dir)
-        .expect("temporary directory is readable")
-        .map(|entry| entry.expect("directory entry").file_name())
-        .collect();
+    let written = entries(&dir);
     std::fs::remove_dir_all(&dir).expect("temporary directory is removable");
     let stderr = String::from_utf8_lossy(&output.stderr);
     assert!(output.status.success(), "channel_sweep failed:\n{stderr}");

@@ -18,7 +18,7 @@
 //!   count);
 //! * [`Record`] — the typed result of one scenario (per-phase utilization,
 //!   sustained bandwidth, row-hit rates, energy, optional link-level error
-//!   rates), serializable to JSON and CSV without external dependencies
+//!   rates), serializable to JSON without external dependencies
 //!   ([`serialize`]);
 //! * [`Campaign`] — end-to-end downlink campaigns: interleaver depth ×
 //!   code rate × mapping × device preset under a shared time-varying

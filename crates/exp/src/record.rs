@@ -73,7 +73,7 @@ pub struct TenantSummary {
 /// they are deliberately excluded from the manual [`PartialEq`]
 /// implementation so that "bit-identical" remains a meaningful cross-run
 /// property while speedups still get recorded.  Records serialize to JSON
-/// and CSV via [`crate::serialize`].
+/// via [`crate::serialize`].
 #[derive(Debug, Clone)]
 pub struct Record {
     /// Stable ID of the scenario that produced this record.

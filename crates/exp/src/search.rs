@@ -17,10 +17,9 @@
 //! 2. every restart then climbs from a deterministic start — a balanced
 //!    tiling heuristic and its mirror, the controller's default decode
 //!    chain, two *diagonal-fold* starts (the balanced tiling with a
-//!    `bank ^= row` / `bank += row` step), three optimized-mimic tilings
-//!    and any [transfer seeds](MappingSearch::with_transfer_seeds) carried
-//!    over from sibling presets — after which evolutionary restarts
-//!    (mutated elite members) alternate with seeded random shuffles;
+//!    `bank ^= row` / `bank += row` step) and three optimized-mimic
+//!    tilings — after which evolutionary restarts (mutated elite members)
+//!    alternate with seeded random shuffles;
 //! 3. each step proposes a batch of neighbours that mixes bit swaps (two
 //!    linear-address bits exchange their fields) with fold mutations
 //!    (append, drop, or replace one [`FoldStep`]), evaluates them in
@@ -28,25 +27,18 @@
 //!    the best strictly-improving one;
 //! 4. a non-improving batch winner can still be **accepted** with
 //!    simulated-annealing probability `exp(Δ/T)` (temperature
-//!    [`sa_temp_micro`](SearchSettings::sa_temp_micro) × 10⁻⁶, cooled
-//!    geometrically), so climbs tunnel through boundary-loss plateaus;
-//! 5. with a [`surrogate_divisor`](SearchSettings::surrogate_divisor),
-//!    every batch — the tile shortlist included — is pre-screened at
-//!    `bursts / divisor` and only the top
-//!    [`promote`](SearchSettings::promote) candidates graduate to a
-//!    full-size evaluation; surrogate runs are reported separately and do
-//!    not consume the evaluation [`budget`](SearchSettings::budget).
+//!    [`SA_TEMP_MICRO`] × 10⁻⁶, cooled geometrically), so climbs tunnel
+//!    through boundary-loss plateaus.
 //!
 //! Candidates are scored by **round-trip row-hit rate** (mean of the write-
 //! and read-phase hit rates) with the throughput-limiting minimum
 //! utilization as tie-breaker — the two quantities the paper's Table I
 //! optimizes by hand.  All decisions depend only on deterministic
 //! [`Record`]s and a [`StdRng`] derived from the seed, so a search is
-//! **bit-reproducible for a fixed seed at any worker count**.  The
-//! evaluation cache is keyed on the **full scenario fingerprint**
-//! (standard, topology, engine, refresh, burst count, …), not the candidate
-//! alone, so surrogate- and full-size evaluations of the same candidate
-//! never alias.
+//! **bit-reproducible for a fixed seed at any worker count**.  Every
+//! evaluation of a search shares the device, size and controller and
+//! differs only in its mapping, so the evaluation cache is keyed on the
+//! [`MappingKind`].
 //!
 //! ```
 //! use tbi_dram::{DramConfig, DramStandard};
@@ -85,6 +77,11 @@ use crate::runner::Experiment;
 use crate::scenario::Scenario;
 use crate::ExpError;
 
+/// Initial simulated-annealing temperature of every climb, in
+/// **millionths** of round-trip row-hit rate; the settings the committed
+/// `BENCH_dse.json` ran with.
+pub const SA_TEMP_MICRO: u32 = 150;
+
 /// Tuning knobs of a [`MappingSearch`].
 ///
 /// The defaults are the settings the committed `BENCH_dse.json` ran with
@@ -97,31 +94,18 @@ pub struct SearchSettings {
     pub seed: u64,
     /// Number of climb starting points (clamped to ≥ 1).  Starts 0–7 are
     /// deterministic (balanced tilings, the decode chain, diagonal folds,
-    /// optimized mimics); later starts take transfer seeds, then mutated
-    /// elite members and seeded random shuffles — see the [module
-    /// documentation](self).
+    /// optimized mimics); later starts alternate mutated elite members and
+    /// seeded random shuffles — see the [module documentation](self).
     pub restarts: u32,
-    /// Maximum number of full-size candidate evaluations across the tile
-    /// sweep and all restarts (clamped to ≥ 1).  The row-major/optimized
-    /// reference evaluations and surrogate pre-screens are not counted
-    /// against the budget.
+    /// Maximum number of candidate evaluations across the tile sweep and
+    /// all restarts (clamped to ≥ 1).  The row-major/optimized reference
+    /// evaluations are not counted against the budget.
     pub budget: u32,
     /// Neighbours proposed per climb step (clamped to ≥ 1).
     pub neighbors: u32,
     /// Worker threads for candidate batches (0 = all cores).  Does not
     /// affect results, only wall-clock time.
     pub workers: usize,
-    /// When ≥ 2, candidates are pre-screened at `bursts / surrogate_divisor`
-    /// bursts and only the best [`promote`](Self::promote) graduate to full
-    /// evaluation.  0 or 1 disables the surrogate.
-    pub surrogate_divisor: u32,
-    /// Candidates promoted from each surrogate batch to full-size
-    /// evaluation (clamped to ≥ 1).
-    pub promote: u32,
-    /// Initial simulated-annealing temperature in **millionths** of
-    /// round-trip row-hit rate (an integer so the settings stay
-    /// `Copy + Eq`).  0 rejects every non-improving move.
-    pub sa_temp_micro: u32,
 }
 
 impl Default for SearchSettings {
@@ -132,9 +116,6 @@ impl Default for SearchSettings {
             budget: 80,
             neighbors: 8,
             workers: 0,
-            surrogate_divisor: 0,
-            promote: 2,
-            sa_temp_micro: 150,
         }
     }
 }
@@ -143,8 +124,7 @@ impl Default for SearchSettings {
 /// permutation with its full [`Record`], next to the row-major baseline and
 /// the paper's optimized reference evaluated under identical conditions.
 ///
-/// Serializable through [`crate::serialize::search_records_to_json`] and
-/// [`crate::serialize::search_records_to_csv`].
+/// Serializable through [`crate::serialize::search_records_to_json`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct SearchRecord {
     /// DRAM configuration label, e.g. `DDR4-3200`.
@@ -161,9 +141,6 @@ pub struct SearchRecord {
     pub accepted_moves: u32,
     /// Interleaver size (bursts) the candidates were evaluated at.
     pub bursts: u64,
-    /// Surrogate (short-burst) evaluations spent pre-screening candidates;
-    /// 0 for a disabled surrogate.
-    pub surrogate_evaluations: u32,
     /// MSB-first bit codes of the best discovered permutation (parseable by
     /// [`BitPermutation`]'s `FromStr`).  Empty when the winner has no
     /// bit-sliced form (a `tiled:HxW` layout from the free-shape tile
@@ -255,7 +232,6 @@ pub struct MappingSearch {
     spec: InterleaverSpec,
     controller: ControllerConfig,
     settings: SearchSettings,
-    transfer: Vec<(BitPermutation, XorFold)>,
 }
 
 /// One point of the hybrid design space: a bit permutation plus a
@@ -292,7 +268,6 @@ impl MappingSearch {
             spec,
             controller: ControllerConfig::default(),
             settings,
-            transfer: Vec::new(),
         }
     }
 
@@ -303,97 +278,31 @@ impl MappingSearch {
         self
     }
 
-    /// Seeds the start list with candidates won on *other* presets
-    /// (cross-preset transfer).  Seeds that do not validate for this
-    /// configuration's geometry/topology are skipped at start time, so
-    /// callers can pass one winner list to every preset.
-    #[must_use]
-    pub fn with_transfer_seeds(mut self, seeds: &[(BitPermutation, XorFold)]) -> Self {
-        self.transfer = seeds.to_vec();
-        self
-    }
-
-    /// The settings the search runs with.
-    #[must_use]
-    pub fn settings(&self) -> &SearchSettings {
-        &self.settings
-    }
-
-    /// Scores one explicit candidate under this search's scenario,
-    /// returning `(candidate, row_major, optimized)` records — the
-    /// search's own evaluation path exposed for probing tools.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ExpError`] when the candidate does not validate for the
-    /// configuration or a simulation fails.
-    pub fn score_candidate(
-        &self,
-        permutation: BitPermutation,
-        fold: XorFold,
-    ) -> Result<(Record, Record, Record), ExpError> {
-        self.score_kind(candidate_kind(&(permutation, fold)))
-    }
-
-    /// Scores one explicit [`MappingKind`] design point (any family,
-    /// including the free-shape `tiled:<h>x<w>` layouts) under this
-    /// search's scenario — see [`MappingSearch::score_candidate`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ExpError`] when the mapping does not build for the
-    /// configuration or a simulation fails.
-    pub fn score_kind(&self, kind: MappingKind) -> Result<(Record, Record, Record), ExpError> {
-        let mut cache = HashMap::new();
-        let mut evaluations = 0;
-        let record = self
-            .evaluate(&[kind], self.spec, &mut cache, &mut evaluations)?
-            .pop()
-            .expect("one kind in, one record out");
-        let (row_major, optimized) = self.reference_records()?;
-        Ok((record, row_major, optimized))
-    }
-
-    fn scenario_at(&self, kind: MappingKind, spec: InterleaverSpec) -> Scenario {
-        Scenario::custom(self.dram.clone(), kind, spec).with_controller(self.controller)
-    }
-
-    /// Evaluates a batch of design points at `spec` bursts through the
-    /// shared [`Experiment`] worker pool, consulting and filling `cache`
-    /// (hybrid candidates map through [`candidate_kind`]).
-    ///
-    /// The cache is keyed on the full scenario fingerprint (its `Display`
-    /// string: standard, topology, mapping, burst count, refresh,
-    /// scheduling, engine, …), **not** the candidate alone — the same
-    /// candidate evaluated under a surrogate spec and at full size are
-    /// different measurements and must never alias (the pre-fix cache
-    /// keyed on the permutation and silently returned whichever landed
-    /// first).
+    /// Evaluates a batch of design points through the shared
+    /// [`Experiment`] worker pool, consulting and filling `cache` (hybrid
+    /// candidates map through [`candidate_kind`]).  Every evaluation shares
+    /// the device, size and controller, so the mapping alone keys the
+    /// cache; a mapping repeated within or across batches runs once.
     fn evaluate(
         &self,
         kinds: &[MappingKind],
-        spec: InterleaverSpec,
-        cache: &mut HashMap<String, Record>,
+        cache: &mut HashMap<MappingKind, Record>,
         evaluations: &mut u32,
     ) -> Result<Vec<Record>, ExpError> {
-        let keyed: Vec<(String, Scenario)> = kinds
-            .iter()
-            .map(|kind| {
-                let scenario = self.scenario_at(*kind, spec);
-                (scenario.to_string(), scenario)
-            })
-            .collect();
-        let fresh: Vec<(String, Scenario)> = {
-            let mut unique: Vec<(String, Scenario)> = Vec::new();
-            for (key, scenario) in &keyed {
-                if !cache.contains_key(key) && !unique.iter().any(|(seen, _)| seen == key) {
-                    unique.push((key.clone(), scenario.clone()));
-                }
+        let mut fresh: Vec<MappingKind> = Vec::new();
+        for kind in kinds {
+            if !cache.contains_key(kind) && !fresh.contains(kind) {
+                fresh.push(*kind);
             }
-            unique
-        };
+        }
         if !fresh.is_empty() {
-            let scenarios: Vec<Scenario> = fresh.iter().map(|(_, s)| s.clone()).collect();
+            let scenarios = fresh
+                .iter()
+                .map(|kind| {
+                    Scenario::custom(self.dram.clone(), *kind, self.spec)
+                        .with_controller(self.controller)
+                })
+                .collect();
             let experiment = Experiment::new(scenarios);
             let experiment = if self.settings.workers == 0 {
                 experiment.with_auto_workers()
@@ -402,62 +311,19 @@ impl MappingSearch {
             };
             let records = experiment.run()?;
             *evaluations += fresh.len() as u32;
-            for ((key, _), record) in fresh.into_iter().zip(records) {
-                cache.insert(key, record);
-            }
+            cache.extend(fresh.into_iter().zip(records));
         }
-        Ok(keyed.iter().map(|(key, _)| cache[key].clone()).collect())
+        Ok(kinds.iter().map(|kind| cache[kind].clone()).collect())
     }
 
     /// Evaluates the row-major and optimized references (not counted
     /// against the candidate budget).
     fn reference_records(&self) -> Result<(Record, Record), ExpError> {
         let kinds = [MappingKind::RowMajor, MappingKind::Optimized];
-        let mut records = self.evaluate(&kinds, self.spec, &mut HashMap::new(), &mut 0)?;
+        let mut records = self.evaluate(&kinds, &mut HashMap::new(), &mut 0)?;
         let optimized = records.pop().expect("two references");
         let row_major = records.pop().expect("two references");
         Ok((row_major, optimized))
-    }
-
-    /// The reduced-size spec used for surrogate pre-screens, or `None`
-    /// when the surrogate is disabled or would not actually be smaller.
-    fn surrogate_spec(&self) -> Option<InterleaverSpec> {
-        let divisor = self.settings.surrogate_divisor;
-        if divisor < 2 {
-            return None;
-        }
-        let bursts = (self.spec.burst_count() / u64::from(divisor)).max(1_000);
-        if bursts >= self.spec.burst_count() {
-            return None;
-        }
-        Some(InterleaverSpec::from_burst_count(bursts))
-    }
-
-    /// The surrogate pre-screen of one candidate batch: ranks `kinds` at the
-    /// reduced [surrogate size](Self::surrogate_spec) and returns the
-    /// indices of the best [`promote`](SearchSettings::promote), best first
-    /// (ties break on batch order, which is itself deterministic).  Without
-    /// a surrogate, or when the batch is no larger than `promote`, every
-    /// index passes in batch order.
-    fn prescreen(
-        &self,
-        kinds: &[MappingKind],
-        cache: &mut HashMap<String, Record>,
-        surrogate_evaluations: &mut u32,
-    ) -> Result<Vec<usize>, ExpError> {
-        let promote = self.settings.promote.max(1) as usize;
-        let mut order: Vec<usize> = (0..kinds.len()).collect();
-        if let Some(spec) = self.surrogate_spec().filter(|_| kinds.len() > promote) {
-            let screened = self.evaluate(kinds, spec, cache, surrogate_evaluations)?;
-            order.sort_by(|&a, &b| {
-                score(&screened[b])
-                    .partial_cmp(&score(&screened[a]))
-                    .expect("scores are finite")
-                    .then(a.cmp(&b))
-            });
-            order.truncate(promote);
-        }
-        Ok(order)
     }
 
     /// The deterministic free-shape tile shortlist of the portfolio: the
@@ -508,38 +374,28 @@ impl MappingSearch {
         let restarts = self.settings.restarts.max(1);
         let budget = self.settings.budget.max(1);
         let neighbors = self.settings.neighbors.max(1);
-        let temperature0 = f64::from(self.settings.sa_temp_micro) * 1e-6;
+        let temperature0 = f64::from(SA_TEMP_MICRO) * 1e-6;
         let (row_major, optimized) = self.reference_records()?;
 
-        let mut cache: HashMap<String, Record> = HashMap::new();
+        let mut cache: HashMap<MappingKind, Record> = HashMap::new();
         let mut evaluations = 0u32;
-        let mut surrogate_evaluations = 0u32;
         let mut accepted_moves = 0u32;
         let mut best: Option<(Candidate, Record)> = None;
-        // Top fully-evaluated candidates, feeding evolutionary restarts.
+        // Top evaluated candidates, feeding evolutionary restarts.
         let mut elite: Vec<(Candidate, Record)> = Vec::new();
 
         // Deterministic free-shape tile sweep before the annealed climbs.
         // Capped one evaluation below the budget so the hybrid family is
         // always evaluated at least once (the restart loop below needs it).
-        let mut best_tiled: Option<(MappingKind, Record)> = None;
-        let shortlist = self.tiled_kinds();
-        let tiled: Vec<MappingKind> = self
-            .prescreen(&shortlist, &mut cache, &mut surrogate_evaluations)?
-            .into_iter()
-            .map(|index| shortlist[index])
-            .take(budget.saturating_sub(1) as usize)
-            .collect();
-        if !tiled.is_empty() {
-            let records = self.evaluate(&tiled, self.spec, &mut cache, &mut evaluations)?;
-            for (kind, record) in tiled.into_iter().zip(records) {
-                let improves = match &best_tiled {
-                    None => true,
-                    Some((_, incumbent)) => better(&record, incumbent),
-                };
-                if improves {
-                    best_tiled = Some((kind, record));
-                }
+        let mut best_tiled: Option<Record> = None;
+        let mut tiled = self.tiled_kinds();
+        tiled.truncate(budget.saturating_sub(1) as usize);
+        for record in self.evaluate(&tiled, &mut cache, &mut evaluations)? {
+            if best_tiled
+                .as_ref()
+                .map_or(true, |incumbent| better(&record, incumbent))
+            {
+                best_tiled = Some(record);
             }
         }
 
@@ -548,10 +404,10 @@ impl MappingSearch {
                 break;
             }
             // Budget slicing: restart `r` may climb until the run has spent
-            // `ceil(budget * (r + 1) / restarts)` full evaluations, so an
+            // `ceil(budget * (r + 1) / restarts)` evaluations, so an
             // early climb that anneals for a long time cannot starve the
-            // later deterministic starts (mimic tilings, transfer seeds);
-            // unspent slices roll forward.
+            // later deterministic starts (the mimic tilings); unspent slices
+            // roll forward.
             let ceiling = (u64::from(budget) * u64::from(restart + 1)).div_ceil(restarts.into());
             let ceiling = u32::try_from(ceiling).unwrap_or(budget).min(budget);
             let mut rng = StdRng::seed_from_u64(
@@ -559,12 +415,7 @@ impl MappingSearch {
             );
             let mut current = self.portfolio_start(restart, &elite, &mut rng)?;
             let mut current_record = self
-                .evaluate(
-                    &[candidate_kind(&current)],
-                    self.spec,
-                    &mut cache,
-                    &mut evaluations,
-                )?
+                .evaluate(&[candidate_kind(&current)], &mut cache, &mut evaluations)?
                 .pop()
                 .expect("one candidate in, one record out");
             update_elite(&mut elite, current, &current_record);
@@ -577,27 +428,19 @@ impl MappingSearch {
             }
             let mut temperature = temperature0;
             let mut rejections = 0u32;
-            // Each step spends ≥ 1 fresh full evaluation in the common
-            // case; the step cap bounds pathological all-cache-hit climbs.
+            // Each step spends ≥ 1 fresh evaluation in the common case; the
+            // step cap bounds pathological all-cache-hit climbs.
             let mut steps = 0u32;
             while evaluations < ceiling && steps < budget {
                 steps += 1;
-                let batch = self.propose_moves(current, neighbors as usize, &mut rng);
-                if batch.is_empty() {
+                let mut finalists = self.propose_moves(current, neighbors as usize, &mut rng);
+                if finalists.is_empty() {
                     continue 'restarts;
                 }
-                let kinds: Vec<MappingKind> = batch.iter().map(candidate_kind).collect();
-                let finalists: Vec<Candidate> = self
-                    .prescreen(&kinds, &mut cache, &mut surrogate_evaluations)?
-                    .into_iter()
-                    .map(|index| batch[index])
-                    .take((budget - evaluations) as usize)
-                    .collect();
-                if finalists.is_empty() {
-                    break 'restarts;
-                }
+                // The loop condition leaves at least one evaluation.
+                finalists.truncate((budget - evaluations) as usize);
                 let kinds: Vec<MappingKind> = finalists.iter().map(candidate_kind).collect();
-                let records = self.evaluate(&kinds, self.spec, &mut cache, &mut evaluations)?;
+                let records = self.evaluate(&kinds, &mut cache, &mut evaluations)?;
                 let (winner, winner_record) = finalists
                     .iter()
                     .zip(&records)
@@ -646,7 +489,7 @@ impl MappingSearch {
         // `permutation`/`fold` stay empty and `best.mapping` (the
         // `tiled:HxW` label) is the authoritative description.
         let (permutation, fold, best_record) = match best_tiled {
-            Some((_, tiled_record)) if better(&tiled_record, &best_record) => {
+            Some(tiled_record) if better(&tiled_record, &best_record) => {
                 (String::new(), String::new(), tiled_record)
             }
             _ => (
@@ -663,7 +506,6 @@ impl MappingSearch {
             evaluations,
             accepted_moves,
             bursts: self.spec.burst_count(),
-            surrogate_evaluations,
             permutation,
             fold,
             best: best_record,
@@ -674,9 +516,8 @@ impl MappingSearch {
 
     /// The deterministic starting candidate of `restart`:
     /// balanced/mirrored/scheme starts, the two diagonal-fold starts, the
-    /// three [optimized-mimic](Self::optimized_mimic_start) tilings,
-    /// transfer seeds valid for this geometry, then alternating
-    /// elite-mutation and random-shuffle starts.
+    /// three [optimized-mimic](Self::optimized_mimic_start) tilings, then
+    /// alternating elite-mutation and random-shuffle starts.
     fn portfolio_start(
         &self,
         restart: u32,
@@ -736,8 +577,8 @@ impl MappingSearch {
         }
     }
 
-    /// Late-restart starts: transfer seeds by slot, then alternating
-    /// elite-mutation and seeded random-shuffle starts.
+    /// Late-restart starts: alternating elite-mutation and seeded
+    /// random-shuffle starts.
     fn exploration_start(
         &self,
         restart: u32,
@@ -746,21 +587,6 @@ impl MappingSearch {
     ) -> Result<Candidate, ExpError> {
         let topology = self.dram.topology;
         let identity = XorFold::identity();
-        let slot = restart.saturating_sub(8) as usize;
-        let transfer: Vec<Candidate> = self
-            .transfer
-            .iter()
-            .copied()
-            .filter(|(permutation, fold)| {
-                permutation
-                    .validate_for(&self.dram.geometry, topology)
-                    .is_ok()
-                    && fold.validate_for(permutation).is_ok()
-            })
-            .collect();
-        if slot < transfer.len() {
-            return Ok(transfer[slot]);
-        }
         if restart % 2 == 1 && !elite.is_empty() {
             // Evolutionary restart: perturb an elite member.
             let (mut candidate, _) = elite[rng.gen_range(0..elite.len())];
@@ -1102,7 +928,6 @@ mod tests {
             budget,
             neighbors: 4,
             workers: 1,
-            ..SearchSettings::default()
         }
     }
 
@@ -1137,7 +962,6 @@ mod tests {
             let mimic = search
                 .evaluate(
                     &[candidate_kind(&(permutation, fold))],
-                    search.spec,
                     &mut cache,
                     &mut evaluations,
                 )
@@ -1296,13 +1120,8 @@ mod tests {
         assert_eq!(outcome.budget, 5);
     }
 
-    /// Regression test for the cache-aliasing bug: the candidate cache
-    /// used to key on the permutation alone, so the *same* candidate
-    /// evaluated under two different scenarios (e.g. a short surrogate run
-    /// vs the full-size run) silently returned whichever record landed
-    /// first.  The key must cover every scenario axis.
     #[test]
-    fn cache_keys_on_the_full_scenario_not_the_candidate_alone() {
+    fn a_repeated_mapping_is_a_free_cache_hit() {
         let s = search(4);
         let candidate = candidate_kind(&(
             balanced_start(
@@ -1316,31 +1135,22 @@ mod tests {
         ));
         let mut cache = HashMap::new();
         let mut evaluations = 0;
-        let full = s
-            .evaluate(&[candidate], s.spec, &mut cache, &mut evaluations)
+        let first = s
+            .evaluate(&[candidate, candidate], &mut cache, &mut evaluations)
             .unwrap();
-        let short_spec = InterleaverSpec::from_burst_count(1_000);
-        let short = s
-            .evaluate(&[candidate], short_spec, &mut cache, &mut evaluations)
+        assert_eq!(evaluations, 1, "a batch repeating a mapping runs it once");
+        assert_eq!(first[0], first[1]);
+        let again = s
+            .evaluate(&[candidate], &mut cache, &mut evaluations)
             .unwrap();
-        assert_eq!(evaluations, 2, "two scenarios, two evaluations");
-        assert_eq!(cache.len(), 2, "distinct scenario keys must not alias");
-        assert_ne!(
-            full[0], short[0],
-            "a surrogate record must never masquerade as a full-size one"
-        );
-        // Re-asking for either scenario is now a pure cache hit.
-        s.evaluate(&[candidate], s.spec, &mut cache, &mut evaluations)
-            .unwrap();
-        assert_eq!(evaluations, 2);
+        assert_eq!(evaluations, 1, "a cached mapping costs no evaluation");
+        assert_eq!(again[0], first[0]);
     }
 
     #[test]
     fn portfolio_search_is_reproducible_and_labels_round_trip() {
         let portfolio = SearchSettings {
             restarts: 6,
-            surrogate_divisor: 4,
-            promote: 2,
             ..settings(14)
         };
         let dram = DramConfig::preset(DramStandard::Ddr4, 3200).unwrap();
@@ -1360,10 +1170,6 @@ mod tests {
         .unwrap();
         assert_eq!(a, b, "portfolio must be worker-count independent");
         assert!(a.evaluations <= a.budget);
-        assert!(
-            a.surrogate_evaluations > 0,
-            "divisor 4 on 3 000 bursts must trigger the surrogate"
-        );
         // The winner replays through parse_label whichever family won: a
         // tiled winner has no bit-sliced form and empty permutation/fold.
         if a.permutation.is_empty() {
@@ -1383,32 +1189,6 @@ mod tests {
             a.discovered_row_hit_rate() > round_trip_row_hit_rate(&a.row_major),
             "the balanced starts already beat row-major's thrashing read phase"
         );
-    }
-
-    #[test]
-    fn transfer_seeds_skip_mismatched_geometries() {
-        // A DDR3 permutation (1 bank-group bit fewer) must not poison a
-        // DDR4 portfolio; an in-geometry seed must be usable as a start.
-        let ddr3 = DramConfig::preset(DramStandard::Ddr3, 1600).unwrap();
-        let ddr4 = DramConfig::preset(DramStandard::Ddr4, 3200).unwrap();
-        let foreign = balanced_start(&ddr3, ChannelTopology::default(), 3_000, false).unwrap();
-        let native = balanced_start(&ddr4, ChannelTopology::default(), 3_000, true).unwrap();
-        let seeds = vec![
-            (foreign, XorFold::identity()),
-            (native, XorFold::identity()),
-        ];
-        let portfolio = SearchSettings {
-            restarts: 6,
-            ..settings(8)
-        };
-        let spec = InterleaverSpec::from_burst_count(3_000);
-        let outcome = MappingSearch::new(ddr4, spec, portfolio)
-            .with_transfer_seeds(&seeds)
-            .run()
-            .unwrap();
-        // Restart 5 consumes the first *valid* seed (the native one); the
-        // foreign seed is filtered out instead of failing the run.
-        assert!(outcome.evaluations <= outcome.budget);
     }
 
     #[test]

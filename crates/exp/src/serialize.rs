@@ -1,11 +1,12 @@
-//! Hand-rolled JSON and CSV serialization for [`Record`]s.
+//! Hand-rolled JSON serialization for [`Record`]s and [`SearchRecord`]s.
 //!
 //! The build environment has no crates.io access, so rather than pulling in
 //! `serde` the record schema is flat and small enough to serialize by hand.
-//! The emitted JSON is an array of objects (one per record, one per line);
-//! the CSV uses a fixed header with empty link columns when no channel/FEC
-//! stage ran.  [`crate::json::parse`] can re-parse the emitted JSON, which
-//! the test-suite and the CI smoke run use to validate the artifacts.
+//! The emitted JSON is an array of objects (one per record, one per line),
+//! with `null` for the link and tenant objects of records that ran no
+//! channel/FEC or multi-tenant stage.  [`crate::json::parse`] can re-parse
+//! the emitted JSON, which the test-suite and the CI smoke run use to
+//! validate the artifacts.
 
 use std::path::Path;
 
@@ -131,133 +132,35 @@ fn record_to_json(record: &Record) -> String {
     )
 }
 
-/// Serializes records as a JSON array (one object per line).
-#[must_use]
-pub fn records_to_json(records: &[Record]) -> String {
+/// Serializes `items` as a JSON array with one object per line.
+fn json_array<T>(items: &[T], object: impl Fn(&T) -> String) -> String {
     let mut out = String::from("[\n");
-    for (i, record) in records.iter().enumerate() {
+    for (i, item) in items.iter().enumerate() {
         out.push_str("  ");
-        out.push_str(&record_to_json(record));
-        if i + 1 < records.len() {
+        out.push_str(&object(item));
+        if i + 1 < items.len() {
             out.push(',');
         }
         out.push('\n');
     }
-    out.push(']');
-    out.push('\n');
+    out.push_str("]\n");
     out
 }
 
-/// The CSV header emitted by [`records_to_csv`] (34 columns).  The six link
-/// columns are empty for records without a channel/FEC stage and the five
-/// tenant columns for records without a multi-tenant stage; the per-tenant
-/// breakdown is only available in the JSON form.
-pub const CSV_HEADER: &str = "scenario_id,dram,mapping,bursts,dimension,refresh_disabled,\
-channels,ranks,threads,write_utilization,read_utilization,min_utilization,sustained_gbps,\
-aggregate_gbps,channel_utilization_spread,write_row_hit_rate,\
-read_row_hit_rate,activates,energy_total_mj,energy_nj_per_byte,simulated_cycles,\
-wall_time_s,sim_cycles_per_second,frame_error_rate,\
-channel_symbol_error_rate,residual_symbol_error_rate,post_fec_ber,link_code_rate,\
-link_interleaver_depth,tenant_policy,tenant_streams,\
-tenant_fairness_index,tenant_worst_p50_cycles,tenant_worst_p99_cycles";
-
-/// Quotes a CSV field if it contains a comma, quote or newline.
-fn csv_field(value: &str) -> String {
-    if value.contains([',', '"', '\n']) {
-        format!("\"{}\"", value.replace('"', "\"\""))
-    } else {
-        value.to_string()
-    }
-}
-
-/// Serializes records as CSV with a fixed header; the six link columns are
-/// empty for records without a channel/FEC stage.
+/// Serializes records as a JSON array (one object per line).
 #[must_use]
-pub fn records_to_csv(records: &[Record]) -> String {
-    let mut out = String::from(CSV_HEADER);
-    out.push('\n');
-    for r in records {
-        let (fer, cser, rser, ber, rate, depth) = match &r.link {
-            None => (
-                String::new(),
-                String::new(),
-                String::new(),
-                String::new(),
-                String::new(),
-                String::new(),
-            ),
-            Some(l) => (
-                json_number(l.frame_error_rate),
-                json_number(l.channel_symbol_error_rate),
-                json_number(l.residual_symbol_error_rate),
-                json_number(l.post_fec_ber),
-                json_number(l.code_rate),
-                l.interleaver_depth.to_string(),
-            ),
-        };
-        let (policy, streams, fairness, p50, p99) = match &r.tenants {
-            None => (
-                String::new(),
-                String::new(),
-                String::new(),
-                String::new(),
-                String::new(),
-            ),
-            Some(t) => (
-                t.policy.clone(),
-                t.streams.to_string(),
-                json_number(t.fairness_index),
-                t.worst_p50_cycles.to_string(),
-                t.worst_p99_cycles.to_string(),
-            ),
-        };
-        out.push_str(&format!(
-            "{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{}\n",
-            csv_field(&r.scenario_id),
-            csv_field(&r.dram_label),
-            csv_field(&r.mapping),
-            r.bursts,
-            r.dimension,
-            r.refresh_disabled,
-            r.channels,
-            r.ranks,
-            r.threads,
-            json_number(r.write_utilization),
-            json_number(r.read_utilization),
-            json_number(r.min_utilization),
-            json_number(r.sustained_gbps),
-            json_number(r.aggregate_gbps),
-            json_number(r.channel_utilization_spread),
-            json_number(r.write_row_hit_rate),
-            json_number(r.read_row_hit_rate),
-            r.activates,
-            json_number(r.energy_total_mj),
-            json_number(r.energy_nj_per_byte),
-            r.simulated_cycles,
-            json_number(r.wall_time_s),
-            json_number(r.sim_cycles_per_second),
-            fer,
-            cser,
-            rser,
-            ber,
-            rate,
-            depth,
-            csv_field(&policy),
-            streams,
-            fairness,
-            p50,
-            p99,
-        ));
-    }
-    out
+pub fn records_to_json(records: &[Record]) -> String {
+    json_array(records, record_to_json)
 }
 
 /// Serializes one [`SearchRecord`] as a JSON object; the three embedded
-/// records use the regular [`Record`] schema.
+/// records use the regular [`Record`] schema.  `surrogate_evaluations` is
+/// always 0: the search has no reduced-size pre-screen, and the key keeps
+/// the committed `BENCH_dse.json` schema.
 fn search_record_to_json(record: &SearchRecord) -> String {
     format!(
         "{{\"dram\":{},\"seed\":{},\"restarts\":{},\"budget\":{},\"evaluations\":{},\
-         \"surrogate_evaluations\":{},\"accepted_moves\":{},\"bursts\":{},\"permutation\":{},\
+         \"surrogate_evaluations\":0,\"accepted_moves\":{},\"bursts\":{},\"permutation\":{},\
          \"fold\":{},\"discovered_row_hit_rate\":{},\"optimized_row_hit_rate\":{},\
          \"matches_or_beats_optimized\":{},\"beats_optimized\":{},\"row_hit_gain\":{},\
          \"utilization_gain\":{},\"best\":{},\"row_major\":{},\"optimized\":{}}}",
@@ -266,7 +169,6 @@ fn search_record_to_json(record: &SearchRecord) -> String {
         record.restarts,
         record.budget,
         record.evaluations,
-        record.surrogate_evaluations,
         record.accepted_moves,
         record.bursts,
         json_string(&record.permutation),
@@ -287,72 +189,7 @@ fn search_record_to_json(record: &SearchRecord) -> String {
 /// search-layer counterpart of [`records_to_json`].
 #[must_use]
 pub fn search_records_to_json(records: &[SearchRecord]) -> String {
-    let mut out = String::from("[\n");
-    for (i, record) in records.iter().enumerate() {
-        out.push_str("  ");
-        out.push_str(&search_record_to_json(record));
-        if i + 1 < records.len() {
-            out.push(',');
-        }
-        out.push('\n');
-    }
-    out.push(']');
-    out.push('\n');
-    out
-}
-
-/// The CSV header emitted by [`search_records_to_csv`] (18 columns).
-pub const SEARCH_CSV_HEADER: &str = "dram,seed,restarts,budget,evaluations,\
-surrogate_evaluations,accepted_moves,bursts,permutation,fold,discovered_row_hit_rate,\
-optimized_row_hit_rate,row_major_row_hit_rate,discovered_min_utilization,\
-optimized_min_utilization,row_hit_gain,utilization_gain,beats_optimized";
-
-/// Serializes search records as flat CSV (summary metrics only; use the
-/// JSON form for the full embedded records).
-#[must_use]
-pub fn search_records_to_csv(records: &[SearchRecord]) -> String {
-    let mut out = String::from(SEARCH_CSV_HEADER);
-    out.push('\n');
-    for r in records {
-        out.push_str(&format!(
-            "{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{}\n",
-            csv_field(&r.dram_label),
-            r.seed,
-            r.restarts,
-            r.budget,
-            r.evaluations,
-            r.surrogate_evaluations,
-            r.accepted_moves,
-            r.bursts,
-            csv_field(&r.permutation),
-            csv_field(&r.fold),
-            json_number(r.discovered_row_hit_rate()),
-            json_number(r.optimized_row_hit_rate()),
-            json_number(crate::search::round_trip_row_hit_rate(&r.row_major)),
-            json_number(r.best.min_utilization),
-            json_number(r.optimized.min_utilization),
-            json_number(r.row_hit_gain()),
-            json_number(r.utilization_gain()),
-            r.beats_optimized(),
-        ));
-    }
-    out
-}
-
-/// Writes the CSV serialization of `records` to `path`.
-///
-/// # Errors
-///
-/// Returns [`ExpError::Io`] if the file cannot be written.
-pub fn write_search_csv(path: &Path, records: &[SearchRecord]) -> Result<(), ExpError> {
-    write_artifact(path, &search_records_to_csv(records))
-}
-
-fn write_artifact(path: &Path, contents: &str) -> Result<(), ExpError> {
-    std::fs::write(path, contents).map_err(|e| ExpError::Io {
-        path: path.display().to_string(),
-        message: e.to_string(),
-    })
+    json_array(records, search_record_to_json)
 }
 
 /// Writes the JSON serialization of `records` to `path`.
@@ -361,16 +198,10 @@ fn write_artifact(path: &Path, contents: &str) -> Result<(), ExpError> {
 ///
 /// Returns [`ExpError::Io`] if the file cannot be written.
 pub fn write_json(path: &Path, records: &[Record]) -> Result<(), ExpError> {
-    write_artifact(path, &records_to_json(records))
-}
-
-/// Writes the CSV serialization of `records` to `path`.
-///
-/// # Errors
-///
-/// Returns [`ExpError::Io`] if the file cannot be written.
-pub fn write_csv(path: &Path, records: &[Record]) -> Result<(), ExpError> {
-    write_artifact(path, &records_to_csv(records))
+    std::fs::write(path, records_to_json(records)).map_err(|e| ExpError::Io {
+        path: path.display().to_string(),
+        message: e.to_string(),
+    })
 }
 
 #[cfg(test)]
@@ -524,25 +355,7 @@ mod tests {
     }
 
     #[test]
-    fn csv_has_header_and_one_line_per_record() {
-        let records = vec![sample("a", false), sample("b", true)];
-        let text = records_to_csv(&records);
-        let lines: Vec<&str> = text.lines().collect();
-        assert_eq!(lines.len(), 3);
-        assert_eq!(lines[0], CSV_HEADER);
-        assert_eq!(lines[0].split(',').count(), 34);
-        assert_eq!(lines[1].split(',').count(), 34);
-        assert!(
-            lines[1].ends_with(",,,,,,,,,,,"),
-            "link and tenant columns empty: {}",
-            lines[1]
-        );
-        assert!(lines[2].contains("0.015625"));
-        assert!(lines[2].contains("0.000125"));
-    }
-
-    #[test]
-    fn tenant_summary_round_trips_through_json_and_csv() {
+    fn tenant_summary_round_trips_through_json() {
         let mut record = sample("tenants", false);
         record.tenants = Some(tenant_summary());
         let text = records_to_json(&[record.clone()]);
@@ -583,23 +396,6 @@ mod tests {
             value.as_array().unwrap()[0].get("tenants"),
             Some(JsonValue::Null)
         ));
-        // CSV carries the five summary columns.
-        let csv = records_to_csv(&[record]);
-        let line = csv.lines().nth(1).unwrap();
-        assert_eq!(line.split(',').count(), 34);
-        assert!(
-            line.ends_with("weighted_share,2,0.875,4000,12000"),
-            "{line}"
-        );
-    }
-
-    #[test]
-    fn csv_quotes_fields_with_commas() {
-        let mut record = sample("id,with,commas", false);
-        record.mapping = "has \"quotes\"".to_string();
-        let text = records_to_csv(&[record]);
-        assert!(text.contains("\"id,with,commas\""));
-        assert!(text.contains("\"has \"\"quotes\"\"\""));
     }
 
     #[test]
@@ -607,14 +403,10 @@ mod tests {
         let dir = std::env::temp_dir().join("tbi_exp_serialize_test");
         std::fs::create_dir_all(&dir).unwrap();
         let json_path = dir.join("records.json");
-        let csv_path = dir.join("records.csv");
         let records = vec![sample("file", true)];
         write_json(&json_path, &records).unwrap();
-        write_csv(&csv_path, &records).unwrap();
         let json_text = std::fs::read_to_string(&json_path).unwrap();
         assert!(parse(&json_text).is_ok());
-        let csv_text = std::fs::read_to_string(&csv_path).unwrap();
-        assert!(csv_text.starts_with("scenario_id,"));
         std::fs::remove_dir_all(&dir).ok();
     }
 

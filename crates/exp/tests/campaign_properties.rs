@@ -129,7 +129,6 @@ fn portfolio_search_accepts_every_modern_preset() {
         budget: 6,
         neighbors: 2,
         workers: 1,
-        surrogate_divisor: 4,
         ..SearchSettings::default()
     };
     for standard in DramStandard::MODERN {

@@ -1,28 +1,27 @@
-//! Golden snapshot tests for the `tbi_exp` JSON and CSV serializers.
+//! Golden snapshot tests for the `tbi_exp` JSON record serializer.
 //!
-//! The serialized byte streams of a fixed record set are committed under
-//! `tests/fixtures/`; any schema change — a new column, a reordering, a
+//! The serialized byte stream of a fixed record set is committed under
+//! `tests/fixtures/`; any schema change — a new key, a reordering, a
 //! float-formatting change — fails these tests and forces the fixture (and
-//! therefore the change) to be a conscious choice.  The JSON fixture must
+//! therefore the change) to be a conscious choice.  The fixture must
 //! additionally round-trip through the crate's own validating parser.
 //!
-//! Regenerating the fixtures after an intentional schema change:
+//! Regenerating the fixture after an intentional schema change:
 //!
 //! ```text
 //! TBI_BLESS_GOLDEN=1 cargo test -p tbi_exp --test serialize_golden
 //! ```
 
 use tbi_exp::json::{parse, JsonValue};
-use tbi_exp::serialize::{records_to_csv, records_to_json, CSV_HEADER};
+use tbi_exp::serialize::records_to_json;
 use tbi_exp::{LinkRecord, Record, TenantLatency, TenantSummary};
 
 const JSON_FIXTURE: &str = include_str!("fixtures/records_golden.json");
-const CSV_FIXTURE: &str = include_str!("fixtures/records_golden.csv");
 
 /// A fixed, fully populated record set: a legacy single-channel record
 /// without a link stage, a multi-channel/multi-rank record with a tenant
 /// summary, and a record with a link stage plus characters that exercise
-/// JSON/CSV escaping.
+/// JSON escaping.
 fn golden_records() -> Vec<Record> {
     vec![
         Record {
@@ -145,7 +144,7 @@ fn golden_records() -> Vec<Record> {
     ]
 }
 
-/// With `TBI_BLESS_GOLDEN=1`, rewrites the fixture files instead of
+/// With `TBI_BLESS_GOLDEN=1`, rewrites the fixture file instead of
 /// comparing (returns `true` when blessing happened).
 fn bless(name: &str, contents: &str) -> bool {
     if std::env::var("TBI_BLESS_GOLDEN").is_err() {
@@ -169,19 +168,6 @@ fn json_serialization_is_byte_identical_to_the_committed_fixture() {
     assert_eq!(
         json, JSON_FIXTURE,
         "JSON schema drifted from tests/fixtures/records_golden.json — if \
-         intentional, regenerate with TBI_BLESS_GOLDEN=1"
-    );
-}
-
-#[test]
-fn csv_serialization_is_byte_identical_to_the_committed_fixture() {
-    let csv = records_to_csv(&golden_records());
-    if bless("records_golden.csv", &csv) {
-        return;
-    }
-    assert_eq!(
-        csv, CSV_FIXTURE,
-        "CSV schema drifted from tests/fixtures/records_golden.csv — if \
          intentional, regenerate with TBI_BLESS_GOLDEN=1"
     );
 }
@@ -266,28 +252,5 @@ fn committed_json_fixture_round_trips_through_the_parser() {
                 }
             }
         }
-    }
-}
-
-#[test]
-fn committed_csv_fixture_matches_the_header_contract() {
-    let mut lines = CSV_FIXTURE.lines();
-    assert_eq!(lines.next(), Some(CSV_HEADER));
-    let columns = CSV_HEADER.split(',').count();
-    assert_eq!(columns, 34, "column additions must update this contract");
-    for line in lines {
-        // Quoted fields may embed commas; strip quoted sections first.
-        let mut in_quotes = false;
-        let fields = line
-            .chars()
-            .filter(|&c| {
-                if c == '"' {
-                    in_quotes = !in_quotes;
-                }
-                c == ',' && !in_quotes
-            })
-            .count()
-            + 1;
-        assert_eq!(fields, columns, "row has wrong column count: {line}");
     }
 }

@@ -15,7 +15,7 @@
 //! * [`sched`] — the multi-tenant stream scheduler: QoS policies,
 //!   admission control and per-tenant latency histograms ([`tbi_sched`]);
 //! * [`exp`] — the declarative [`Scenario`]/[`SweepGrid`]/[`Experiment`]
-//!   evaluation layer with parallel sweeps and JSON/CSV results
+//!   evaluation layer with parallel sweeps and JSON records
 //!   ([`tbi_exp`]).
 //!
 //! The most common entry points are re-exported at the crate root.

@@ -14,7 +14,6 @@ fn settings(workers: usize) -> SearchSettings {
         budget: 10,
         neighbors: 4,
         workers,
-        ..SearchSettings::default()
     }
 }
 
