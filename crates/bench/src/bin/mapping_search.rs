@@ -52,7 +52,7 @@ fn usage() -> String {
 }
 
 /// Splits the search-specific flags off the command line, leaving the
-/// shared harness flags for [`HarnessOptions::parse`].
+/// shared harness flags for [`HarnessOptions::parse_for`].
 fn parse_search_flags(
     args: Vec<String>,
     settings: &mut SearchSettings,

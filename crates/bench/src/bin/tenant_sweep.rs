@@ -111,12 +111,7 @@ fn main() {
         options.bursts,
         SchedPolicyKind::ALL.map(|p| p.label()),
     );
-    let experiment = Experiment::new(scenarios);
-    let experiment = if options.workers == 0 {
-        experiment.with_auto_workers()
-    } else {
-        experiment.with_workers(options.workers)
-    };
+    let experiment = Experiment::new(scenarios).with_workers(options.workers);
     let records = match experiment.run() {
         Ok(records) => records,
         Err(error) => {

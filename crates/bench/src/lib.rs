@@ -81,32 +81,21 @@ impl HarnessOptions {
         }
     }
 
-    /// Parses options from command-line arguments, accepting every shared
-    /// flag ([`ALL_FLAGS`]).
+    /// Parses options for a binary that accepts only `flags` (a subset of
+    /// [`ALL_FLAGS`]).  The same list drives [`HarnessOptions::usage_for`],
+    /// so a binary never silently ignores a flag it does not read.
     ///
-    /// Supported flags: `--full` (12.5 M bursts as in the paper),
+    /// The shared flags are `--full` (12.5 M bursts as in the paper),
     /// `--bursts <n>`, `--no-refresh`, `--workers <n>`, `--threads <n>`,
-    /// `--json <path>`, `--channels <n>`, `--ranks <n>` and `--help`/`-h`
-    /// (which sets [`HarnessOptions::help`] and stops parsing).
+    /// `--json <path>`, `--channels <n>` and `--ranks <n>`; `--help`/`-h` is
+    /// always accepted, sets [`HarnessOptions::help`] and stops parsing.
     ///
     /// # Errors
     ///
-    /// Returns a human-readable error message for unknown flags, malformed
+    /// Returns a human-readable error message for unknown flags, shared
+    /// flags missing from `flags` (named), positional arguments, malformed
     /// or out-of-range numbers and missing flag values.  Parsing never
     /// panics.
-    pub fn parse<I: IntoIterator<Item = String>>(args: I) -> Result<Self, String> {
-        Self::parse_for(args, &ALL_FLAGS)
-    }
-
-    /// Parses options for a binary that accepts only `flags` (a subset of
-    /// [`ALL_FLAGS`]; `--help`/`-h` is always accepted).  The same list
-    /// drives [`HarnessOptions::usage_for`], so a binary never silently
-    /// ignores a flag it does not read.
-    ///
-    /// # Errors
-    ///
-    /// As [`HarnessOptions::parse`]; additionally names any shared flag
-    /// missing from `flags`, and rejects positional arguments.
     pub fn parse_for<I: IntoIterator<Item = String>>(
         args: I,
         flags: &[&str],
@@ -243,12 +232,6 @@ impl HarnessOptions {
         }
     }
 
-    /// Usage text for a harness binary accepting the full shared flag set.
-    #[must_use]
-    pub fn usage(binary: &str) -> String {
-        Self::usage_for(binary, &ALL_FLAGS)
-    }
-
     /// Usage text for a harness binary accepting only a subset of the shared
     /// flags (`flags` lists them by name, e.g. `"--workers"`); `--help` is
     /// always included.
@@ -332,12 +315,7 @@ impl HarnessOptions {
     /// Propagates [`ExpError`] from the first failing scenario.
     pub fn run_grid(&self, grid: SweepGrid) -> Result<Vec<Record>, ExpError> {
         let experiment = grid.threads(self.threads).into_experiment();
-        let experiment = if self.workers == 0 {
-            experiment.with_auto_workers()
-        } else {
-            experiment.with_workers(self.workers)
-        };
-        experiment.run()
+        experiment.with_workers(self.workers).run()
     }
 
     /// Writes the records to the `--json` path, if one was given, and
@@ -444,9 +422,14 @@ pub fn build_campaign(bursts: u64, workers: usize) -> Result<Campaign, ExpError>
 mod tests {
     use super::*;
 
+    /// Parses with every shared flag listed, as `table1` does.
+    fn parse<I: IntoIterator<Item = String>>(args: I) -> Result<HarnessOptions, String> {
+        HarnessOptions::parse_for(args, &ALL_FLAGS)
+    }
+
     #[test]
     fn parse_defaults() {
-        let options = HarnessOptions::parse(Vec::<String>::new()).unwrap();
+        let options = parse(Vec::<String>::new()).unwrap();
         assert_eq!(options.bursts, DEFAULT_BURSTS);
         assert!(!options.no_refresh);
         assert_eq!(options.workers, 0);
@@ -456,19 +439,16 @@ mod tests {
 
     #[test]
     fn parse_flags() {
-        let options =
-            HarnessOptions::parse(["--no-refresh", "--bursts", "4096"].map(String::from)).unwrap();
+        let options = parse(["--no-refresh", "--bursts", "4096"].map(String::from)).unwrap();
         assert!(options.no_refresh);
         assert_eq!(options.bursts, 4096);
-        let full = HarnessOptions::parse(["--full"].map(String::from)).unwrap();
+        let full = parse(["--full"].map(String::from)).unwrap();
         assert_eq!(full.bursts, 12_500_000);
     }
 
     #[test]
     fn parse_output_and_worker_flags() {
-        let options =
-            HarnessOptions::parse(["--json", "out.json", "--workers", "3"].map(String::from))
-                .unwrap();
+        let options = parse(["--json", "out.json", "--workers", "3"].map(String::from)).unwrap();
         assert_eq!(
             options.json.as_deref(),
             Some(std::path::Path::new("out.json"))
@@ -479,11 +459,11 @@ mod tests {
     #[test]
     fn parse_threads_flag() {
         assert_eq!(HarnessOptions::new().threads, 1);
-        let options = HarnessOptions::parse(["--threads", "4"].map(String::from)).unwrap();
+        let options = parse(["--threads", "4"].map(String::from)).unwrap();
         assert_eq!(options.threads, 4);
-        assert!(HarnessOptions::parse(["--threads"].map(String::from)).is_err());
-        assert!(HarnessOptions::parse(["--threads", "0"].map(String::from)).is_err());
-        assert!(HarnessOptions::parse(["--threads", "many"].map(String::from)).is_err());
+        assert!(parse(["--threads"].map(String::from)).is_err());
+        assert!(parse(["--threads", "0"].map(String::from)).is_err());
+        assert!(parse(["--threads", "many"].map(String::from)).is_err());
     }
 
     #[test]
@@ -497,7 +477,7 @@ mod tests {
             &["--engine"],
         ] {
             let args: Vec<String> = args.iter().map(|s| (*s).to_string()).collect();
-            let err = HarnessOptions::parse(args).unwrap_err();
+            let err = parse(args).unwrap_err();
             assert!(err.contains("`--engine`"), "got: {err}");
         }
     }
@@ -523,20 +503,20 @@ mod tests {
     #[test]
     fn parse_help_short_circuits() {
         for flag in ["--help", "-h"] {
-            let options = HarnessOptions::parse([flag.to_string(), "--nope".to_string()]).unwrap();
+            let options = parse([flag.to_string(), "--nope".to_string()]).unwrap();
             assert!(options.help, "{flag} should set help");
         }
     }
 
     #[test]
     fn parse_rejects_unknown_and_malformed() {
-        assert!(HarnessOptions::parse(["--nope"].map(String::from)).is_err());
-        assert!(HarnessOptions::parse(["--bursts"].map(String::from)).is_err());
-        assert!(HarnessOptions::parse(["--bursts", "abc"].map(String::from)).is_err());
-        assert!(HarnessOptions::parse(["--bursts", "0"].map(String::from)).is_err());
-        assert!(HarnessOptions::parse(["--workers", "x"].map(String::from)).is_err());
-        assert!(HarnessOptions::parse(["--json"].map(String::from)).is_err());
-        assert!(HarnessOptions::parse(["--csv", "out.csv"].map(String::from)).is_err());
+        assert!(parse(["--nope"].map(String::from)).is_err());
+        assert!(parse(["--bursts"].map(String::from)).is_err());
+        assert!(parse(["--bursts", "abc"].map(String::from)).is_err());
+        assert!(parse(["--bursts", "0"].map(String::from)).is_err());
+        assert!(parse(["--workers", "x"].map(String::from)).is_err());
+        assert!(parse(["--json"].map(String::from)).is_err());
+        assert!(parse(["--csv", "out.csv"].map(String::from)).is_err());
     }
 
     /// Every malformed command line must produce a clean `Err` with a
@@ -574,7 +554,7 @@ mod tests {
         ];
         for case in cases {
             let args: Vec<String> = case.iter().map(|s| (*s).to_string()).collect();
-            let result = std::panic::catch_unwind(|| HarnessOptions::parse(args.clone()));
+            let result = std::panic::catch_unwind(|| parse(args.clone()));
             let outcome = result.unwrap_or_else(|_| panic!("{case:?} panicked"));
             let err = outcome.expect_err(&format!("{case:?} should be rejected"));
             assert!(!err.is_empty(), "{case:?} produced an empty error message");
@@ -625,20 +605,19 @@ mod tests {
     #[test]
     fn parse_oversized_bursts_error_names_the_limit() {
         let args = ["--bursts", "18446744073709551615"].map(String::from);
-        let err = HarnessOptions::parse(args).unwrap_err();
+        let err = parse(args).unwrap_err();
         assert!(err.contains("9223372034707292160"), "got: {err}");
     }
 
     #[test]
     fn parse_workers_zero_error_names_the_remedy() {
-        let err = HarnessOptions::parse(["--workers", "0"].map(String::from)).unwrap_err();
+        let err = parse(["--workers", "0"].map(String::from)).unwrap_err();
         assert!(err.contains("omit --workers"), "unhelpful message: {err}");
     }
 
     #[test]
     fn parse_channel_and_rank_flags() {
-        let options =
-            HarnessOptions::parse(["--channels", "4", "--ranks", "2"].map(String::from)).unwrap();
+        let options = parse(["--channels", "4", "--ranks", "2"].map(String::from)).unwrap();
         assert_eq!(options.channels, 4);
         assert_eq!(options.ranks, 2);
         let defaults = HarnessOptions::new();
@@ -648,7 +627,7 @@ mod tests {
 
     #[test]
     fn usage_mentions_every_flag() {
-        let usage = HarnessOptions::usage("table1");
+        let usage = HarnessOptions::usage_for("table1", &ALL_FLAGS);
         for flag in [
             "--full",
             "--bursts",

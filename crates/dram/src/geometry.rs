@@ -161,12 +161,6 @@ impl DeviceGeometry {
         self.columns_per_row * self.burst_bytes()
     }
 
-    /// Total capacity of the channel in bytes.
-    #[must_use]
-    pub fn capacity_bytes(&self) -> u64 {
-        u64::from(self.total_banks()) * u64::from(self.rows) * u64::from(self.page_bytes())
-    }
-
     /// Total number of addressable bursts in the channel.
     #[must_use]
     pub fn total_bursts(&self) -> u64 {
@@ -239,10 +233,6 @@ mod tests {
         assert_eq!(g.burst_cycles(), 4);
         assert_eq!(g.page_bytes(), 128 * 64);
         assert_eq!(g.total_bursts(), 16 * (1 << 15) * 128);
-        assert_eq!(
-            g.capacity_bytes(),
-            u64::from(g.total_banks()) * (1 << 15) * 128 * 64
-        );
     }
 
     #[test]

@@ -58,14 +58,6 @@ impl Stats {
         }
     }
 
-    /// Achieved bandwidth in Gbit/s given the device clock in MHz and the
-    /// bus width in bits.
-    #[must_use]
-    pub fn achieved_bandwidth_gbps(&self, clock_mhz: f64, bus_width_bits: u32) -> f64 {
-        // Each busy cycle transfers two beats of `bus_width_bits`.
-        self.bus_utilization() * clock_mhz * 1.0e6 * 2.0 * f64::from(bus_width_bits) / 1.0e9
-    }
-
     /// Row-buffer hit rate among all column accesses, in `[0, 1]`.
     #[must_use]
     pub fn row_hit_rate(&self) -> f64 {
@@ -123,7 +115,7 @@ mod tests {
             ..Stats::default()
         };
         // Full utilization on a 64-bit bus at 1600 MHz = 3200 MT/s * 64 bit = 204.8 Gbit/s.
-        let bw = s.achieved_bandwidth_gbps(1600.0, 64);
+        let bw = crate::CombinedStats::new(vec![s]).aggregate_bandwidth_gbps(1600.0, 64);
         assert!((bw - 204.8).abs() < 1e-9);
     }
 

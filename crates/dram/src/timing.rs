@@ -142,13 +142,6 @@ impl TimingParams {
         Ok(())
     }
 
-    /// The row-miss penalty `t_rp + t_rcd`: cycles needed to close one row and
-    /// open another on the same bank, excluding any overlap with other banks.
-    #[must_use]
-    pub fn row_miss_penalty(&self) -> u64 {
-        self.t_rp + self.t_rcd
-    }
-
     // ----------------------------------------------------------------- //
     // Earliest-ready-cycle queries
     //
@@ -289,11 +282,5 @@ mod tests {
         let mut t = DramConfig::preset(DramStandard::Ddr4, 1600).unwrap().timing;
         t.t_ccd_s = t.t_ccd_l + 1;
         assert!(t.validate().is_err());
-    }
-
-    #[test]
-    fn row_miss_penalty_is_rp_plus_rcd() {
-        let t = DramConfig::preset(DramStandard::Ddr4, 3200).unwrap().timing;
-        assert_eq!(t.row_miss_penalty(), t.t_rp + t.t_rcd);
     }
 }

@@ -302,12 +302,7 @@ impl Campaign {
     ///
     /// Returns [`ExpError`] if any cell fails (the error names the cell).
     pub fn run(&self) -> Result<CampaignReport, ExpError> {
-        let experiment = Experiment::new(self.scenarios());
-        let experiment = if self.config.workers == 0 {
-            experiment.with_auto_workers()
-        } else {
-            experiment.with_workers(self.config.workers)
-        };
+        let experiment = Experiment::new(self.scenarios()).with_workers(self.config.workers);
         let records = experiment.run()?;
         let frontiers = self
             .config

@@ -51,23 +51,18 @@ impl Experiment {
         }
     }
 
-    /// Sets the worker count (clamped to at least 1).  The result order does
-    /// not depend on this value.
+    /// Sets the worker count; `0` selects the available hardware
+    /// parallelism, capped at the scenario count (and at least 1).  The
+    /// result order does not depend on this value.
     #[must_use]
     pub fn with_workers(mut self, workers: usize) -> Self {
-        self.workers = workers.max(1);
+        self.workers = if workers == 0 {
+            let parallelism = std::thread::available_parallelism().map_or(1, usize::from);
+            parallelism.min(self.scenarios.len()).max(1)
+        } else {
+            workers
+        };
         self
-    }
-
-    /// Sets the worker count to the available hardware parallelism (capped
-    /// at the scenario count).
-    #[must_use]
-    pub fn with_auto_workers(self) -> Self {
-        let parallelism = std::thread::available_parallelism()
-            .map(std::num::NonZeroUsize::get)
-            .unwrap_or(1);
-        let cap = self.scenarios.len().max(1);
-        self.with_workers(parallelism.min(cap))
     }
 
     /// The configured worker count.
@@ -225,15 +220,20 @@ mod tests {
 
     #[test]
     fn auto_workers_is_at_least_one() {
-        let experiment = Experiment::new(Vec::new()).with_auto_workers();
+        let experiment = Experiment::new(Vec::new()).with_workers(0);
         assert!(experiment.workers() >= 1);
-        let experiment = small_grid().into_experiment().with_auto_workers();
+        let experiment = small_grid().into_experiment().with_workers(0);
         assert!(experiment.workers() >= 1);
         assert!(experiment.workers() <= 8);
     }
 
     #[test]
     fn with_workers_clamps_zero() {
+        // `0` means all cores, capped at the scenario count: one worker for
+        // an empty experiment, never more workers than scenarios.
         assert_eq!(Experiment::new(Vec::new()).with_workers(0).workers(), 1);
+        let parallelism = std::thread::available_parallelism().map_or(1, usize::from);
+        let experiment = small_grid().into_experiment().with_workers(0);
+        assert_eq!(experiment.workers(), parallelism.min(8));
     }
 }

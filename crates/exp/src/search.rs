@@ -303,12 +303,7 @@ impl MappingSearch {
                         .with_controller(self.controller)
                 })
                 .collect();
-            let experiment = Experiment::new(scenarios);
-            let experiment = if self.settings.workers == 0 {
-                experiment.with_auto_workers()
-            } else {
-                experiment.with_workers(self.settings.workers)
-            };
+            let experiment = Experiment::new(scenarios).with_workers(self.settings.workers);
             let records = experiment.run()?;
             *evaluations += fresh.len() as u32;
             cache.extend(fresh.into_iter().zip(records));

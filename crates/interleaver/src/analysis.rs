@@ -1,320 +1,221 @@
-//! Analytic access-pattern statistics for a mapping, computed without the
-//! cycle-accurate simulator.
-//!
-//! The cycle-accurate model in [`tbi_dram`] answers "what bandwidth does this
-//! mapping achieve"; this module answers the cheaper architectural questions
-//! behind that number: how many row activations does a sweep need, how often
-//! do consecutive accesses change bank group, and how evenly is the load
-//! spread over the banks.  The `mapping_explorer` example and several tests
-//! use it to explain *why* one mapping beats another.
+//! Row-buffer counts of a mapping from its address sequence alone, with no
+//! timing code: the conflict model of Chavet et al. (arXiv 1002.3990)
+//! applied to DRAM row buffers.  One open row per (channel, rank, bank
+//! group, bank) sees the routed write order and then the read order (rows
+//! stay open across the phase change); every access is a hit, an empty
+//! bank or a conflict.  The counts are exact under FCFS, open page and no
+//! refresh, where each controller serves its channel's requests in this
+//! order.  FR-FCFS only adds hits by reordering; refresh closes rows.
 
 use std::collections::HashMap;
 
-use tbi_dram::DeviceGeometry;
+use crate::{AccessPhase, ChannelMapping};
 
-use crate::mapping::DramMapping;
-use crate::trace::AccessPhase;
-use crate::triangular::TriangularInterleaver;
-
-/// Access-pattern statistics of one sweep (write or read phase) of a mapping.
-#[derive(Debug, Clone, PartialEq)]
-pub struct PatternStats {
-    /// The analysed phase.
-    pub phase: AccessPhase,
-    /// Total number of accesses in the sweep.
-    pub accesses: u64,
-    /// Row activations needed assuming one open row per bank and no
-    /// reordering (a lower bound on ACT commands).
-    pub activations: u64,
-    /// Accesses that hit the currently open row of their bank.
-    pub row_hits: u64,
-    /// Consecutive access pairs that target different bank groups.
-    pub bank_group_switches: u64,
-    /// Consecutive access pairs that target the same bank.
-    pub same_bank_pairs: u64,
-    /// Number of accesses per flat bank.
-    pub per_bank_accesses: Vec<u64>,
+/// Row-buffer outcomes of one phase on one channel.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct RowBufferCounts {
+    /// Accesses to the open row of their bank.
+    pub hits: u64,
+    /// Accesses to a bank with no open row.
+    pub empties: u64,
+    /// Accesses to a bank with another row open.
+    pub conflicts: u64,
 }
 
-impl PatternStats {
-    /// Row-buffer hit rate of the sweep, in `[0, 1]`.
+impl RowBufferCounts {
+    /// All accesses of the phase on the channel.
     #[must_use]
-    pub fn row_hit_rate(&self) -> f64 {
-        if self.accesses == 0 {
-            0.0
-        } else {
-            self.row_hits as f64 / self.accesses as f64
-        }
+    pub fn accesses(&self) -> u64 {
+        self.hits + self.activates()
     }
 
-    /// Average number of accesses served per activation.
+    /// Row activations: every access that is not a hit opens its row.
     #[must_use]
-    pub fn accesses_per_activation(&self) -> f64 {
-        if self.activations == 0 {
-            self.accesses as f64
-        } else {
-            self.accesses as f64 / self.activations as f64
-        }
-    }
-
-    /// Fraction of consecutive access pairs that switch bank group, in
-    /// `[0, 1]`.  Values near 1.0 mean the short `t_ccd_s` gap applies almost
-    /// always.
-    #[must_use]
-    pub fn bank_group_switch_rate(&self) -> f64 {
-        if self.accesses <= 1 {
-            0.0
-        } else {
-            self.bank_group_switches as f64 / (self.accesses - 1) as f64
-        }
-    }
-
-    /// Ratio between the most-loaded and least-loaded bank (1.0 = perfectly
-    /// balanced).  Banks with zero accesses are ignored unless all are zero.
-    #[must_use]
-    pub fn bank_imbalance(&self) -> f64 {
-        let max = self.per_bank_accesses.iter().copied().max().unwrap_or(0);
-        let min = self
-            .per_bank_accesses
-            .iter()
-            .copied()
-            .filter(|&c| c > 0)
-            .min()
-            .unwrap_or(0);
-        if min == 0 {
-            if max == 0 {
-                1.0
-            } else {
-                f64::INFINITY
-            }
-        } else {
-            max as f64 / min as f64
-        }
+    pub fn activates(&self) -> u64 {
+        self.empties + self.conflicts
     }
 }
 
-/// Analyses both phases of a mapping over a triangular index space.
+/// The write phase's and then the read phase's counts, one entry per
+/// channel, in channel order.
 ///
 /// # Examples
 ///
 /// ```
 /// use tbi_dram::{DramConfig, DramStandard};
-/// use tbi_interleaver::analysis::analyse_phase;
-/// use tbi_interleaver::trace::AccessPhase;
-/// use tbi_interleaver::MappingKind;
+/// use tbi_interleaver::{analysis::row_buffer_counts, ChannelMapping, MappingKind};
 ///
 /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
 /// let dram = DramConfig::preset(DramStandard::Ddr4, 3200)?;
-/// let optimized = MappingKind::Optimized.build(&dram, 256)?;
-/// let baseline = MappingKind::RowMajor.build(&dram, 256)?;
-/// let opt = analyse_phase(optimized.as_ref(), AccessPhase::Read);
-/// let base = analyse_phase(baseline.as_ref(), AccessPhase::Read);
+/// let [optimized, row_major] = [MappingKind::Optimized, MappingKind::RowMajor]
+///     .map(|kind| ChannelMapping::new(kind, &dram, 256).map(|m| row_buffer_counts(&m)[1][0]));
 /// // The optimized mapping needs far fewer activations in the read phase.
-/// assert!(opt.activations * 4 < base.activations);
+/// assert!(optimized?.activates() * 4 < row_major?.activates());
 /// # Ok(())
 /// # }
 /// ```
 #[must_use]
-pub fn analyse_phase(mapping: &dyn DramMapping, phase: AccessPhase) -> PatternStats {
-    let geometry = *mapping.geometry();
-    let interleaver = TriangularInterleaver::new(mapping.dimension())
-        .expect("mapping dimension is validated at construction");
-    analyse_order(mapping, &geometry, phase, positions(&interleaver, phase))
-}
-
-/// Analyses an arbitrary position order against a mapping.
-fn analyse_order(
-    mapping: &dyn DramMapping,
-    geometry: &DeviceGeometry,
-    phase: AccessPhase,
-    order: impl Iterator<Item = (u32, u32)>,
-) -> PatternStats {
-    let banks = geometry.total_banks() as usize;
-    let mut open_row: Vec<Option<u32>> = vec![None; banks];
-    let mut per_bank_accesses = vec![0u64; banks];
-    let mut stats = PatternStats {
-        phase,
-        accesses: 0,
-        activations: 0,
-        row_hits: 0,
-        bank_group_switches: 0,
-        same_bank_pairs: 0,
-        per_bank_accesses: Vec::new(),
-    };
-    let mut previous: Option<(u32, u32)> = None; // (bank_group, flat_bank)
-    for (i, j) in order {
-        let addr = mapping.map(i, j);
-        let flat = addr.flat_bank(geometry) as usize;
-        stats.accesses += 1;
-        per_bank_accesses[flat] += 1;
-        if open_row[flat] == Some(addr.row) {
-            stats.row_hits += 1;
-        } else {
-            stats.activations += 1;
-            open_row[flat] = Some(addr.row);
-        }
-        if let Some((prev_group, prev_bank)) = previous {
-            if prev_group != addr.bank_group {
-                stats.bank_group_switches += 1;
-            }
-            if prev_bank == flat as u32 {
-                stats.same_bank_pairs += 1;
-            }
-        }
-        previous = Some((addr.bank_group, flat as u32));
-    }
-    stats.per_bank_accesses = per_bank_accesses;
-    stats
-}
-
-fn positions(
-    interleaver: &TriangularInterleaver,
-    phase: AccessPhase,
-) -> Box<dyn Iterator<Item = (u32, u32)> + '_> {
-    match phase {
-        AccessPhase::Write => Box::new(interleaver.write_order()),
-        AccessPhase::Read => Box::new(interleaver.read_order()),
-    }
-}
-
-/// Summary comparing several mappings on the same device and index space.
-#[derive(Debug, Clone, Default)]
-pub struct MappingComparison {
-    entries: HashMap<String, (PatternStats, PatternStats)>,
-}
-
-impl MappingComparison {
-    /// Creates an empty comparison.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Analyses `mapping` in both phases and stores the result under its
-    /// name.
-    pub fn add(&mut self, mapping: &dyn DramMapping) {
-        let write = analyse_phase(mapping, AccessPhase::Write);
-        let read = analyse_phase(mapping, AccessPhase::Read);
-        self.entries
-            .insert(mapping.name().to_string(), (write, read));
-    }
-
-    /// The stored (write, read) statistics for a mapping name.
-    #[must_use]
-    pub fn get(&self, name: &str) -> Option<&(PatternStats, PatternStats)> {
-        self.entries.get(name)
-    }
-
-    /// Names of all analysed mappings.
-    pub fn names(&self) -> impl Iterator<Item = &str> {
-        self.entries.keys().map(String::as_str)
-    }
-
-    /// The mapping whose worst phase needs the fewest activations per access
-    /// — a cheap architectural predictor of the Table I winner.
-    #[must_use]
-    pub fn best_by_activation_reuse(&self) -> Option<&str> {
-        self.entries
-            .iter()
-            .max_by(|a, b| {
-                let reuse = |entry: &(PatternStats, PatternStats)| {
-                    entry
-                        .0
-                        .accesses_per_activation()
-                        .min(entry.1.accesses_per_activation())
+pub fn row_buffer_counts(mapping: &ChannelMapping) -> [Vec<RowBufferCounts>; 2] {
+    let n = mapping.dimension();
+    let mut open_rows = HashMap::new();
+    AccessPhase::ALL.map(|phase| {
+        let mut counts = vec![RowBufferCounts::default(); mapping.topology().channels as usize];
+        for outer in 0..n {
+            for inner in 0..n - outer {
+                let (i, j) = match phase {
+                    AccessPhase::Write => (outer, inner),
+                    AccessPhase::Read => (inner, outer),
                 };
-                reuse(a.1)
-                    .partial_cmp(&reuse(b.1))
-                    .unwrap_or(std::cmp::Ordering::Equal)
-            })
-            .map(|(name, _)| name.as_str())
-    }
+                let (channel, address) = mapping.route(i, j);
+                let bank = (channel, address.rank, address.bank_group, address.bank);
+                let count = &mut counts[channel as usize];
+                match open_rows.insert(bank, address.row) {
+                    Some(row) if row == address.row => count.hits += 1,
+                    Some(_) => count.conflicts += 1,
+                    None => count.empties += 1,
+                }
+            }
+        }
+        counts
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::mapping::MappingKind;
-    use tbi_dram::{DramConfig, DramStandard};
+    use crate::trace::TraceGenerator;
+    use crate::triangular::TriangularInterleaver;
+    use tbi_dram::{DramConfig, DramStandard, PhysicalAddress};
 
     fn dram() -> DramConfig {
         DramConfig::preset(DramStandard::Ddr4, 3200).unwrap()
     }
 
+    /// The `[write, read]` counts of `kind` on the one channel of `dram`.
+    fn counts(dram: &DramConfig, kind: MappingKind, n: u32) -> [RowBufferCounts; 2] {
+        let mapping = ChannelMapping::new(kind, dram, n).unwrap();
+        row_buffer_counts(&mapping).map(|channels| channels[0])
+    }
+
+    /// Accesses served per activation (all accesses if none activates).
+    fn reuse(counts: RowBufferCounts) -> f64 {
+        counts.accesses() as f64 / counts.activates().max(1) as f64
+    }
+
+    fn hit_rate(counts: RowBufferCounts) -> f64 {
+        if counts.accesses() == 0 {
+            0.0
+        } else {
+            counts.hits as f64 / counts.accesses() as f64
+        }
+    }
+
+    /// The single-channel addresses of one phase of `kind`, in phase order.
+    fn addresses(
+        dram: &DramConfig,
+        kind: MappingKind,
+        n: u32,
+        phase: AccessPhase,
+    ) -> Vec<PhysicalAddress> {
+        let mapping = kind.build(dram, n).unwrap();
+        let interleaver = TriangularInterleaver::new(n).unwrap();
+        TraceGenerator::new(interleaver, mapping.as_ref())
+            .requests(phase)
+            .map(|request| request.address)
+            .collect()
+    }
+
+    /// Fraction of consecutive access pairs that switch bank group.
+    fn bank_group_switch_rate(addresses: &[PhysicalAddress]) -> f64 {
+        let pairs = addresses.windows(2);
+        let switches = pairs.filter(|p| p[0].bank_group != p[1].bank_group);
+        if addresses.len() <= 1 {
+            0.0
+        } else {
+            switches.count() as f64 / (addresses.len() - 1) as f64
+        }
+    }
+
+    /// Consecutive access pairs that target the same bank.
+    fn same_bank_pairs(addresses: &[PhysicalAddress]) -> usize {
+        let bank = |a: &PhysicalAddress| (a.bank_group, a.bank);
+        let pairs = addresses.windows(2);
+        pairs.filter(|p| bank(&p[0]) == bank(&p[1])).count()
+    }
+
+    /// Accesses of the most-loaded over the least-loaded bank (banks with
+    /// no access are ignored unless all are idle).
+    fn bank_imbalance(per_bank: &[u64]) -> f64 {
+        let max = per_bank.iter().copied().max().unwrap_or(0);
+        match per_bank.iter().copied().filter(|&c| c > 0).min() {
+            Some(min) => max as f64 / min as f64,
+            None if max == 0 => 1.0,
+            None => f64::INFINITY,
+        }
+    }
+
     #[test]
     fn row_major_write_phase_is_activation_friendly_but_read_is_not() {
-        let dram = dram();
-        let mapping = MappingKind::RowMajor.build(&dram, 300).unwrap();
-        let write = analyse_phase(mapping.as_ref(), AccessPhase::Write);
-        let read = analyse_phase(mapping.as_ref(), AccessPhase::Read);
-        assert_eq!(write.accesses, read.accesses);
-        assert!(write.accesses_per_activation() > 20.0);
-        assert!(read.accesses_per_activation() < 2.0);
-        assert!(read.row_hit_rate() < 0.2);
-        assert!(write.row_hit_rate() > 0.9);
+        let [write, read] = counts(&dram(), MappingKind::RowMajor, 300);
+        assert_eq!(write.accesses(), read.accesses());
+        assert!(reuse(write) > 20.0);
+        assert!(reuse(read) < 2.0);
+        assert!(hit_rate(read) < 0.2);
+        assert!(hit_rate(write) > 0.9);
     }
 
     #[test]
     fn optimized_mapping_balances_both_phases() {
         let dram = dram();
-        let mapping = MappingKind::Optimized.build(&dram, 300).unwrap();
-        let write = analyse_phase(mapping.as_ref(), AccessPhase::Write);
-        let read = analyse_phase(mapping.as_ref(), AccessPhase::Read);
-        assert!(write.accesses_per_activation() > 3.0);
-        assert!(read.accesses_per_activation() > 3.0);
+        let [write, read] = counts(&dram, MappingKind::Optimized, 300);
+        assert!(reuse(write) > 3.0);
+        assert!(reuse(read) > 3.0);
         // Consecutive accesses switch bank group essentially always.
-        assert!(write.bank_group_switch_rate() > 0.95);
-        assert!(read.bank_group_switch_rate() > 0.95);
+        let [write, read] =
+            AccessPhase::ALL.map(|phase| addresses(&dram, MappingKind::Optimized, 300, phase));
+        assert!(bank_group_switch_rate(&write) > 0.95);
+        assert!(bank_group_switch_rate(&read) > 0.95);
         // And the load is spread evenly over the banks.
-        assert!(write.bank_imbalance() < 1.5);
+        let mut per_bank = vec![0; dram.geometry.total_banks() as usize];
+        for address in &write {
+            per_bank[address.flat_bank(&dram.geometry) as usize] += 1;
+        }
+        assert!(bank_imbalance(&per_bank) < 1.5);
     }
 
     #[test]
     fn row_major_read_phase_rarely_switches_bank_groups_compared_to_optimized() {
         let dram = dram();
-        let row_major = MappingKind::RowMajor.build(&dram, 300).unwrap();
-        let optimized = MappingKind::Optimized.build(&dram, 300).unwrap();
-        let base = analyse_phase(row_major.as_ref(), AccessPhase::Read);
-        let opt = analyse_phase(optimized.as_ref(), AccessPhase::Read);
+        let base = addresses(&dram, MappingKind::RowMajor, 300, AccessPhase::Read);
+        let opt = addresses(&dram, MappingKind::Optimized, 300, AccessPhase::Read);
         assert!(
-            opt.bank_group_switch_rate() > base.bank_group_switch_rate(),
+            bank_group_switch_rate(&opt) > bank_group_switch_rate(&base),
             "optimized read sweep must switch bank groups more often: {} vs {}",
-            opt.bank_group_switch_rate(),
-            base.bank_group_switch_rate()
+            bank_group_switch_rate(&opt),
+            bank_group_switch_rate(&base)
         );
-        assert!(opt.same_bank_pairs <= base.same_bank_pairs);
+        assert!(same_bank_pairs(&opt) <= same_bank_pairs(&base));
     }
 
     #[test]
     fn comparison_prefers_the_optimized_mapping() {
+        // The worst phase's reuse — a cheap predictor of the Table I winner.
         let dram = dram();
-        let mut comparison = MappingComparison::new();
-        for kind in [
-            MappingKind::RowMajor,
-            MappingKind::BankRoundRobin,
-            MappingKind::Optimized,
-        ] {
-            let mapping = kind.build(&dram, 256).unwrap();
-            comparison.add(mapping.as_ref());
+        let min_reuse = |kind| {
+            let [write, read] = counts(&dram, kind, 256);
+            reuse(write).min(reuse(read))
+        };
+        let optimized = min_reuse(MappingKind::Optimized);
+        for kind in [MappingKind::RowMajor, MappingKind::BankRoundRobin] {
+            assert!(optimized > min_reuse(kind), "{kind}");
         }
-        assert_eq!(comparison.names().count(), 3);
-        assert!(comparison.get("optimized").is_some());
-        assert_eq!(comparison.best_by_activation_reuse(), Some("optimized"));
     }
 
     #[test]
     fn stats_helpers_handle_empty_input() {
-        let stats = PatternStats {
-            phase: AccessPhase::Write,
-            accesses: 0,
-            activations: 0,
-            row_hits: 0,
-            bank_group_switches: 0,
-            same_bank_pairs: 0,
-            per_bank_accesses: vec![0; 4],
-        };
-        assert_eq!(stats.row_hit_rate(), 0.0);
-        assert_eq!(stats.bank_group_switch_rate(), 0.0);
-        assert_eq!(stats.bank_imbalance(), 1.0);
+        assert_eq!(hit_rate(RowBufferCounts::default()), 0.0);
+        assert_eq!(bank_group_switch_rate(&[]), 0.0);
+        assert_eq!(bank_imbalance(&[0; 4]), 1.0);
     }
 }

@@ -57,7 +57,7 @@
 //! | [`mapping`] | the [`DramMapping`] trait and all mapping schemes |
 //! | [`trace`] | write-phase / read-phase DRAM request generation |
 //! | [`config`] | interleaver sizing helpers |
-//! | [`analysis`] | analytic access-pattern statistics (activations, hit rates, bank balance) |
+//! | [`analysis`] | exact row-buffer counts (hits, empties, conflicts) per phase and channel, without timing code |
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -59,13 +59,6 @@ impl BandwidthBudget {
         config.peak_bandwidth_gbps() >= self.required_peak_bandwidth_gbps()
     }
 
-    /// The factor by which the DRAM must be over-provisioned relative to the
-    /// raw traffic (the inverse of the utilization).
-    #[must_use]
-    pub fn oversizing_factor(&self) -> f64 {
-        1.0 / self.utilization
-    }
-
     /// The maximum line rate (Gbit/s) a configuration can sustain at the
     /// given utilization.
     #[must_use]
@@ -85,7 +78,6 @@ mod tests {
         let bad = BandwidthBudget::new(100.0, 0.45);
         assert!((good.dram_traffic_gbps() - 200.0).abs() < 1e-12);
         assert!(good.required_peak_bandwidth_gbps() < bad.required_peak_bandwidth_gbps());
-        assert!(bad.oversizing_factor() > 2.0);
     }
 
     #[test]

@@ -150,20 +150,6 @@ impl Gf256 {
         }
         out
     }
-
-    /// Adds two polynomials (highest-degree coefficient first).
-    #[must_use]
-    pub fn poly_add(&self, a: &[u8], b: &[u8]) -> Vec<u8> {
-        let len = a.len().max(b.len());
-        let mut out = vec![0u8; len];
-        for (i, &ai) in a.iter().enumerate() {
-            out[i + len - a.len()] = ai;
-        }
-        for (i, &bi) in b.iter().enumerate() {
-            out[i + len - b.len()] ^= bi;
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -229,13 +215,6 @@ mod tests {
         let poly = [1u8, 0, 3];
         assert_eq!(gf.poly_eval(&poly, 2), gf.add(gf.mul(2, 2), 3));
         assert_eq!(gf.poly_eval(&poly, 0), 3);
-    }
-
-    #[test]
-    fn polynomial_addition_aligns_degrees() {
-        let gf = Gf256::new();
-        let sum = gf.poly_add(&[1, 2], &[5]);
-        assert_eq!(sum, vec![1, 7]);
     }
 
     proptest! {

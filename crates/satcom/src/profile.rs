@@ -205,15 +205,6 @@ impl LinkProfile {
         self.segments.iter().map(|s| u64::from(s.weight)).sum()
     }
 
-    /// The lowest link margin over the pass, in dB.
-    #[must_use]
-    pub fn worst_margin_db(&self) -> f64 {
-        self.segments
-            .iter()
-            .map(PassSegment::link_margin_db)
-            .fold(f64::INFINITY, f64::min)
-    }
-
     /// Splits a block of `len` symbols into one contiguous span per segment,
     /// proportional to the segment weights.  The spans tile `0..len` exactly;
     /// rounding is deterministic (cumulative-weight based), so the same
@@ -333,7 +324,11 @@ mod tests {
     fn deeper_rain_pass_has_worse_margin_than_clear_pass() {
         let clear = LinkProfile::leo_pass(60.0, Weather::Clear);
         let rain = LinkProfile::leo_pass(60.0, Weather::Rain);
-        assert!(rain.worst_margin_db() < clear.worst_margin_db());
+        let worst_margin_db = |profile: &LinkProfile| {
+            let margins = profile.segments().iter().map(PassSegment::link_margin_db);
+            margins.fold(f64::INFINITY, f64::min)
+        };
+        assert!(worst_margin_db(&rain) < worst_margin_db(&clear));
         assert!(rain.average_symbol_error_rate() > clear.average_symbol_error_rate());
     }
 

@@ -19,7 +19,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .size(bursts)
         .mappings(MappingKind::TABLE1)
         .into_experiment()
-        .with_auto_workers()
+        .with_workers(0)
         .run()?;
 
     println!("DRAM bandwidth utilization, triangular interleaver of {bursts} bursts");

@@ -1,15 +1,16 @@
 //! Mapping explorer: prints how each mapping scheme lays out the top-left
 //! corner of the interleaver index space on a chosen DRAM device, and how
-//! many row activations a full write+read cycle would need.
+//! many row activations its row-wise write and column-wise read sweeps need
+//! (`tbi::interleaver::analysis`, rows left open by the write carried into
+//! the read).
 //!
 //! ```text
 //! cargo run --release -p tbi --example mapping_explorer [ddr3|ddr4|ddr5|lpddr4|lpddr5]
 //! ```
 
-use std::collections::HashSet;
-
+use tbi::interleaver::analysis::row_buffer_counts;
 use tbi::interleaver::mapping::render_grid;
-use tbi::{DramConfig, DramStandard, MappingKind};
+use tbi::{ChannelMapping, DramConfig, DramStandard, MappingKind};
 
 fn parse_standard(name: &str) -> Option<(DramStandard, u32)> {
     let standard = match name.to_ascii_lowercase().as_str() {
@@ -43,26 +44,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         println!("--- {} ---", kind.name());
         println!("{}", render_grid(mapping.as_ref(), 6, 6));
 
-        // Count how many distinct (bank, row) pages a full row-wise sweep and
-        // a full column-wise sweep would open - a proxy for activate energy.
-        let mut open: Vec<Option<u32>> = vec![None; dram.geometry.total_banks() as usize];
-        let mut activations = 0u64;
-        let mut pages = HashSet::new();
-        for i in 0..n {
-            for j in 0..(n - i) {
-                let addr = mapping.map(i, j);
-                let bank = addr.flat_bank(&dram.geometry) as usize;
-                pages.insert((bank, addr.row));
-                if open[bank] != Some(addr.row) {
-                    activations += 1;
-                    open[bank] = Some(addr.row);
-                }
-            }
-        }
+        let [write, read] = row_buffer_counts(&ChannelMapping::new(kind, &dram, n)?);
         println!(
-            "row-wise sweep: {activations} activations over {} accesses ({} distinct pages)\n",
-            n as u64 * (n as u64 + 1) / 2,
-            pages.len()
+            "write sweep: {} activations, read sweep: {} activations, over {} accesses each\n",
+            write[0].activates(),
+            read[0].activates(),
+            write[0].accesses()
         );
     }
     Ok(())

@@ -1,16 +1,16 @@
-//! Cross-validation between the analytic access-pattern model
-//! (`tbi_interleaver::analysis`), a row-buffer oracle with no timing code,
-//! and the cycle-accurate simulator: the cheap architectural statistics must
-//! predict what the detailed model measures.
-
-use std::collections::HashMap;
+//! Cross-validation between the row-buffer counter with no timing code
+//! (`tbi_interleaver::analysis`) and the cycle-accurate simulator: the
+//! cheap counts must predict what the detailed model measures, and equal
+//! it exactly where the scheduler keeps the mapped order.
 
 use tbi::dram::standards::{ALL_CONFIGS, MODERN_CONFIGS};
-use tbi::interleaver::analysis::{analyse_phase, MappingComparison};
-use tbi::interleaver::trace::AccessPhase;
+use tbi::dram::{FoldOp, FoldStep, XorFold};
+use tbi::interleaver::analysis::{row_buffer_counts, RowBufferCounts};
+use tbi::interleaver::InterleaverError;
 use tbi::{
-    ChannelTopology, ControllerConfig, DramConfig, DramStandard, InterleaverSpec, MappingKind,
-    PagePolicy, PhysicalAddress, RefreshMode, Scenario, SchedulingPolicy,
+    AccessPhase, AddressField, BitPermutation, ChannelMapping, ChannelTopology, ControllerConfig,
+    DramConfig, DramStandard, InterleaverSpec, MappingKind, PagePolicy, PhysicalAddress,
+    RefreshMode, Scenario, SchedulingPolicy, TraceGenerator, TriangularInterleaver,
 };
 
 const DIMENSION: u32 = 300;
@@ -20,27 +20,37 @@ fn spec() -> InterleaverSpec {
     InterleaverSpec::from_burst_count(45_000)
 }
 
+/// The `[write, read]` counts of `kind` on the one channel of `dram`.
+fn counts(dram: &DramConfig, kind: MappingKind, n: u32) -> [RowBufferCounts; 2] {
+    let mapping = ChannelMapping::new(kind, dram, n).unwrap();
+    row_buffer_counts(&mapping).map(|channels| channels[0])
+}
+
+/// Accesses served per activation in the worse phase.
+fn min_reuse(dram: &DramConfig, kind: MappingKind, n: u32) -> f64 {
+    let reuse = |c: RowBufferCounts| c.accesses() as f64 / c.activates().max(1) as f64;
+    let [write, read] = counts(dram, kind, n);
+    reuse(write).min(reuse(read))
+}
+
 #[test]
 fn analytic_activation_counts_match_the_simulator_without_refresh() {
-    // With refresh disabled and an open-page policy the controller performs
-    // exactly one activate per (bank, row) transition, which is what the
-    // analytic model counts.
+    // With refresh disabled and an open-page policy the default FR-FCFS
+    // controller reorders within its queue, so its activates stay within a
+    // bank count of the in-order counts.
     let dram = DramConfig::preset(DramStandard::Ddr4, 3200).unwrap();
     let controller = ControllerConfig {
         refresh_mode: Some(RefreshMode::Disabled),
         ..ControllerConfig::default()
     };
     for kind in [MappingKind::RowMajor, MappingKind::Optimized] {
-        let mapping = kind.build(&dram, DIMENSION).unwrap();
-        let predicted_write = analyse_phase(mapping.as_ref(), AccessPhase::Write).activations;
-        let predicted_read = analyse_phase(mapping.as_ref(), AccessPhase::Read).activations;
+        let [predicted_write, predicted_read] =
+            counts(&dram, kind, DIMENSION).map(|c| c.activates());
 
         let [write, read] = Scenario::custom(dram.clone(), kind, spec())
             .with_controller(controller)
             .phase_stats()
             .unwrap();
-        // The simulator may perform a handful of extra activates because the
-        // read phase starts with rows left open by the write phase.
         let measured_write = write.aggregate().activates;
         let measured_read = read.aggregate().activates;
         let close = |measured: u64, predicted: u64| {
@@ -68,14 +78,7 @@ fn higher_predicted_activation_reuse_means_higher_measured_utilization() {
     let mut predicted_reuse = Vec::new();
     let mut measured_min_util = Vec::new();
     for kind in [MappingKind::RowMajor, MappingKind::Optimized] {
-        let mapping = kind.build(&dram, DIMENSION).unwrap();
-        let write = analyse_phase(mapping.as_ref(), AccessPhase::Write);
-        let read = analyse_phase(mapping.as_ref(), AccessPhase::Read);
-        predicted_reuse.push(
-            write
-                .accesses_per_activation()
-                .min(read.accesses_per_activation()),
-        );
+        predicted_reuse.push(min_reuse(&dram, kind, DIMENSION));
         let record = Scenario::custom(dram.clone(), kind, spec())
             .with_controller(controller)
             .run()
@@ -88,118 +91,209 @@ fn higher_predicted_activation_reuse_means_higher_measured_utilization() {
 
 #[test]
 fn comparison_ranks_optimized_best_on_every_preset() {
-    for (standard, rate) in tbi::dram::standards::ALL_CONFIGS {
-        let dram = DramConfig::preset(*standard, *rate).unwrap();
-        let mut comparison = MappingComparison::new();
-        for kind in [
-            MappingKind::RowMajor,
-            MappingKind::BankRoundRobin,
-            MappingKind::Optimized,
-        ] {
-            let mapping = kind.build(&dram, 256).unwrap();
-            comparison.add(mapping.as_ref());
-        }
-        assert_eq!(
-            comparison.best_by_activation_reuse(),
-            Some("optimized"),
-            "{standard:?}-{rate}"
-        );
-    }
-}
-
-#[test]
-fn bank_group_switch_rate_is_ideal_for_the_optimized_mapping() {
-    for (standard, rate) in tbi::dram::standards::ALL_CONFIGS {
-        let dram = DramConfig::preset(*standard, *rate).unwrap();
-        if dram.geometry.bank_groups == 1 {
-            continue;
-        }
-        let mapping = MappingKind::Optimized.build(&dram, 256).unwrap();
-        for phase in AccessPhase::ALL {
-            let stats = analyse_phase(mapping.as_ref(), phase);
+    for &(standard, rate) in ALL_CONFIGS {
+        let dram = DramConfig::preset(standard, rate).unwrap();
+        let optimized = min_reuse(&dram, MappingKind::Optimized, 256);
+        for kind in [MappingKind::RowMajor, MappingKind::BankRoundRobin] {
+            let other = min_reuse(&dram, kind, 256);
             assert!(
-                stats.bank_group_switch_rate() > 0.95,
-                "{standard:?}-{rate} {phase}: switch rate {}",
-                stats.bank_group_switch_rate()
+                optimized > other,
+                "{standard:?}-{rate}: optimized {optimized} vs {kind} {other}"
             );
         }
     }
 }
 
-/// Open rows, one per (rank, bank group, bank), with no timing code: each
-/// request hits the open row of its bank, finds the bank empty, or conflicts
-/// with another open row.  Rows stay open from one phase to the next.
-#[derive(Default)]
-struct OpenRows(HashMap<(u32, u32, u32), u32>);
-
-impl OpenRows {
-    /// `(row_hits, row_empties, row_conflicts)` of one phase's addresses.
-    fn phase(&mut self, addresses: impl Iterator<Item = PhysicalAddress>) -> (u64, u64, u64) {
-        let (mut hits, mut empties, mut conflicts) = (0, 0, 0);
-        for address in addresses {
-            let bank = (address.rank, address.bank_group, address.bank);
-            match self.0.insert(bank, address.row) {
-                Some(row) if row == address.row => hits += 1,
-                Some(_) => conflicts += 1,
-                None => empties += 1,
-            }
+#[test]
+fn bank_group_switch_rate_is_ideal_for_the_optimized_mapping() {
+    for &(standard, rate) in ALL_CONFIGS {
+        let dram = DramConfig::preset(standard, rate).unwrap();
+        if dram.geometry.bank_groups == 1 {
+            continue;
         }
-        (hits, empties, conflicts)
+        let mapping = MappingKind::Optimized.build(&dram, 256).unwrap();
+        let generator = TraceGenerator::new(TriangularInterleaver::new(256).unwrap(), &*mapping);
+        for phase in AccessPhase::ALL {
+            let addresses: Vec<PhysicalAddress> =
+                generator.requests(phase).map(|r| r.address).collect();
+            let pairs = addresses.windows(2);
+            let switches = pairs.filter(|p| p[0].bank_group != p[1].bank_group);
+            let switch_rate = switches.count() as f64 / (addresses.len() - 1) as f64;
+            assert!(
+                switch_rate > 0.95,
+                "{standard:?}-{rate} {phase}: switch rate {switch_rate}"
+            );
+        }
     }
 }
 
+/// All 16 presets on their native topologies.
+fn presets() -> impl Iterator<Item = DramConfig> {
+    let configs = ALL_CONFIGS.iter().chain(MODERN_CONFIGS);
+    configs.map(|&(standard, rate)| DramConfig::preset(standard, rate).unwrap())
+}
+
+/// The kinds the oracle covers on `dram`: `MappingKind::ALL`, the decode
+/// scheme's bit permutation, a copy with its lowest and highest bits
+/// swapped, an xorfold that rewrites the channel field from row bits (the
+/// bank field on one channel), and two free-shape tilings.
+fn kinds_for(dram: &DramConfig) -> Vec<MappingKind> {
+    let permutation =
+        BitPermutation::for_scheme(dram.decode_scheme, &dram.geometry, dram.topology).unwrap();
+    let top = permutation.fields().len() - 1;
+    let target = if dram.topology.channels > 1 {
+        AddressField::Channel
+    } else {
+        AddressField::Bank
+    };
+    let fold = XorFold::new(&[FoldStep {
+        target,
+        source: AddressField::Row,
+        shift: 0,
+        op: FoldOp::Xor,
+    }])
+    .unwrap();
+    let mut kinds = MappingKind::ALL.to_vec();
+    kinds.extend([
+        MappingKind::Permutation(permutation),
+        MappingKind::Permutation(permutation.with_swap(0, top)),
+        MappingKind::XorFolded(permutation, fold),
+        MappingKind::GeneralTiled {
+            tile_h: 8,
+            tile_w: 8,
+        },
+        MappingKind::GeneralTiled {
+            tile_h: 11,
+            tile_w: 11,
+        },
+    ]);
+    kinds
+}
+
+/// Checks the oracle for `kind` on `dram` at 20,000 bursts and returns the
+/// (phase, channel) cells it checked.
+///
 /// Under FCFS, open page and no refresh, each request's row-buffer class is
-/// a pure function of the mapped address order, so the oracle must equal the
-/// simulator's counts exactly (and every activate opens an empty or a
-/// conflicting bank).  FR-FCFS may reorder to gain hits but never loses one.
-/// Refresh closes rows, so neither claim holds with it.
+/// a pure function of its channel's mapped address order, so per channel
+/// and phase the oracle must equal the simulator's counts exactly (and
+/// every activate opens an empty or a conflicting bank).  FR-FCFS may
+/// reorder to gain hits but never loses one.  Refresh closes rows, so
+/// neither claim holds with it.  A `tiled:11x11` tile cannot fit a page of
+/// fewer than 121 columns; that construction must fail with
+/// `InvalidDimension`, and checks no cell.
+fn check_oracle(dram: &DramConfig, kind: MappingKind) -> usize {
+    let spec = InterleaverSpec::from_burst_count(20_000);
+    let topology = dram.topology;
+    let context = format!(
+        "{} {}x{} {kind}",
+        dram.label(),
+        topology.channels,
+        topology.ranks
+    );
+    let mapping = match ChannelMapping::new(kind, dram, spec.dimension()) {
+        Ok(mapping) => mapping,
+        Err(error) => {
+            let eleven = MappingKind::GeneralTiled {
+                tile_h: 11,
+                tile_w: 11,
+            };
+            assert!(
+                kind == eleven
+                    && dram.geometry.columns_per_row < 121
+                    && matches!(error, InterleaverError::InvalidDimension { .. }),
+                "{context}: {error}"
+            );
+            return 0;
+        }
+    };
+    let oracle = row_buffer_counts(&mapping);
+    let phase_stats = |scheduling| {
+        let controller = ControllerConfig {
+            scheduling,
+            page_policy: PagePolicy::Open,
+            refresh_mode: Some(RefreshMode::Disabled),
+            ..ControllerConfig::default()
+        };
+        Scenario::custom(dram.clone(), kind, spec)
+            .with_controller(controller)
+            .phase_stats()
+            .unwrap()
+    };
+    let fcfs = phase_stats(SchedulingPolicy::Fcfs);
+    let frfcfs = phase_stats(SchedulingPolicy::FrFcfs);
+    let mut cells = 0;
+    for (p, phase) in AccessPhase::ALL.into_iter().enumerate() {
+        assert_eq!(fcfs[p].channels(), oracle[p].len(), "{context}");
+        for (channel, counts) in oracle[p].iter().enumerate() {
+            let context = format!("{context} {phase} channel {channel}");
+            let stats = &fcfs[p].per_channel()[channel];
+            assert_eq!(
+                (stats.row_hits, stats.row_empties, stats.row_conflicts),
+                (counts.hits, counts.empties, counts.conflicts),
+                "{context}"
+            );
+            assert_eq!(
+                stats.activates,
+                stats.row_empties + stats.row_conflicts,
+                "{context}"
+            );
+            let frfcfs_hits = frfcfs[p].per_channel()[channel].row_hits;
+            assert!(
+                frfcfs_hits >= counts.hits,
+                "{context}: {frfcfs_hits} < {counts:?}"
+            );
+            cells += 1;
+        }
+    }
+    cells
+}
+
+/// The default run's subset of the full check below: every preset with
+/// `MappingKind::ALL` on its native topology (eight pseudo-channels on
+/// HBM2, two channels on GDDR6; DDR5-3DS on one rank, because its four
+/// ranks of eight bank groups cost ≈14 s under a debug build), then every
+/// kind of [`kinds_for`] on DDR4-3200 with two channels of two ranks.
 #[test]
 fn row_buffer_oracle_matches_fcfs_counts_and_bounds_frfcfs_hits() {
-    let spec = InterleaverSpec::from_burst_count(20_000);
-    let interleaver = spec.triangular();
-    for &(standard, rate) in ALL_CONFIGS.iter().chain(MODERN_CONFIGS) {
-        let dram = DramConfig::preset(standard, rate)
-            .unwrap()
-            .with_topology(ChannelTopology::new(1, 1));
+    let mut cells = 0;
+    for dram in presets() {
+        let dram = match dram.standard {
+            DramStandard::Ddr5Stacked => dram.with_topology(ChannelTopology::new(1, 1)),
+            _ => dram,
+        };
         for kind in MappingKind::ALL {
-            let mapping = kind.build(&dram, spec.dimension()).unwrap();
-            let mut open = OpenRows::default();
-            let write = open.phase(interleaver.write_order().map(|(i, j)| mapping.map(i, j)));
-            let read = open.phase(interleaver.read_order().map(|(i, j)| mapping.map(i, j)));
-            let phase_stats = |scheduling| {
-                let controller = ControllerConfig {
-                    scheduling,
-                    page_policy: PagePolicy::Open,
-                    refresh_mode: Some(RefreshMode::Disabled),
-                    ..ControllerConfig::default()
-                };
-                Scenario::custom(dram.clone(), kind, spec)
-                    .with_controller(controller)
-                    .phase_stats()
-                    .unwrap()
-            };
-            let fcfs = phase_stats(SchedulingPolicy::Fcfs);
-            let frfcfs = phase_stats(SchedulingPolicy::FrFcfs);
-            for (i, (phase, oracle)) in AccessPhase::ALL.into_iter().zip([write, read]).enumerate()
-            {
-                let context = format!("{} {kind} {phase}", dram.label());
-                let stats = fcfs[i].aggregate();
-                assert_eq!(
-                    (stats.row_hits, stats.row_empties, stats.row_conflicts),
-                    oracle,
-                    "{context}"
-                );
-                assert_eq!(
-                    stats.activates,
-                    stats.row_empties + stats.row_conflicts,
-                    "{context}"
-                );
-                let frfcfs_hits = frfcfs[i].aggregate().row_hits;
-                assert!(
-                    frfcfs_hits >= oracle.0,
-                    "{context}: {frfcfs_hits} < {oracle:?}"
-                );
+            cells += check_oracle(&dram, kind);
+        }
+    }
+    let dram = DramConfig::preset(DramStandard::Ddr4, 3200)
+        .unwrap()
+        .with_topology(ChannelTopology::new(2, 2));
+    for kind in kinds_for(&dram) {
+        cells += check_oracle(&dram, kind);
+    }
+    assert_eq!(cells, 360);
+}
+
+/// The full check: every preset on its native topology, on two channels of
+/// two ranks and on four channels, each with every kind of [`kinds_for`] —
+/// 444 mappings and 2,360 (phase, channel) cells, about 10 s in release on
+/// a 2-vCPU host.
+#[test]
+#[ignore = "the whole cross product takes minutes under a debug build; CI runs it in release"]
+fn row_buffer_oracle_is_exact_per_channel_on_every_topology() {
+    let mut cells = 0;
+    for dram in presets() {
+        let native = dram.topology;
+        for topology in [
+            native,
+            ChannelTopology::new(2, 2),
+            ChannelTopology::new(4, 1),
+        ] {
+            let dram = dram.clone().with_topology(topology);
+            for kind in kinds_for(&dram) {
+                cells += check_oracle(&dram, kind);
             }
         }
     }
+    assert_eq!(cells, 2_360);
 }

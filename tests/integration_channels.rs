@@ -32,7 +32,7 @@ fn table1_records(engine: TimingEngine) -> Vec<Record> {
             ..ControllerConfig::default()
         })
         .into_experiment()
-        .with_auto_workers()
+        .with_workers(0)
         .run()
         .expect("table1 sweep runs")
 }
@@ -187,7 +187,7 @@ fn topology_axes_run_end_to_end_and_serialize() {
         .size(20_000)
         .mapping(MappingKind::Optimized)
         .into_experiment()
-        .with_auto_workers()
+        .with_workers(0)
         .run()
         .expect("topology sweep runs");
     assert_eq!(records.len(), 4);
@@ -216,7 +216,7 @@ fn topology_axes_run_end_to_end_and_serialize() {
         .mapping(MappingKind::Optimized)
         .engine(TimingEngine::Cycle)
         .into_experiment()
-        .with_auto_workers()
+        .with_workers(0)
         .run()
         .expect("cycle sweep runs");
     assert_eq!(records, cycle);

@@ -35,7 +35,7 @@ fn table1_records(engine: TimingEngine) -> Vec<Record> {
             ..ControllerConfig::default()
         })
         .into_experiment()
-        .with_auto_workers()
+        .with_workers(0)
         .run()
         .expect("table1 sweep runs")
 }

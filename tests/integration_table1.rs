@@ -22,7 +22,7 @@ fn records() -> &'static [Record] {
             .size(BURSTS)
             .mappings(MappingKind::TABLE1)
             .into_experiment()
-            .with_auto_workers()
+            .with_workers(0)
             .run()
             .expect("table1 sweep runs")
     })
