@@ -15,10 +15,7 @@
 //!
 //! The default search settings are the committed artifact's, so
 //! `mapping_search --full --no-refresh --json BENCH_dse.json` regenerates
-//! it.  The header's `strategy`, `surrogate_divisor`, `promote`,
-//! `sa_temp_micro` and `transfer` fields, and each record's
-//! `surrogate_evaluations`, are constants: they name the one search the
-//! binary runs and keep the artifact schema that `perf_gate` compares.  The committed `BENCH_dse.json` pins the headline DSE claim: on every
+//! it.  The committed `BENCH_dse.json` pins the headline DSE claim: on every
 //! Table I preset the portfolio search discovers a hybrid mapping whose
 //! round-trip row-hit rate **strictly beats** the paper's optimized scheme
 //! (`all_beat_optimized`; the tolerance-based
@@ -30,9 +27,7 @@
 use tbi_bench::HarnessOptions;
 use tbi_dram::standards::ALL_CONFIGS;
 use tbi_dram::DramConfig;
-use tbi_exp::search::{
-    MappingSearch, SearchRecord, SearchSettings, MATCH_TOLERANCE, SA_TEMP_MICRO,
-};
+use tbi_exp::search::{MappingSearch, SearchRecord, SearchSettings, MATCH_TOLERANCE};
 use tbi_exp::serialize::{json_number, json_string, search_records_to_json};
 use tbi_interleaver::InterleaverSpec;
 
@@ -180,9 +175,7 @@ fn main() {
 
     let json = format!(
         "{{\n  \"bench\": {},\n  \"bursts\": {},\n  \"seed\": {},\n  \"restarts\": {},\n  \
-         \"budget\": {},\n  \"neighbors\": {},\n  \"strategy\": \"portfolio\",\n  \
-         \"surrogate_divisor\": 0,\n  \"promote\": 2,\n  \"sa_temp_micro\": {SA_TEMP_MICRO},\n  \
-         \"transfer\": false,\n  \"presets\": {},\n  \
+         \"budget\": {},\n  \"neighbors\": {},\n  \"presets\": {},\n  \
          \"refresh_disabled\": {},\n  \"match_tolerance\": {},\n  \
          \"all_match_or_beat_optimized\": {},\n  \"all_beat_optimized\": {},\n  \
          \"min_row_hit_gain\": {},\n  \

@@ -1,6 +1,6 @@
 //! Performance-trajectory regression gate: compares each committed
 //! `BENCH_*.json` artifact with a fresh artifact that the same sweep binary
-//! wrote at smoke scale.
+//! wrote.
 //!
 //! ```text
 //! cargo run --release -p tbi_bench --bin perf_gate -- \
@@ -8,10 +8,10 @@
 //! ```
 //!
 //! Both files of a pair must carry the same `bench` tag, which selects the
-//! checks and tolerances of [`tbi_bench::gate::checks_for`].  The gate runs
-//! no workload of its own, so it judges the program that wrote the
-//! baseline.  CI writes the fresh files (`*_smoke.json`) with the sweep
-//! binaries in the steps before the gate and then runs:
+//! checks of [`tbi_bench::gate::checks_for`].  The gate runs no workload of
+//! its own, so it judges the program that wrote the baseline.  CI writes
+//! the fresh files (`*_smoke.json`) with the sweep binaries in the steps
+//! before the gate and then runs:
 //!
 //! ```text
 //! perf_gate BENCH_engine.json engine_smoke.json BENCH_channels.json channels_smoke.json \
@@ -31,7 +31,7 @@ const USAGE: &str =
     "usage: perf_gate <committed.json> <fresh.json> [<committed.json> <fresh.json> ...]\n\n\
      Compares each committed BENCH_*.json artifact with a fresh artifact written by\n\
      the same sweep binary (both must carry the same `bench` tag) and fails (exit 1)\n\
-     if any headline metric regressed beyond its tolerance.\n\n\
+     if a reproduced field differs or a metric regressed beyond its tolerance.\n\n\
      options:\n  \
      -h, --help       print this help";
 

@@ -4,7 +4,8 @@
 //!
 //! 1. **Report goldens** — [`tbi_bench::gate::evaluate`] runs on fixed
 //!    synthetic documents (a regressed pair that must fail, a
-//!    tolerance-boundary pair that must pass) and the rendered report is
+//!    tolerance-boundary pair that must pass, degenerate baselines, a
+//!    nested field-for-field difference) and the rendered report is
 //!    pinned byte-for-byte under `tests/fixtures/`.  Regenerate after an
 //!    intentional format change:
 //!
@@ -13,10 +14,19 @@
 //!    ```
 //!
 //! 2. **End-to-end injected regression** — the `perf_gate` binary compares
-//!    a fresh `channel_sweep` artifact with a committed synthetic artifact
-//!    whose baseline metric is impossibly good; the gate must exit non-zero
-//!    and name the failing metric.  A companion artifact with a modest
-//!    baseline must pass.
+//!    a fresh 4,000-burst `channel_sweep` artifact with a committed one
+//!    from the same command (`gate_passing_channels.json`), which must
+//!    pass, and with a copy whose `min_scaling_1_to_2_optimized` is
+//!    impossibly good (`gate_regressed_channels.json`); the gate must exit
+//!    non-zero and name the differing key.  Regenerate both after an
+//!    intentional change to the sweep's output:
+//!
+//!    ```text
+//!    channel_sweep --bursts 4000 --json crates/bench/tests/fixtures/gate_passing_channels.json
+//!    ```
+//!
+//!    then copy it to `gate_regressed_channels.json` with that one value
+//!    set to `1000`.
 //!
 //! 3. **Check table** — every committed `BENCH_*.json` passes its own
 //!    [`tbi_bench::gate::checks_for`] checks, so a check naming a key the
@@ -25,12 +35,13 @@
 use std::path::{Path, PathBuf};
 use std::process::Command;
 
-use tbi_bench::gate::{checks_for, evaluate, Check, CheckKind};
+use tbi_bench::gate::{checks_for, evaluate, Check, CheckKind, WHOLE_ARTIFACT};
 use tbi_exp::json::{parse, JsonValue};
 
 const REGRESSED_REPORT: &str = include_str!("fixtures/gate_report_regressed.txt");
 const BOUNDARY_REPORT: &str = include_str!("fixtures/gate_report_boundary.txt");
 const DEGENERATE_REPORT: &str = include_str!("fixtures/gate_report_degenerate.txt");
+const NESTED_REPORT: &str = include_str!("fixtures/gate_report_nested.txt");
 
 fn doc(text: &str) -> JsonValue {
     parse(text).expect("test document parses")
@@ -142,6 +153,40 @@ fn degenerate_min_ratio_baselines_fail_cleanly_and_match_the_golden_report() {
     );
 }
 
+#[test]
+fn nested_difference_fails_the_whole_artifact_check_and_matches_the_golden_report() {
+    // A committed-size tenant sweep that reproduces every field but one
+    // tail latency, with every wall-clock field different: the report must
+    // name that latency's JSON path, and nothing else.
+    let committed = doc(r#"{"bench": "tenant_sweep", "bursts": 1048576, "records": [
+        {"scenario_id": "a", "wall_time_s": 0.5, "sim_cycles_per_second": 2e8, "tenants": null},
+        {"scenario_id": "b", "wall_time_s": 0.5, "sim_cycles_per_second": 2e8, "tenants": null},
+        {"scenario_id": "c", "wall_time_s": 0.5, "sim_cycles_per_second": 2e8, "tenants": null},
+        {"scenario_id": "d", "wall_time_s": 0.5, "sim_cycles_per_second": 2e8, "tenants":
+            {"per_tenant": [{"p99_latency_cycles": 40}, {"p99_latency_cycles": 40}]}}]}"#);
+    let current = doc(r#"{"bench": "tenant_sweep", "bursts": 1048576, "records": [
+        {"scenario_id": "a", "wall_time_s": 0.7, "sim_cycles_per_second": 1e8, "tenants": null},
+        {"scenario_id": "b", "wall_time_s": 0.7, "sim_cycles_per_second": 1e8, "tenants": null},
+        {"scenario_id": "c", "wall_time_s": 0.7, "sim_cycles_per_second": 1e8, "tenants": null},
+        {"scenario_id": "d", "wall_time_s": 0.7, "sim_cycles_per_second": 1e8, "tenants":
+            {"per_tenant": [{"p99_latency_cycles": 40}, {"p99_latency_cycles": 41}]}}]}"#);
+    let checks = [
+        Check::new("bursts", CheckKind::SameAsCommitted),
+        Check::new(WHOLE_ARTIFACT, CheckKind::SameAsCommitted),
+    ];
+    let report = evaluate("tenant_sweep", &current, &committed, &checks);
+    assert!(!report.passed(), "a nested difference must fail the gate");
+    let text = report.render();
+    if bless("gate_report_nested.txt", &text) {
+        return;
+    }
+    assert_eq!(
+        text, NESTED_REPORT,
+        "gate report format drifted from tests/fixtures/gate_report_nested.txt — if \
+         intentional, regenerate with TBI_BLESS_GOLDEN=1"
+    );
+}
+
 fn fixture(name: &str) -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR"))
         .join("tests/fixtures")
@@ -192,14 +237,16 @@ fn run_gate(committed_fixture: &str) -> (bool, String) {
 
 #[test]
 fn injected_regression_fixture_fails_the_gate_binary() {
-    // The fixture claims an impossibly good committed baseline (1 → 2
-    // channel scaling of 1000x), so any honest fresh run regresses against
-    // it.
+    // The fixture is a real 4,000-burst artifact whose 1 → 2 channel
+    // scaling was edited to an impossibly good 1000x, so any honest fresh
+    // run differs from it in that one field.
     let (success, stdout) = run_gate("gate_regressed_channels.json");
     assert!(!success, "gate must exit non-zero on the regressed fixture");
     assert!(
-        stdout.contains("FAIL channel_sweep/min_scaling_1_to_2_optimized"),
-        "gate must name the regressed metric:\n{stdout}"
+        stdout.contains(
+            "FAIL channel_sweep/* (== committed): min_scaling_1_to_2_optimized: current "
+        ) && stdout.contains(", committed 1000\n"),
+        "gate must name the regressed key:\n{stdout}"
     );
     assert!(
         stdout.contains("PERFORMANCE REGRESSION DETECTED"),
@@ -209,18 +256,17 @@ fn injected_regression_fixture_fails_the_gate_binary() {
 
 #[test]
 fn modest_baseline_fixture_passes_the_gate_binary() {
-    // Same artifact shape with a deliberately conservative baseline (1.0x
-    // scaling): any healthy fresh run clears 0.75 × 1.0 with a wide margin, so
-    // this pins the gate's pass path end to end without depending on the
-    // host's exact throughput.
+    // The fixture is the artifact the same command wrote: a fresh run must
+    // reproduce every field except the wall-clock ones, which pins the
+    // gate's pass path end to end without depending on the host's speed.
     let (success, stdout) = run_gate("gate_passing_channels.json");
     assert!(
         success,
         "gate must exit zero on the passing fixture:\n{stdout}"
     );
     assert!(
-        stdout.contains("PASS channel_sweep/min_scaling_1_to_2_optimized"),
-        "gate must report the passing metric:\n{stdout}"
+        stdout.contains("PASS channel_sweep/* (== committed): equal; "),
+        "gate must report the passing comparison:\n{stdout}"
     );
     assert!(
         stdout.contains("all artifacts within tolerance"),
@@ -231,7 +277,7 @@ fn modest_baseline_fixture_passes_the_gate_binary() {
 #[test]
 fn fresh_artifact_with_other_ranks_fails_the_ranks_guard() {
     // Different settings measure a different workload: the comparison must
-    // refuse it even though the scaling metric itself would pass.
+    // refuse it, and the first differing field is the rank count.
     let fresh = fresh_channel_sweep("fresh_ranks2.json", &["--ranks", "2"]);
     let (success, stdout, _) = run_gate_pair(&fixture("gate_passing_channels.json"), &fresh);
     assert!(
@@ -239,7 +285,7 @@ fn fresh_artifact_with_other_ranks_fails_the_ranks_guard() {
         "a --ranks 2 artifact must fail the gate:\n{stdout}"
     );
     assert!(
-        stdout.contains("FAIL channel_sweep/ranks (== committed): current 2, committed 1"),
+        stdout.contains("FAIL channel_sweep/* (== committed): ranks: current 2, committed 1"),
         "gate must name the mismatched setting:\n{stdout}"
     );
     assert!(

@@ -27,7 +27,7 @@
 //!    the best strictly-improving one;
 //! 4. a non-improving batch winner can still be **accepted** with
 //!    simulated-annealing probability `exp(Δ/T)` (temperature
-//!    [`SA_TEMP_MICRO`] × 10⁻⁶, cooled geometrically), so climbs tunnel
+//!    150 × 10⁻⁶, cooled geometrically), so climbs tunnel
 //!    through boundary-loss plateaus.
 //!
 //! Candidates are scored by **round-trip row-hit rate** (mean of the write-
@@ -80,7 +80,7 @@ use crate::ExpError;
 /// Initial simulated-annealing temperature of every climb, in
 /// **millionths** of round-trip row-hit rate; the settings the committed
 /// `BENCH_dse.json` ran with.
-pub const SA_TEMP_MICRO: u32 = 150;
+const SA_TEMP_MICRO: u32 = 150;
 
 /// Tuning knobs of a [`MappingSearch`].
 ///

@@ -154,13 +154,11 @@ pub fn records_to_json(records: &[Record]) -> String {
 }
 
 /// Serializes one [`SearchRecord`] as a JSON object; the three embedded
-/// records use the regular [`Record`] schema.  `surrogate_evaluations` is
-/// always 0: the search has no reduced-size pre-screen, and the key keeps
-/// the committed `BENCH_dse.json` schema.
+/// records use the regular [`Record`] schema.
 fn search_record_to_json(record: &SearchRecord) -> String {
     format!(
         "{{\"dram\":{},\"seed\":{},\"restarts\":{},\"budget\":{},\"evaluations\":{},\
-         \"surrogate_evaluations\":0,\"accepted_moves\":{},\"bursts\":{},\"permutation\":{},\
+         \"accepted_moves\":{},\"bursts\":{},\"permutation\":{},\
          \"fold\":{},\"discovered_row_hit_rate\":{},\"optimized_row_hit_rate\":{},\
          \"matches_or_beats_optimized\":{},\"beats_optimized\":{},\"row_hit_gain\":{},\
          \"utilization_gain\":{},\"best\":{},\"row_major\":{},\"optimized\":{}}}",
