@@ -12,11 +12,12 @@
 //!
 //! `--json` names the output file (`--full --json BENCH_engine.json`
 //! regenerates the committed artifact); without it the binary prints its
-//! table and writes nothing.
+//! table and writes nothing.  The report records the worker count the
+//! sweeps ran on and the host's `host_parallelism`.
 
 use std::time::Instant;
 
-use tbi_bench::{run_table1, HarnessOptions};
+use tbi_bench::{table1_grid, HarnessOptions};
 use tbi_dram::TimingEngine;
 use tbi_exp::serialize::{json_number, json_string};
 use tbi_exp::Record;
@@ -30,20 +31,26 @@ const FLAGS: &[&str] = &[
     "--json",
 ];
 
-fn timed_sweep(base: &HarnessOptions, engine: TimingEngine) -> (Vec<Record>, f64) {
+/// Runs the Table I sweep on `engine`: its records, wall time and the
+/// worker count it ran on.
+fn timed_sweep(base: &HarnessOptions, engine: TimingEngine) -> (Vec<Record>, f64, usize) {
     let options = HarnessOptions {
         engine,
         ..base.clone()
     };
     let started = Instant::now();
-    let records = match run_table1(&options) {
-        Ok(records) => records,
+    let run = table1_grid(&options).and_then(|grid| {
+        let experiment = options.experiment(grid);
+        Ok((experiment.run()?, experiment.workers()))
+    });
+    let (records, workers) = match run {
+        Ok(run) => run,
         Err(error) => {
             eprintln!("error: {error}");
             std::process::exit(1);
         }
     };
-    (records, started.elapsed().as_secs_f64())
+    (records, started.elapsed().as_secs_f64(), workers)
 }
 
 fn main() {
@@ -54,10 +61,10 @@ fn main() {
         options.bursts
     );
     eprintln!("running cycle-accurate reference engine ...");
-    let (cycle_records, cycle_wall_s) = timed_sweep(&options, TimingEngine::Cycle);
+    let (cycle_records, cycle_wall_s, _) = timed_sweep(&options, TimingEngine::Cycle);
     eprintln!("  cycle engine: {cycle_wall_s:.3} s");
     eprintln!("running event-driven engine ...");
-    let (event_records, event_wall_s) = timed_sweep(&options, TimingEngine::Event);
+    let (event_records, event_wall_s, workers) = timed_sweep(&options, TimingEngine::Event);
     eprintln!("  event engine: {event_wall_s:.3} s");
 
     // `Record`'s PartialEq deliberately ignores the wall-clock fields, so
@@ -92,15 +99,19 @@ fn main() {
     println!("  speedup (cycle / event)  : {speedup:.2}x");
     println!("  records bit-identical    : {identical}");
 
+    let host_parallelism =
+        std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
     let json = format!(
         "{{\n  \"bench\": {},\n  \"bursts\": {},\n  \"scenarios\": {},\n  \"workers\": {},\n  \
-         \"simulated_cycles_total\": {},\n  \"cycle_wall_s\": {},\n  \"event_wall_s\": {},\n  \
-         \"speedup\": {},\n  \"cycle_sim_cycles_per_second\": {},\n  \
-         \"event_sim_cycles_per_second\": {},\n  \"records_identical\": {}\n}}\n",
+         \"host_parallelism\": {},\n  \"simulated_cycles_total\": {},\n  \
+         \"cycle_wall_s\": {},\n  \"event_wall_s\": {},\n  \"speedup\": {},\n  \
+         \"cycle_sim_cycles_per_second\": {},\n  \"event_sim_cycles_per_second\": {},\n  \
+         \"records_identical\": {}\n}}\n",
         json_string("engine_speed"),
         options.bursts,
         event_records.len(),
-        options.workers,
+        workers,
+        host_parallelism,
         simulated_cycles,
         json_number(cycle_wall_s),
         json_number(event_wall_s),

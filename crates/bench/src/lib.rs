@@ -1,7 +1,7 @@
 //! Shared helpers for the `tbi-bench` table/figure regeneration binaries.
 //!
 //! The heavy lifting lives in [`tbi_exp`]: the binaries declare a
-//! [`SweepGrid`], run it through an [`Experiment`](tbi_exp::Experiment) and
+//! [`SweepGrid`], run it through an [`Experiment`] and
 //! format/serialize the resulting [`Record`]s.  This crate only hosts the
 //! common command-line surface ([`HarnessOptions`], parsed against each
 //! binary's own flag list), the Table-I-style text formatting, the
@@ -12,7 +12,9 @@ pub mod gate;
 use std::path::PathBuf;
 
 use tbi_dram::{ControllerConfig, DramStandard, RefreshMode, TimingEngine};
-use tbi_exp::{serialize, Campaign, CampaignConfig, ExpError, Record, RefreshSetting, SweepGrid};
+use tbi_exp::{
+    serialize, Campaign, CampaignConfig, ExpError, Experiment, Record, RefreshSetting, SweepGrid,
+};
 use tbi_interleaver::{MappingKind, TriangularInterleaver};
 use tbi_satcom::{LinkProfile, Weather};
 
@@ -307,15 +309,21 @@ impl HarnessOptions {
         }
     }
 
-    /// Runs a grid through an [`Experiment`](tbi_exp::Experiment) with the
-    /// configured worker count.
+    /// The [`Experiment`] that runs `grid` with the configured thread and
+    /// worker counts.
+    #[must_use]
+    pub fn experiment(&self, grid: SweepGrid) -> Experiment {
+        let experiment = grid.threads(self.threads).into_experiment();
+        experiment.with_workers(self.workers)
+    }
+
+    /// Runs a grid through [`HarnessOptions::experiment`].
     ///
     /// # Errors
     ///
     /// Propagates [`ExpError`] from the first failing scenario.
     pub fn run_grid(&self, grid: SweepGrid) -> Result<Vec<Record>, ExpError> {
-        let experiment = grid.threads(self.threads).into_experiment();
-        experiment.with_workers(self.workers).run()
+        self.experiment(grid).run()
     }
 
     /// Writes the records to the `--json` path, if one was given, and
@@ -346,24 +354,32 @@ pub fn format_table1_row(label: &str, row_major: &Record, optimized: &Record) ->
     )
 }
 
-/// Runs the Table I pair for every preset configuration through a
-/// [`SweepGrid`] and returns the records in the paper's row order:
-/// `(row-major, optimized)` adjacent per configuration.
+/// The Table I pair for every preset configuration as a [`SweepGrid`], in
+/// the paper's row order: `(row-major, optimized)` adjacent per
+/// configuration.
 ///
 /// # Errors
 ///
-/// Returns [`ExpError`] naming the failing scenario, e.g. when a custom
-/// `--bursts` size does not fit one of the presets.
-pub fn run_table1(options: &HarnessOptions) -> Result<Vec<Record>, ExpError> {
-    let grid = SweepGrid::new()
+/// Propagates [`ExpError`] from [`SweepGrid::all_presets`].
+pub fn table1_grid(options: &HarnessOptions) -> Result<SweepGrid, ExpError> {
+    Ok(SweepGrid::new()
         .all_presets()?
         .channel_count(options.channels)
         .rank_count(options.ranks)
         .size(options.bursts)
         .mappings(MappingKind::TABLE1)
         .refresh(options.refresh_setting())
-        .controller(options.controller());
-    options.run_grid(grid)
+        .controller(options.controller()))
+}
+
+/// Runs [`table1_grid`] and returns the records in its order.
+///
+/// # Errors
+///
+/// Returns [`ExpError`] naming the failing scenario, e.g. when a custom
+/// `--bursts` size does not fit one of the presets.
+pub fn run_table1(options: &HarnessOptions) -> Result<Vec<Record>, ExpError> {
+    options.run_grid(table1_grid(options)?)
 }
 
 /// Device axis of the downlink campaign bench: the paper's DDR4 baseline

@@ -28,6 +28,9 @@
 //!    then copy it to `gate_regressed_channels.json` with that one value
 //!    set to `1000`.
 //!
+//!    An artifact that gives one key twice fails to parse, so the gate
+//!    exits non-zero and names the key.
+//!
 //! 3. **Check table** — every committed `BENCH_*.json` passes its own
 //!    [`tbi_bench::gate::checks_for`] checks, so a check naming a key the
 //!    artifact lacks fails here at once.
@@ -307,6 +310,34 @@ fn mismatched_bench_tags_fail_and_name_both_files() {
             path.display()
         );
     }
+    assert!(
+        stdout.contains("PERFORMANCE REGRESSION DETECTED"),
+        "{stdout}"
+    );
+}
+
+#[test]
+fn artifact_with_a_duplicate_key_fails_the_gate_binary() {
+    // A key-based check reads one copy of a key, so a second, contradicting
+    // copy must make the artifact unreadable rather than pass unseen.
+    let committed = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_engine.json");
+    let text = std::fs::read_to_string(&committed).expect("committed artifact exists");
+    let twice = text.replace(
+        "\"records_identical\": true",
+        "\"records_identical\": true,\n  \"records_identical\": false",
+    );
+    assert_ne!(
+        twice, text,
+        "BENCH_engine.json lost its records_identical key"
+    );
+    let fresh = Path::new(env!("CARGO_TARGET_TMPDIR")).join("engine_duplicate_key.json");
+    std::fs::write(&fresh, twice).expect("scratch artifact is writable");
+    let (success, stdout, stderr) = run_gate_pair(&committed, &fresh);
+    assert!(!success, "a duplicate key must fail the gate:\n{stdout}");
+    assert!(
+        stderr.contains("duplicate key `records_identical` at byte "),
+        "error must name the duplicate key:\n{stderr}"
+    );
     assert!(
         stdout.contains("PERFORMANCE REGRESSION DETECTED"),
         "{stdout}"

@@ -61,8 +61,6 @@ pub struct BankState {
     pub col_allowed_at: u64,
     /// Earliest cycle a PRE command may be issued to this bank.
     pub pre_allowed_at: u64,
-    /// Number of activates seen by this bank (statistics).
-    pub activate_count: u64,
 }
 
 impl Default for BankState {
@@ -80,7 +78,6 @@ impl BankState {
             act_allowed_at: 0,
             col_allowed_at: 0,
             pre_allowed_at: 0,
-            activate_count: 0,
         }
     }
 
@@ -104,7 +101,6 @@ impl BankState {
         self.col_allowed_at = now + t.t_rcd;
         self.pre_allowed_at = self.pre_allowed_at.max(now + t.t_ras);
         self.act_allowed_at = self.act_allowed_at.max(now + t.t_rc);
-        self.activate_count += 1;
     }
 
     /// Records a PRE command issued at `now`.
@@ -160,7 +156,6 @@ pub struct BankArray {
     act_allowed_at: Vec<u64>,
     col_allowed_at: Vec<u64>,
     pre_allowed_at: Vec<u64>,
-    activate_count: Vec<u64>,
 }
 
 impl BankArray {
@@ -175,7 +170,6 @@ impl BankArray {
             act_allowed_at: vec![0; banks],
             col_allowed_at: vec![0; banks],
             pre_allowed_at: vec![0; banks],
-            activate_count: vec![0; banks],
         }
     }
 
@@ -199,7 +193,6 @@ impl BankArray {
             act_allowed_at: self.act_allowed_at[i],
             col_allowed_at: self.col_allowed_at[i],
             pre_allowed_at: self.pre_allowed_at[i],
-            activate_count: self.activate_count[i],
         }
     }
 
@@ -247,12 +240,6 @@ impl BankArray {
         self.pre_allowed_at[i]
     }
 
-    /// Number of activates seen by bank `i`.
-    #[must_use]
-    pub fn activate_count(&self, i: usize) -> u64 {
-        self.activate_count[i]
-    }
-
     /// The maximum `act_allowed_at` across all banks (when any exist) — the
     /// all-bank refresh ready time.
     #[must_use]
@@ -269,7 +256,6 @@ impl BankArray {
         self.col_allowed_at[i] = now + t.t_rcd;
         self.pre_allowed_at[i] = self.pre_allowed_at[i].max(now + t.t_ras);
         self.act_allowed_at[i] = self.act_allowed_at[i].max(now + t.t_rc);
-        self.activate_count[i] += 1;
     }
 
     /// Mirror of [`BankState::record_precharge`] for bank `i`.
@@ -355,7 +341,6 @@ mod tests {
         assert_eq!(b.col_allowed_at, 100 + t.t_rcd);
         assert_eq!(b.pre_allowed_at, 100 + t.t_ras);
         assert_eq!(b.act_allowed_at, 100 + t.t_rc);
-        assert_eq!(b.activate_count, 1);
     }
 
     #[test]
@@ -432,7 +417,6 @@ mod tests {
             check(&soa, &aos, "activate");
             assert!(soa.is_row_open(i, row));
             assert_eq!(soa.open_row_of(i), Some(row));
-            assert_eq!(soa.activate_count(i), 1);
         }
         for i in 0..banks {
             let when = soa.col_allowed_at(i).max(now);

@@ -8,16 +8,19 @@
 //! fixed ablation list (`tests/integration_engines.rs` at the workspace
 //! root); this suite turns that pinning into randomized coverage, including
 //! the multi-rank bank spaces and rank-switch bus bubbles introduced with
-//! the channel/rank scale-out.  The case count follows proptest's default
-//! (64) and is raised in CI via `PROPTEST_CASES`.
+//! the channel/rank scale-out.  Bank groups and ranks are sampled up to 8
+//! each, so up to 64 rank-qualified groups: past the event engine's fast
+//! path limit of 8.  Two fixed cases run the native 8 groups × 4 ranks of
+//! DDR5-3DS and DDR4-3200 at 4 ranks.  The case count follows proptest's
+//! default (64) and is raised in CI via `PROPTEST_CASES`.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use tbi_dram::{
-    ChannelRouter, ChannelTopology, Controller, ControllerConfig, DramConfig, IteratorSource,
-    PagePolicy, RefreshMode, Request, SchedulingPolicy, Stats, TimingEngine,
+    ChannelRouter, ChannelTopology, Controller, ControllerConfig, DramConfig, DramStandard,
+    IteratorSource, PagePolicy, RefreshMode, Request, SchedulingPolicy, Stats, TimingEngine,
 };
 
 /// Builds a small, valid DRAM configuration from sampled axis indices: a
@@ -110,11 +113,11 @@ proptest! {
     #[test]
     fn cycle_and_event_engines_agree_on_random_configurations(
         preset_idx in 0usize..16,
-        bank_groups_log2 in 0u32..3,
+        bank_groups_log2 in 0u32..4,
         banks_per_group_log2 in 1u32..3,
         rows_log2 in 6u32..8,
         cols_log2 in 4u32..7,
-        ranks_log2 in 0u32..2,
+        ranks_log2 in 0u32..4,
         refresh_idx in 0usize..4,
         scheduling_idx in 0usize..2,
         page_idx in 0usize..2,
@@ -163,7 +166,7 @@ proptest! {
     #[test]
     fn engines_agree_across_stats_windows(
         preset_idx in 0usize..16,
-        ranks_log2 in 0u32..2,
+        ranks_log2 in 0u32..4,
         seed in 0u64..u64::MAX,
     ) {
         let config = small_config(preset_idx, 2, 2, 7, 5, 1 << ranks_log2);
@@ -198,4 +201,35 @@ proptest! {
         let event = run_windows(TimingEngine::Event);
         prop_assert_eq!(cycle, event, "windows diverged for seed {}", seed);
     }
+}
+
+/// Cycle ≡ event on a preset's full native geometry and `ranks` ranks,
+/// under the preset's own, all-bank and per-bank refresh: configurations
+/// with more than 8 rank-qualified bank groups, which run off the event
+/// engine's fast path today.
+fn assert_native_engines_agree(standard: DramStandard, rate: u32, ranks: u32) {
+    let config = DramConfig::preset(standard, rate)
+        .expect("preset exists")
+        .with_topology(ChannelTopology::new(1, ranks));
+    for refresh_mode in [None, Some(RefreshMode::AllBank), Some(RefreshMode::PerBank)] {
+        let base = ControllerConfig {
+            refresh_mode,
+            ..ControllerConfig::default()
+        };
+        let requests = pattern(&config, 7, 3_000);
+        let cycle = run(&config, base, TimingEngine::Cycle, &requests);
+        let event = run(&config, base, TimingEngine::Event, &requests);
+        assert_eq!(cycle, event, "{} {refresh_mode:?}", config.label());
+        assert_eq!(cycle.completed_requests, requests.len() as u64);
+    }
+}
+
+#[test]
+fn engines_agree_on_ddr5_3ds_native_eight_groups_by_four_ranks() {
+    assert_native_engines_agree(DramStandard::Ddr5Stacked, 6400, 4);
+}
+
+#[test]
+fn engines_agree_on_ddr4_3200_at_four_ranks() {
+    assert_native_engines_agree(DramStandard::Ddr4, 3200, 4);
 }

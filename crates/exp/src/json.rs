@@ -80,7 +80,8 @@ pub const MAX_DEPTH: usize = 128;
 /// # Errors
 ///
 /// Returns a human-readable message (with byte offset) for malformed input,
-/// nesting deeper than [`MAX_DEPTH`] or trailing garbage.
+/// an object key given twice, nesting deeper than [`MAX_DEPTH`] or trailing
+/// garbage.
 pub fn parse(input: &str) -> Result<JsonValue, String> {
     let mut parser = Parser {
         bytes: input.as_bytes(),
@@ -269,6 +270,7 @@ impl Parser<'_> {
     fn parse_object(&mut self) -> Result<JsonValue, String> {
         self.expect(b'{')?;
         let mut entries = Vec::new();
+        let mut keys = std::collections::HashSet::new();
         self.skip_whitespace();
         if self.peek() == Some(b'}') {
             self.pos += 1;
@@ -276,7 +278,11 @@ impl Parser<'_> {
         }
         loop {
             self.skip_whitespace();
+            let key_pos = self.pos;
             let key = self.parse_string()?;
+            if !keys.insert(key.clone()) {
+                return Err(format!("duplicate key `{key}` at byte {key_pos}"));
+            }
             self.skip_whitespace();
             self.expect(b':')?;
             self.skip_whitespace();
@@ -339,6 +345,16 @@ mod tests {
         assert!(err.contains(&format!("at byte {MAX_DEPTH}")), "got: {err}");
         let deepest = "[".repeat(MAX_DEPTH) + &"]".repeat(MAX_DEPTH);
         assert!(parse(&deepest).is_ok());
+    }
+
+    #[test]
+    fn rejects_a_key_given_twice_in_one_object() {
+        let err = parse(r#"{"ok": true, "ok": false}"#).unwrap_err();
+        assert_eq!(err, "duplicate key `ok` at byte 13");
+        let nested = r#"[{"a": 1}, {"b": {"a": 2, "a": 3}}]"#;
+        assert_eq!(parse(nested).unwrap_err(), "duplicate key `a` at byte 26");
+        // The same key in sibling or nested objects is no duplicate.
+        assert!(parse(r#"{"a": {"a": 1}, "b": [{"a": 2}, {"a": 3}]}"#).is_ok());
     }
 
     #[test]

@@ -74,7 +74,6 @@ pub use block::BlockInterleaver;
 pub use config::InterleaverSpec;
 pub use mapping::{
     ChannelMapping, ChannelTraceGenerator, DramMapping, MappingKind, OptimizedMapping,
-    RowMajorMapping,
 };
 pub use trace::{AccessPhase, PhaseTrace, TraceGenerator};
 pub use triangular::TriangularInterleaver;

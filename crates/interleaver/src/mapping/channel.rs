@@ -4,11 +4,13 @@
 //! A [`ChannelMapping`] wraps one of the [`MappingKind`] schemes and routes
 //! every index-space position to a `(channel, PhysicalAddress)` pair:
 //!
-//! * **Row-major** (the paper's baseline) is [`RowMajorMapping`] scaled out
-//!   to the topology: the controller's decode scheme puts the channel bits
-//!   at the very bottom (`channel = linear mod C`) and the rank bits
-//!   directly above the bank bits — the classic channel/rank-interleaved
-//!   controller mapping.
+//! * **Linear-decode schemes** (row-major, permutations, xorfolds) are a
+//!   [`PermutedMapping`] scaled out to the topology: the decoder's own
+//!   channel and rank bits select the lane.  For the row-major baseline
+//!   (the paper's, [`PermutedMapping::row_major`]) the controller's decode
+//!   scheme puts the channel bits at the very bottom (`channel = linear mod
+//!   C`) and the rank bits directly above the bank bits — the classic
+//!   channel/rank-interleaved controller mapping.
 //! * **Coordinate schemes** (bank round-robin, tiled, optimized) rotate
 //!   `channel` and `rank` along the diagonal of a coarse *stripe-tile* grid
 //!   (`lane = (i/T + j/T) mod (C·R)`), so both the row-wise write phase and
@@ -39,8 +41,10 @@ use tbi_dram::{
 };
 
 use crate::config::InterleaverSpec;
-use crate::mapping::{DramMapping, MappingKind, PermutedMapping, RowMajorMapping, BATCH_CHUNK};
+use crate::mapping::permuted::Linearization;
+use crate::mapping::{DramMapping, MappingKind, PermutedMapping, BATCH_CHUNK};
 use crate::trace::AccessPhase;
+use crate::triangular::TriangularInterleaver;
 use crate::InterleaverError;
 
 /// Default stripe-tile edge in index-space positions (clamped down for
@@ -69,18 +73,14 @@ impl StripeShifts {
 
 /// How positions are routed to channels/ranks.
 enum Router {
-    /// The row-major baseline scaled out to the topology: the triangle's
-    /// linear index decoded through the decode scheme's permutation,
-    /// `channel = linear mod C`, rank bits above the bank bits.
-    RowMajor { mapping: Box<RowMajorMapping> },
+    /// Linear decode scaled out to the topology: the decoder's own
+    /// channel/rank bits select the lane (see [`PermutedMapping`]).
+    Linear { mapping: Box<PermutedMapping> },
     /// Stripe-tile rotation over a wrapped coordinate mapping.
     TileRotate {
         inner: Box<dyn DramMapping>,
         shifts: StripeShifts,
     },
-    /// Bit-permutation routing: the permutation's own channel/rank bits
-    /// select the lane directly (see [`PermutedMapping`]).
-    Permuted { mapping: Box<PermutedMapping> },
 }
 
 /// A channel/rank-aware mapping from index-space positions to
@@ -135,10 +135,10 @@ impl ChannelMapping {
         config.topology.validate()?;
         let topology = config.topology;
         let router = match kind {
-            MappingKind::RowMajor => Router::RowMajor {
-                mapping: Box::new(RowMajorMapping::for_config(config, n)?),
+            MappingKind::RowMajor => Router::Linear {
+                mapping: Box::new(PermutedMapping::for_config(config, n)?),
             },
-            MappingKind::Permutation(permutation) => Router::Permuted {
+            MappingKind::Permutation(permutation) => Router::Linear {
                 mapping: Box::new(PermutedMapping::new(
                     config.geometry,
                     topology,
@@ -146,7 +146,7 @@ impl ChannelMapping {
                     n,
                 )?),
             },
-            MappingKind::XorFolded(permutation, fold) => Router::Permuted {
+            MappingKind::XorFolded(permutation, fold) => Router::Linear {
                 mapping: Box::new(PermutedMapping::with_fold(
                     config.geometry,
                     topology,
@@ -156,7 +156,7 @@ impl ChannelMapping {
                 )?),
             },
             _ => Router::TileRotate {
-                inner: kind.build_for_geometry(config.geometry, n)?,
+                inner: kind.build(config, n)?,
                 shifts: StripeShifts {
                     tile: stripe_tile(n, topology.units()).trailing_zeros(),
                     channels: topology.channels.trailing_zeros(),
@@ -203,14 +203,13 @@ impl ChannelMapping {
             "({i},{j}) outside index space"
         );
         match &self.router {
-            Router::RowMajor { mapping } => mapping.route(i, j),
+            Router::Linear { mapping } => mapping.route(i, j),
             Router::TileRotate { inner, shifts } => {
                 let (lane, j_inner) = self.tile_lane(*shifts, i, j);
                 let channel = lane & (self.topology.channels - 1);
                 let rank = lane >> shifts.channels;
                 (channel, inner.map(i, j_inner).with_rank(rank))
             }
-            Router::Permuted { mapping } => mapping.route(i, j),
         }
     }
 
@@ -218,9 +217,8 @@ impl ChannelMapping {
     /// `(channel, address)` pair of every position in `coords`, in order, to
     /// `out`.
     ///
-    /// The row-major and permutation routers stage linear indices through a
-    /// stack chunk and decode whole slices (see [`RowMajorMapping`]'s
-    /// [`DramMapping::map_batch`] and [`PermutedMapping::route_batch`]); the
+    /// The linear-decode router stages linear indices through a stack chunk
+    /// and decodes whole slices ([`PermutedMapping::route_batch`]); the
     /// stripe-tile router stages lane indices and compacted inner
     /// coordinates through a stack chunk, maps the inner coordinates with
     /// the wrapped scheme's [`DramMapping::map_batch`] kernel and then
@@ -233,7 +231,7 @@ impl ChannelMapping {
     /// space.
     pub fn route_batch(&self, coords: &[(u32, u32)], out: &mut AddressBatch) {
         match &self.router {
-            Router::RowMajor { mapping } => mapping.map_batch(coords, out),
+            Router::Linear { mapping } => mapping.route_batch(coords, out),
             Router::TileRotate { inner, shifts } => {
                 let channel_mask = self.topology.channels - 1;
                 let mut inner_coords = [(0u32, 0u32); BATCH_CHUNK];
@@ -264,7 +262,6 @@ impl ChannelMapping {
                     });
                 }
             }
-            Router::Permuted { mapping } => mapping.route_batch(coords, out),
         }
     }
 
@@ -278,11 +275,11 @@ impl ChannelMapping {
     ///
     /// * the stripe-tile router tests one position per tile, because the
     ///   lane depends only on `(i/T, j/T)`, and skips whole foreign tiles;
-    /// * the row-major router jumps by `C` along a row (the linear index
-    ///   grows by one per position) and, down a column, steps the linear
-    ///   index by `n − i` and tests `linear mod C` (a mask for power-of-two
-    ///   `C`);
-    /// * the permutation router routes every position and keeps its own.
+    /// * the packed (row-major) linearization jumps by `C` along a row (the
+    ///   linear index grows by one per position) and, down a column, steps
+    ///   the linear index by `n − i` and tests `linear mod C` (a mask for
+    ///   power-of-two `C`);
+    /// * the padded linearization routes every position and keeps its own.
     ///
     /// Each owned position is routed once, with the
     /// [`ChannelMapping::route_batch`] kernels, so the appended pairs are
@@ -293,29 +290,31 @@ impl ChannelMapping {
             return 0;
         }
         match &self.router {
-            Router::RowMajor { mapping } => {
-                let mut linear = [0u64; BATCH_CHUNK];
-                let staged = self.owned_linear(mapping, cursor, &mut linear);
-                mapping.decoder().decode_batch(&linear[..staged], out);
-                staged
-            }
+            Router::Linear { mapping } => match mapping.linearization {
+                Linearization::Packed(triangle) => {
+                    let mut linear = [0u64; BATCH_CHUNK];
+                    let staged = self.owned_linear(triangle, cursor, &mut linear);
+                    mapping.decoder.decode_batch(&linear[..staged], out);
+                    staged
+                }
+                Linearization::Padded { .. } => {
+                    let mut staged = 0;
+                    while staged < BATCH_CHUNK && cursor.line_len(self.dimension).is_some() {
+                        let (i, j) = cursor.position();
+                        cursor.inner += 1;
+                        let (channel, address) = mapping.route(i, j);
+                        if channel == cursor.channel {
+                            out.push(channel, address);
+                            staged += 1;
+                        }
+                    }
+                    staged
+                }
+            },
             Router::TileRotate { shifts, .. } => {
                 let mut coords = [(0u32, 0u32); BATCH_CHUNK];
                 let staged = self.owned_tiles(*shifts, cursor, &mut coords);
                 self.route_batch(&coords[..staged], out);
-                staged
-            }
-            Router::Permuted { mapping } => {
-                let mut staged = 0;
-                while staged < BATCH_CHUNK && cursor.line_len(self.dimension).is_some() {
-                    let (i, j) = cursor.position();
-                    cursor.inner += 1;
-                    let (channel, address) = mapping.route(i, j);
-                    if channel == cursor.channel {
-                        out.push(channel, address);
-                        staged += 1;
-                    }
-                }
                 staged
             }
         }
@@ -333,11 +332,11 @@ impl ChannelMapping {
     }
 
     /// Stages the linear indices of the cursor's next (at most
-    /// [`BATCH_CHUNK`]) positions under the row-major router, where
-    /// `channel = linear mod C`.
+    /// [`BATCH_CHUNK`]) positions under the packed linearization of
+    /// `triangle`, whose decode scheme sets `channel = linear mod C`.
     fn owned_linear(
         &self,
-        mapping: &RowMajorMapping,
+        triangle: TriangularInterleaver,
         cursor: &mut ChannelCursor,
         linear: &mut [u64; BATCH_CHUNK],
     ) -> usize {
@@ -354,7 +353,7 @@ impl ChannelMapping {
                 AccessPhase::Write => {
                     // Row `outer` is a run of consecutive linear indices, so
                     // the channel owns every C-th one.
-                    let row_start = mapping.linear_index(cursor.outer, 0);
+                    let row_start = triangle.write_rank(cursor.outer, 0);
                     let row_end = row_start + u64::from(len);
                     let here = row_start + u64::from(cursor.inner);
                     let mut l = here + (channel.wrapping_sub(here) & mask);
@@ -369,7 +368,7 @@ impl ChannelMapping {
                     // Down column `outer`, linear(i + 1, j) =
                     // linear(i, j) + n − i.  Staging is branch-free: every
                     // index is written, only owned ones advance the count.
-                    let mut l = mapping.linear_index(cursor.inner, cursor.outer);
+                    let mut l = triangle.write_rank(cursor.inner, cursor.outer);
                     let mut i = cursor.inner;
                     while i < len && staged < BATCH_CHUNK {
                         linear[staged] = l;
@@ -812,8 +811,8 @@ mod tests {
     #[test]
     fn route_batch_matches_scalar_route_for_every_router() {
         let n = 200u32;
-        // Permutations with channel bits exercise the Permuted router's
-        // batched path; ALL covers RowMajor and TileRotate.
+        // Permutations with channel bits exercise the padded linearization's
+        // batched path; ALL covers row-major and TileRotate.
         for (channels, ranks) in [(1, 1), (2, 1), (2, 2), (8, 1)] {
             let cfg = config(channels, ranks);
             let permutation =

@@ -8,19 +8,18 @@
 //!
 //! | scheme | bank round-robin | page tiling | stagger | figure |
 //! |---|---|---|---|---|
-//! | [`RowMajorMapping`] | – | – | – | baseline (Table I "Row-Major") |
+//! | [`PermutedMapping::row_major`] | – | – | – | baseline (Table I "Row-Major") |
 //! | [`BankRoundRobinMapping`] | ✓ | – | – | Fig. 1a |
 //! | [`GeneralTiledMapping::page_square`] | per tile | ✓ | – | Fig. 1b |
 //! | [`OptimizedMapping`] (no stagger) | ✓ | ✓ | – | Fig. 1c |
 //! | [`OptimizedMapping`] | ✓ | ✓ | ✓ | Fig. 1d (Table I "Optimized") |
-//! | [`PermutedMapping`] | depends | depends | – | searchable bit-permutation family (`docs/MAPPING.md`) |
+//! | [`PermutedMapping::new`] | depends | depends | – | searchable bit-permutation family (`docs/MAPPING.md`) |
 //! | [`GeneralTiledMapping`] | ✓ | free-shape | – | searchable `tile_h × tile_w ≤ page` family (`docs/MAPPING.md`) |
 
 mod channel;
 mod general_tiled;
 mod optimized;
 mod permuted;
-mod row_major;
 mod simple;
 
 pub use channel::{
@@ -29,7 +28,6 @@ pub use channel::{
 pub use general_tiled::GeneralTiledMapping;
 pub use optimized::OptimizedMapping;
 pub use permuted::PermutedMapping;
-pub use row_major::RowMajorMapping;
 pub use simple::BankRoundRobinMapping;
 
 use tbi_dram::{
@@ -66,10 +64,10 @@ pub trait DramMapping: Send + Sync {
     /// (e.g. a [`PermutedMapping`] whose permutation carries channel bits)
     /// and `0` otherwise — the single-channel view of `map`.
     ///
-    /// The default implementation maps one element at a time; schemes with a
-    /// linear decode stage ([`RowMajorMapping`], [`PermutedMapping`])
-    /// override it with slice kernels that amortize the per-element decode
-    /// work, and [`OptimizedMapping`] with a branch-free per-lane kernel.
+    /// The default implementation maps one element at a time; the schemes
+    /// with a linear decode stage ([`PermutedMapping`]) override it with a
+    /// slice kernel that amortizes the per-element decode work, and
+    /// [`OptimizedMapping`] with a branch-free per-lane kernel.
     ///
     /// # Panics
     ///
@@ -251,12 +249,10 @@ impl MappingKind {
         Err(invalid(format!("unknown mapping label `{label}`")))
     }
 
-    /// Builds the mapping for a DRAM configuration and an index space of
-    /// dimension `n`.
-    ///
-    /// Identical to [`MappingKind::build_for_geometry`] except that the
-    /// row-major baseline honours the configuration's
-    /// [`decode_scheme`](DramConfig::decode_scheme) instead of the default.
+    /// Builds the single-channel, single-rank mapping for a DRAM
+    /// configuration's geometry and an index space of dimension `n`; the
+    /// row-major baseline decodes with the configuration's
+    /// [`decode_scheme`](DramConfig::decode_scheme).
     ///
     /// # Errors
     ///
@@ -267,36 +263,14 @@ impl MappingKind {
         config: &DramConfig,
         dimension: u32,
     ) -> Result<Box<dyn DramMapping>, InterleaverError> {
-        if self == MappingKind::RowMajor {
-            Ok(Box::new(RowMajorMapping::with_scheme(
-                config.geometry,
+        let geometry = config.geometry;
+        Ok(match self {
+            MappingKind::RowMajor => Box::new(PermutedMapping::row_major(
+                geometry,
                 ChannelTopology::default(),
                 config.decode_scheme,
                 dimension,
-            )?))
-        } else {
-            self.build_for_geometry(config.geometry, dimension)
-        }
-    }
-
-    /// Builds the mapping for a bare device geometry and an index space of
-    /// dimension `n` (single-channel, single-rank view).
-    ///
-    /// Every scheme — including the row-major baseline, which uses the
-    /// default [`tbi_dram::DecodeScheme`] here — is constructed from the
-    /// same (geometry, dimension) pair.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`InterleaverError`] if the index space does not fit into the
-    /// device under this scheme.
-    pub fn build_for_geometry(
-        self,
-        geometry: DeviceGeometry,
-        dimension: u32,
-    ) -> Result<Box<dyn DramMapping>, InterleaverError> {
-        Ok(match self {
-            MappingKind::RowMajor => Box::new(RowMajorMapping::new(geometry, dimension)?),
+            )?),
             MappingKind::BankRoundRobin => {
                 Box::new(BankRoundRobinMapping::new(geometry, dimension)?)
             }
@@ -410,20 +384,6 @@ mod tests {
                         config.label()
                     );
                 }
-            }
-        }
-    }
-
-    #[test]
-    fn build_for_geometry_matches_build_on_presets() {
-        // Presets use the default decode scheme, so the two builders agree
-        // for every kind — the constructor surface is uniform.
-        let config = ddr4();
-        for kind in MappingKind::ALL {
-            let a = kind.build(&config, 128).unwrap();
-            let b = kind.build_for_geometry(config.geometry, 128).unwrap();
-            for (i, j) in [(0, 0), (3, 5), (100, 27)] {
-                assert_eq!(a.map(i, j), b.map(i, j), "{kind} diverged at ({i},{j})");
             }
         }
     }

@@ -1,27 +1,32 @@
-//! Bit-permutation interleaver mappings: the searchable mapping family.
+//! Linear-decode mappings: the row-major baseline and the searchable
+//! bit-permutation family.
 //!
-//! A [`PermutedMapping`] places position `(i, j)` of the index space at the
-//! *padded* linear address `(i << ⌈log2 n⌉) | j` and decodes that address
-//! through an arbitrary [`BitPermutation`].  Because the padded linearization
-//! keeps the `i` and `j` coordinates in disjoint bit ranges, every
-//! permutation of the device's address bits corresponds to a concrete 2-D
-//! layout: permutations that draw the DRAM **column** bits from both the low
-//! `j` and the low `i` bits tile the index space into 2-D page rectangles
-//! (the paper's optimization 2), permutations that put **bank** bits low
-//! rotate banks per access (optimization 1), and the classic row-major
-//! baseline is the permutation with all `j` bits below all `i` bits feeding
-//! a [`DecodeScheme`](tbi_dram::DecodeScheme) chain.
+//! A [`PermutedMapping`] turns position `(i, j)` into a linear index and
+//! decodes it through a [`BitPermutation`] (and an optional [`XorFold`]):
 //!
-//! The padding trades capacity for searchability: the padded square needs
-//! `2^(⌈log2 n⌉·2)` addressable bursts (≤ 4× the dense square), which all
-//! preset devices provide for the paper's 12.5 M-element interleaver.
+//! * the **packed** linearization ([`PermutedMapping::row_major`]) is the
+//!   storage-compact triangular row-major order, decoded by a
+//!   [`DecodeScheme`]'s permutation — the paper's SRAM baseline, whose
+//!   linear index the controller's address decoder slices into bank, row
+//!   and column;
+//! * the **padded** linearization ([`PermutedMapping::new`]) places `(i, j)`
+//!   at `(i << ⌈log2 n⌉) | j`.  Because it keeps the `i` and `j`
+//!   coordinates in disjoint bit ranges, every permutation of the device's
+//!   address bits corresponds to a concrete 2-D layout: permutations that
+//!   draw the DRAM **column** bits from both the low `j` and the low `i`
+//!   bits tile the index space into 2-D page rectangles (the paper's
+//!   optimization 2), permutations that put **bank** bits low rotate banks
+//!   per access (optimization 1).  The padded square needs
+//!   `2^(⌈log2 n⌉·2)` addressable bursts (≤ 4× the dense square), which all
+//!   preset devices provide for the paper's 12.5 M-element interleaver.
 
 use tbi_dram::{
-    AddressBatch, BitPermutation, ChannelTopology, DeviceGeometry, PermutationMapping,
-    PhysicalAddress, XorFold,
+    AddressBatch, BitPermutation, ChannelTopology, DecodeScheme, DeviceGeometry, DramConfig,
+    PermutationMapping, PhysicalAddress, XorFold,
 };
 
 use crate::mapping::{DramMapping, BATCH_CHUNK};
+use crate::triangular::TriangularInterleaver;
 use crate::InterleaverError;
 
 /// Number of bits needed to index `0..n` (0 for `n == 1`).
@@ -33,9 +38,21 @@ fn index_bits(n: u32) -> u32 {
     }
 }
 
-/// A mapping that decodes the padded linear index `(i << jbits) | j` through
-/// a [`BitPermutation`] — one point of the bit-permutation design space
-/// explored by `tbi_exp`'s mapping search.
+/// How a position becomes the linear index the decoder reads.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Linearization {
+    /// The triangle's row-major rank: a row is a run of consecutive indices.
+    /// Only [`PermutedMapping::row_major`] builds it, so the decoder is a
+    /// decode scheme's and `channel = linear mod C` (the channel router's
+    /// stride walk relies on this).
+    Packed(TriangularInterleaver),
+    /// `(i << jbits) | j`: the coordinates in disjoint bit ranges.
+    Padded { jbits: u32 },
+}
+
+/// A mapping that decodes a linear index of each position through a
+/// [`BitPermutation`]: the row-major baseline (packed) or one point of the
+/// design space explored by `tbi_exp`'s mapping search (padded).
 ///
 /// # Examples
 ///
@@ -56,15 +73,16 @@ fn index_bits(n: u32) -> u32 {
 /// // Distinct positions decode to distinct addresses (permutations are
 /// // bijections of the padded index bits).
 /// assert_ne!(mapping.map(0, 1), mapping.map(1, 0));
+/// assert_eq!(mapping.linear_index(1, 0), 1 << 10);
 /// # Ok(())
 /// # }
 /// ```
 #[derive(Debug, Clone, Copy)]
 pub struct PermutedMapping {
     geometry: DeviceGeometry,
-    decoder: PermutationMapping,
+    pub(crate) decoder: PermutationMapping,
     n: u32,
-    jbits: u32,
+    pub(crate) linearization: Linearization,
 }
 
 impl PermutedMapping {
@@ -90,8 +108,70 @@ impl PermutedMapping {
         index_bits(n)
     }
 
-    /// Creates the mapping for an index space of dimension `n` on `geometry`
-    /// scaled out to `topology`.
+    /// The row-major baseline for an index space of dimension `n` on
+    /// `geometry` scaled out to `topology` (capacity: every channel and rank
+    /// together): the packed linear index decoded by `scheme`'s permutation
+    /// ([`PermutationMapping::for_scheme`]).  The write phase is a
+    /// sequential stream; the read phase jumps by about one row length per
+    /// access and thrashes the row buffers, the behaviour the paper fixes.
+    /// Scaled out, the channel bits sit at the very bottom of the linear
+    /// index (`channel = linear mod C`) and the rank bits directly above the
+    /// bank bits: the classic channel/rank-interleaved controller mapping.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`InterleaverError::Dram`] if the topology fails
+    /// [`ChannelTopology::validate`] or a geometry dimension is not a power
+    /// of two, [`InterleaverError::InvalidDimension`] if `n` is zero, and
+    /// [`InterleaverError::CapacityExceeded`] if the triangle does not fit.
+    pub fn row_major(
+        geometry: DeviceGeometry,
+        topology: ChannelTopology,
+        scheme: DecodeScheme,
+        n: u32,
+    ) -> Result<Self, InterleaverError> {
+        topology.validate()?;
+        let triangle = TriangularInterleaver::new(n)?;
+        let available = geometry.total_bursts() * u64::from(topology.units());
+        if triangle.len() > available {
+            return Err(InterleaverError::CapacityExceeded {
+                required_bursts: triangle.len(),
+                available_bursts: available,
+            });
+        }
+        Ok(Self {
+            geometry,
+            decoder: PermutationMapping::for_scheme(scheme, geometry, topology)?,
+            n,
+            linearization: Linearization::Packed(triangle),
+        })
+    }
+
+    /// The row-major baseline for a full DRAM configuration, honouring the
+    /// configuration's decode scheme and topology.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use tbi_dram::{DramConfig, DramStandard};
+    /// use tbi_interleaver::mapping::{DramMapping, PermutedMapping};
+    ///
+    /// let config = DramConfig::preset(DramStandard::Ddr4, 3200)?;
+    /// let mapping = PermutedMapping::for_config(&config, 1000)?;
+    /// assert_eq!(mapping.name(), "row-major");
+    /// assert_eq!(mapping.linear_index(1, 0), 1000); // row 0 holds 1000 positions
+    /// # Ok::<(), Box<dyn std::error::Error>>(())
+    /// ```
+    ///
+    /// # Errors
+    ///
+    /// See [`PermutedMapping::row_major`].
+    pub fn for_config(config: &DramConfig, n: u32) -> Result<Self, InterleaverError> {
+        Self::row_major(config.geometry, config.topology, config.decode_scheme, n)
+    }
+
+    /// Creates the padded mapping for an index space of dimension `n` on
+    /// `geometry` scaled out to `topology`.
     ///
     /// # Errors
     ///
@@ -109,9 +189,10 @@ impl PermutedMapping {
         Self::with_fold(geometry, topology, permutation, XorFold::identity(), n)
     }
 
-    /// Creates a mapping whose decoded field values are rewritten by `fold`
-    /// after the bit permutation — the hybrid permutation+fold family (e.g.
-    /// `bank = (bank + row) mod banks`, the optimized scheme's diagonal).
+    /// Creates a padded mapping whose decoded field values are rewritten by
+    /// `fold` after the bit permutation — the hybrid permutation+fold family
+    /// (e.g. `bank = (bank + row) mod banks`, the optimized scheme's
+    /// diagonal).
     ///
     /// # Errors
     ///
@@ -142,14 +223,18 @@ impl PermutedMapping {
             geometry,
             decoder,
             n,
-            jbits,
+            linearization: Linearization::Padded { jbits },
         })
     }
 
-    /// The padded linear address of position `(i, j)`.
+    /// The linear index of position `(i, j)`: its triangular row-major rank
+    /// (packed) or `(i << ⌈log2 n⌉) | j` (padded).
     #[must_use]
     pub fn linear_index(&self, i: u32, j: u32) -> u64 {
-        (u64::from(i) << self.jbits) | u64::from(j)
+        match self.linearization {
+            Linearization::Packed(triangle) => triangle.write_rank(i, j),
+            Linearization::Padded { jbits } => (u64::from(i) << jbits) | u64::from(j),
+        }
     }
 
     /// Routes position `(i, j)` to its `(channel, address)` pair (the
@@ -187,40 +272,28 @@ impl PermutedMapping {
             self.decoder.decode_batch(&linear[..chunk.len()], out);
         }
     }
-
-    /// The permutation decoding the padded linear index.
-    #[must_use]
-    pub fn permutation(&self) -> &BitPermutation {
-        self.decoder.permutation()
-    }
-
-    /// The fold applied after decode (identity for plain permutations).
-    #[must_use]
-    pub fn fold(&self) -> &XorFold {
-        self.decoder.fold()
-    }
 }
 
 impl DramMapping for PermutedMapping {
-    /// The single-channel address of `(i, j)`; meaningful when the
-    /// permutation has no channel bits (multi-channel permutations route
-    /// through [`ChannelMapping`](crate::mapping::ChannelMapping) instead).
+    /// The single-channel address of `(i, j)`; meaningful when the decoder
+    /// has no channel bits (multi-channel mappings route through
+    /// [`ChannelMapping`](crate::mapping::ChannelMapping) instead).
     fn map(&self, i: u32, j: u32) -> PhysicalAddress {
         self.route(i, j).1
     }
 
     /// Batched routing ([`PermutedMapping::route_batch`]): the channel lane
-    /// holds the permutation's routed channel (0 when the permutation has no
-    /// channel bits, i.e. whenever [`DramMapping::map`] is meaningful).
+    /// holds the decoder's routed channel (0 when it has no channel bits,
+    /// i.e. whenever [`DramMapping::map`] is meaningful).
     fn map_batch(&self, coords: &[(u32, u32)], out: &mut AddressBatch) {
         self.route_batch(coords, out);
     }
 
     fn name(&self) -> &'static str {
-        if self.fold().is_identity() {
-            "permutation"
-        } else {
-            "xorfold"
+        match self.linearization {
+            Linearization::Packed(_) => "row-major",
+            Linearization::Padded { .. } if self.decoder.fold().is_identity() => "permutation",
+            Linearization::Padded { .. } => "xorfold",
         }
     }
 
@@ -237,7 +310,7 @@ impl DramMapping for PermutedMapping {
 mod tests {
     use super::*;
     use std::collections::HashSet;
-    use tbi_dram::{DecodeScheme, DramConfig, DramStandard};
+    use tbi_dram::DramStandard;
 
     fn ddr4() -> DeviceGeometry {
         DramConfig::preset(DramStandard::Ddr4, 3200)
@@ -331,5 +404,80 @@ mod tests {
             PermutedMapping::new(geometry, ChannelTopology::new(2, 1), permutation, 100),
             Err(InterleaverError::Dram(_))
         ));
+    }
+
+    fn row_major(geometry: DeviceGeometry, n: u32) -> Result<PermutedMapping, InterleaverError> {
+        PermutedMapping::row_major(
+            geometry,
+            ChannelTopology::default(),
+            DecodeScheme::default(),
+            n,
+        )
+    }
+
+    #[test]
+    fn write_order_is_linear() {
+        let m = row_major(ddr4(), 100).unwrap();
+        let mut expected = 0u64;
+        for i in 0..100u32 {
+            for j in 0..(100 - i) {
+                assert_eq!(m.linear_index(i, j), expected);
+                expected += 1;
+            }
+        }
+    }
+
+    #[test]
+    fn read_stride_is_roughly_one_row_length() {
+        let m = row_major(ddr4(), 1000).unwrap();
+        // Reading down column 0: consecutive linear indices differ by the row
+        // length, which shrinks by one per step.
+        let l0 = m.linear_index(0, 0);
+        let l1 = m.linear_index(1, 0);
+        let l2 = m.linear_index(2, 0);
+        assert_eq!(l1 - l0, 1000);
+        assert_eq!(l2 - l1, 999);
+    }
+
+    #[test]
+    fn capacity_is_enforced() {
+        let config = DramConfig::preset(DramStandard::Lpddr4, 2133).unwrap();
+        // An absurdly large dimension cannot fit.
+        let err = row_major(config.geometry, 600_000).unwrap_err();
+        assert!(matches!(err, InterleaverError::CapacityExceeded { .. }));
+    }
+
+    #[test]
+    fn for_config_honours_the_config_decode_scheme() {
+        let mut config = DramConfig::preset(DramStandard::Ddr4, 3200).unwrap();
+        config.decode_scheme = DecodeScheme::BankBankGroupRowColumn;
+        let by_config = PermutedMapping::for_config(&config, 64).unwrap();
+        let by_scheme = PermutedMapping::row_major(
+            config.geometry,
+            ChannelTopology::default(),
+            config.decode_scheme,
+            64,
+        )
+        .unwrap();
+        let default_scheme = row_major(config.geometry, 64).unwrap();
+        assert_eq!(by_config.map(5, 3), by_scheme.map(5, 3));
+        assert_ne!(by_config.map(5, 3), default_scheme.map(5, 3));
+    }
+
+    #[test]
+    fn non_power_of_two_geometries_are_rejected() {
+        let mut geometry = ddr4();
+        geometry.rows = 3 << 14;
+        assert!(matches!(
+            row_major(geometry, 64),
+            Err(InterleaverError::Dram(_))
+        ));
+    }
+
+    #[test]
+    fn name_and_dimension() {
+        let m = row_major(ddr4(), 64).unwrap();
+        assert_eq!(m.name(), "row-major");
+        assert_eq!(m.dimension(), 64);
     }
 }

@@ -16,7 +16,7 @@ use tbi_dram::{
     FoldStep, PermutationMapping, XorFold,
 };
 use tbi_interleaver::mapping::{ChannelMapping, PermutedMapping};
-use tbi_interleaver::{InterleaverSpec, MappingKind, RowMajorMapping};
+use tbi_interleaver::{InterleaverSpec, MappingKind};
 
 /// One combined preset axis: the paper's Table I configurations followed by
 /// the modern scale-out presets (HBM2 pseudo-channel, GDDR6, DDR5-3DS), so
@@ -147,10 +147,10 @@ proptest! {
     }
 
     /// The row-major baseline's permutation form, driven through the
-    /// interleaver layer: a [`PermutedMapping`] of the default scheme's
-    /// permutation agrees with [`RowMajorMapping`] wherever the two
-    /// linearizations coincide (the full first index row, where the compact
-    /// triangular rank equals the padded linear index).
+    /// interleaver layer: a padded [`PermutedMapping`] of the default
+    /// scheme's permutation agrees with the packed row-major one wherever
+    /// the two linearizations coincide (the full first index row, where the
+    /// compact triangular rank equals the padded linear index).
     #[test]
     fn row_major_permutation_form_matches_on_the_first_row(
         preset_idx in 0usize..preset_count(),
@@ -166,7 +166,13 @@ proptest! {
         .unwrap();
         let permuted =
             PermutedMapping::new(geometry, ChannelTopology::default(), permutation, n).unwrap();
-        let row_major = RowMajorMapping::new(geometry, n).unwrap();
+        let row_major = PermutedMapping::row_major(
+            geometry,
+            ChannelTopology::default(),
+            DecodeScheme::default(),
+            n,
+        )
+        .unwrap();
         use tbi_interleaver::DramMapping;
         for j in 0..n.min(512) {
             prop_assert_eq!(permuted.map(0, j), row_major.map(0, j), "j={}", j);

@@ -62,7 +62,7 @@ pub use tbi_exp::{
 };
 pub use tbi_interleaver::{
     AccessPhase, BlockInterleaver, ChannelMapping, DramMapping, InterleaverSpec, MappingKind,
-    OptimizedMapping, RowMajorMapping, TraceGenerator, TriangularInterleaver, TwoStageInterleaver,
+    OptimizedMapping, TraceGenerator, TriangularInterleaver, TwoStageInterleaver,
 };
 pub use tbi_satcom::{
     BandwidthBudget, CoherenceFading, GilbertElliott, LinkConfig, LinkProfile, LinkReport,
