@@ -33,14 +33,10 @@ const FLAGS: &[&str] = &[
 
 /// Runs the Table I sweep on `engine`: its records, wall time and the
 /// worker count it ran on.
-fn timed_sweep(base: &HarnessOptions, engine: TimingEngine) -> (Vec<Record>, f64, usize) {
-    let options = HarnessOptions {
-        engine,
-        ..base.clone()
-    };
+fn timed_sweep(options: &HarnessOptions, engine: TimingEngine) -> (Vec<Record>, f64, usize) {
     let started = Instant::now();
-    let run = table1_grid(&options).and_then(|grid| {
-        let experiment = options.experiment(grid);
+    let run = table1_grid(options).and_then(|grid| {
+        let experiment = options.experiment(grid.engine(engine));
         Ok((experiment.run()?, experiment.workers()))
     });
     let (records, workers) = match run {

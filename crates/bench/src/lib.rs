@@ -11,7 +11,7 @@ pub mod gate;
 
 use std::path::PathBuf;
 
-use tbi_dram::{ControllerConfig, DramStandard, RefreshMode, TimingEngine};
+use tbi_dram::{ControllerConfig, DramStandard, RefreshMode};
 use tbi_exp::{
     serialize, Campaign, CampaignConfig, ExpError, Experiment, Record, RefreshSetting, SweepGrid,
 };
@@ -54,10 +54,6 @@ pub struct HarnessOptions {
     pub threads: usize,
     /// Write the records as JSON to this path.
     pub json: Option<PathBuf>,
-    /// Timing engine advancing the DRAM clock.  No flag sets it: the
-    /// event-driven default serves every run, and the cycle-accurate
-    /// reference is selected only by oracles such as `engine_speed`.
-    pub engine: TimingEngine,
     /// Independent DRAM channels per configuration (1 = the paper's device).
     pub channels: u32,
     /// Ranks per channel (1 = the paper's device).
@@ -76,7 +72,6 @@ impl HarnessOptions {
             workers: 0,
             threads: 1,
             json: None,
-            engine: TimingEngine::default(),
             channels: 1,
             ranks: 1,
             help: false,
@@ -294,7 +289,6 @@ impl HarnessOptions {
     pub fn controller(&self) -> ControllerConfig {
         ControllerConfig {
             refresh_mode: self.no_refresh.then_some(RefreshMode::Disabled),
-            engine: self.engine,
             ..ControllerConfig::default()
         }
     }
@@ -437,6 +431,7 @@ pub fn build_campaign(bursts: u64, workers: usize) -> Result<Campaign, ExpError>
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tbi_dram::TimingEngine;
 
     /// Parses with every shared flag listed, as `table1` does.
     fn parse<I: IntoIterator<Item = String>>(args: I) -> Result<HarnessOptions, String> {
@@ -486,7 +481,10 @@ mod tests {
     fn parse_engine_flag() {
         // The timing engine is not a user knob: the event engine serves
         // every run, and only oracles select the cycle reference.
-        assert_eq!(HarnessOptions::new().engine, TimingEngine::Event);
+        assert_eq!(
+            HarnessOptions::new().controller().engine,
+            TimingEngine::Event
+        );
         for args in [
             &["--engine", "cycle"][..],
             &["--engine", "event"],
@@ -502,18 +500,15 @@ mod tests {
     fn engine_flag_flows_into_table1_scenarios() {
         let options = HarnessOptions {
             bursts: 2_000,
-            engine: TimingEngine::Cycle,
             ..HarnessOptions::new()
         };
-        let cycle_records = run_table1(&options).unwrap();
-        let event_records = run_table1(&HarnessOptions {
-            engine: TimingEngine::Event,
-            ..options.clone()
-        })
-        .unwrap();
+        let run = |engine| {
+            let grid = table1_grid(&options).unwrap().engine(engine);
+            options.run_grid(grid).unwrap()
+        };
         // Different engines, bit-identical records — the transition-safety
-        // invariant, visible end to end through the CLI surface.
-        assert_eq!(cycle_records, event_records);
+        // invariant, visible end to end through the harness's grid.
+        assert_eq!(run(TimingEngine::Cycle), run(TimingEngine::Event));
     }
 
     #[test]

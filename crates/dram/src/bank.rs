@@ -2,48 +2,6 @@
 
 use crate::timing::TimingParams;
 
-/// Flat bank identifier: `bank_group * banks_per_group + bank`.
-///
-/// # Examples
-///
-/// ```
-/// use tbi_dram::BankId;
-///
-/// let id = BankId::from_parts(2, 3, 4); // bank group 2, bank 3, 4 banks per group
-/// assert_eq!(id.index(), 11);
-/// assert_eq!(id.bank_group(4), 2);
-/// assert_eq!(id.bank_in_group(4), 3);
-/// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct BankId(pub u32);
-
-impl BankId {
-    /// Builds a flat bank id from bank group, bank and the number of banks
-    /// per group.
-    #[must_use]
-    pub fn from_parts(bank_group: u32, bank: u32, banks_per_group: u32) -> Self {
-        BankId(bank_group * banks_per_group + bank)
-    }
-
-    /// The flat index.
-    #[must_use]
-    pub fn index(self) -> u32 {
-        self.0
-    }
-
-    /// The bank group this bank belongs to.
-    #[must_use]
-    pub fn bank_group(self, banks_per_group: u32) -> u32 {
-        self.0 / banks_per_group
-    }
-
-    /// The bank index within its bank group.
-    #[must_use]
-    pub fn bank_in_group(self, banks_per_group: u32) -> u32 {
-        self.0 % banks_per_group
-    }
-}
-
 /// State of one DRAM bank: the open row (if any) plus the earliest cycle at
 /// which the next activate, column or precharge command may be issued.
 ///
@@ -148,8 +106,8 @@ impl BankState {
 /// (`u32::MAX`) marking a precharged bank; JEDEC row counts are far below
 /// the sentinel.  All transition methods mirror [`BankState`]'s semantics
 /// exactly — a differential unit test pins the equivalence — and
-/// [`BankArray::get`] reassembles a by-value [`BankState`] view for
-/// inspection APIs.
+/// [`BankArray::get`] reassembles a by-value [`BankState`] view for the
+/// full scheduler scan.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BankArray {
     open_row: Vec<u32>,
@@ -265,15 +223,6 @@ impl BankArray {
         self.act_allowed_at[i] = self.act_allowed_at[i].max(now + t.t_rp);
     }
 
-    /// Precharges every open bank at `now` (the PREab service path).
-    pub fn precharge_all_open(&mut self, now: u64, t: &TimingParams) {
-        for i in 0..self.len() {
-            if !self.is_idle(i) {
-                self.record_precharge(i, now, t);
-            }
-        }
-    }
-
     /// Mirror of [`BankState::record_read`] for bank `i`.
     pub fn record_read(&mut self, i: usize, now: u64, burst_cycles: u64, t: &TimingParams) {
         debug_assert!(!self.is_idle(i), "read on an idle bank");
@@ -310,17 +259,6 @@ mod tests {
 
     fn timing() -> TimingParams {
         DramConfig::preset(DramStandard::Ddr4, 3200).unwrap().timing
-    }
-
-    #[test]
-    fn bank_id_round_trip() {
-        for bg in 0..4 {
-            for b in 0..4 {
-                let id = BankId::from_parts(bg, b, 4);
-                assert_eq!(id.bank_group(4), bg);
-                assert_eq!(id.bank_in_group(4), b);
-            }
-        }
     }
 
     #[test]
@@ -407,7 +345,8 @@ mod tests {
         };
 
         // Deterministic mixed schedule: activate/read/write/precharge across
-        // the banks, then the all-bank forms, then a per-bank refresh.
+        // the banks, then precharge the rest, an all-bank refresh and a
+        // per-bank refresh.
         let mut now = 0u64;
         for i in 0..banks {
             now += 7;
@@ -435,11 +374,11 @@ mod tests {
         check(&soa, &aos, "precharge");
         assert!(soa.is_idle(0));
 
-        soa.precharge_all_open(now, &t);
-        for bank in aos.iter_mut().filter(|b| !b.is_idle()) {
+        for (i, bank) in aos.iter_mut().enumerate().skip(1) {
+            soa.record_precharge(i, now, &t);
             bank.record_precharge(now, &t);
         }
-        check(&soa, &aos, "precharge-all");
+        check(&soa, &aos, "precharge the rest");
         assert!(soa.all_idle());
 
         soa.record_refresh_all(now, t.t_rfc_ab);

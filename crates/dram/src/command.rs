@@ -9,8 +9,6 @@ pub enum CommandKind {
     Activate,
     /// Precharge (close) the open row of one bank.
     Precharge,
-    /// Precharge all banks.
-    PrechargeAll,
     /// Read one burst from the open row.
     Read,
     /// Write one burst to the open row.
@@ -21,24 +19,9 @@ pub enum CommandKind {
     RefreshBank,
 }
 
-impl CommandKind {
-    /// Whether the command transfers data on the data bus.
-    #[must_use]
-    pub fn is_column(self) -> bool {
-        matches!(self, CommandKind::Read | CommandKind::Write)
-    }
-
-    /// Whether the command is a refresh command.
-    #[must_use]
-    pub fn is_refresh(self) -> bool {
-        matches!(self, CommandKind::RefreshAll | CommandKind::RefreshBank)
-    }
-}
-
 /// A concrete DRAM command with its target.
 ///
-/// For [`CommandKind::PrechargeAll`] and [`CommandKind::RefreshAll`] the
-/// address fields are ignored.
+/// For [`CommandKind::RefreshAll`] the address fields are ignored.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Command {
     /// The command kind.
@@ -94,7 +77,6 @@ impl std::fmt::Display for Command {
                 "PRE  BG{} B{}",
                 self.address.bank_group, self.address.bank
             ),
-            CommandKind::PrechargeAll => write!(f, "PREA"),
             CommandKind::Read => write!(f, "RD   {}", self.address),
             CommandKind::Write => write!(f, "WR   {}", self.address),
             CommandKind::RefreshAll => write!(f, "REFab"),
@@ -112,21 +94,6 @@ impl std::fmt::Display for Command {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn column_classification() {
-        assert!(CommandKind::Read.is_column());
-        assert!(CommandKind::Write.is_column());
-        assert!(!CommandKind::Activate.is_column());
-        assert!(!CommandKind::RefreshAll.is_column());
-    }
-
-    #[test]
-    fn refresh_classification() {
-        assert!(CommandKind::RefreshAll.is_refresh());
-        assert!(CommandKind::RefreshBank.is_refresh());
-        assert!(!CommandKind::Precharge.is_refresh());
-    }
 
     #[test]
     fn constructors_set_kind() {
@@ -151,10 +118,6 @@ mod tests {
             },
             Command {
                 kind: CommandKind::RefreshBank,
-                address: a,
-            },
-            Command {
-                kind: CommandKind::PrechargeAll,
                 address: a,
             },
         ] {

@@ -18,20 +18,24 @@
 //! group) — computed once per scheduling decision, making the per-candidate
 //! scan a table lookup, a `max` and a packed-key comparison.
 //!
-//! The fast path is only taken in states where it provably reproduces the
-//! full scheduler's decision: FR-FCFS scheduling, open-page policy, at most
-//! 8 **rank-qualified** bank groups (`ranks × bank_groups`, so dual-rank
-//! DDR4 still qualifies), and no owed refresh other than the per-bank kind (an owed
-//! per-bank refresh adds exactly one priority-0 candidate for its target
-//! bank, which the fast path models directly).  Everything else — all-bank
-//! refresh drains, FCFS, closed-page, exotic geometries — falls back to the
-//! full scan that the cycle engine uses.  The cross-engine golden tests pin
-//! the equivalence.
+//! The fast path picks by the same rule as the full scan: the candidate with
+//! the smallest `(max(ready, now), priority, seq)`, packed into one `u128`
+//! key.  It is only taken in states where it provably reproduces the full
+//! scan's pick: FR-FCFS scheduling, open-page policy, at most 8
+//! **rank-qualified** bank groups (`ranks × bank_groups`, so dual-rank DDR4
+//! still qualifies), and no owed refresh other than the per-bank kind (an
+//! owed per-bank refresh adds exactly one priority-0 candidate for its
+//! target bank, which the fast path models directly).  Everything else —
+//! all-bank refresh drains, FCFS, closed-page, exotic geometries — takes the
+//! full scan that the cycle engine uses.  Either pick goes through the same
+//! step of [`Controller::advance`](super::Controller::advance), which jumps
+//! the clock, stops at a refresh deadline or issues.  The cross-engine
+//! golden tests pin the equivalence.
 
 use crate::address::PhysicalAddress;
 use crate::command::Command;
 
-use super::{Controller, PagePolicy, SchedulingPolicy};
+use super::{Controller, PagePolicy, Pick, SchedulingPolicy};
 
 /// Command-class indices of the floor table (`floor_idx = class * 8 + bank
 /// group`).
@@ -126,8 +130,8 @@ impl Controller {
         }
     }
 
-    /// Rebuilds the entire cache (all-bank refresh / precharge-all mutate
-    /// every bank at once; both are rare).
+    /// Rebuilds the entire cache (an all-bank refresh mutates every bank at
+    /// once; it is rare).
     pub(super) fn reclassify_all_banks(&mut self) {
         for flat_bank in 0..self.banks.len() {
             self.reclassify_bank(flat_bank);
@@ -217,7 +221,7 @@ impl Controller {
         }
     }
 
-    /// One event-engine step on the fast path.
+    /// The fast path's pick, or `None` when nothing is queued.
     ///
     /// Caller guarantees: [`Self::fast_path_configured`], and any owed
     /// refresh (`refresh_pending`) is of the **per-bank** kind.  Under those
@@ -225,10 +229,10 @@ impl Controller {
     /// per-bank head candidates — plus, while a per-bank refresh is owed,
     /// one priority-0 candidate for the refresh target (REFpb if the bank is
     /// idle, otherwise the precharge clearing it; an idle target's own
-    /// request candidate is blocked, exactly as in the full scan).  The full
-    /// scheduler's decision is the lexicographic minimum of
-    /// `(max(ready, now), priority, seq)` over that set.
-    pub(super) fn advance_fast(&mut self, refresh_pending: bool) -> bool {
+    /// request candidate is blocked, exactly as in the full scan).  The pick
+    /// is the lexicographic minimum of `(max(ready, now), priority, seq)`
+    /// over that set.
+    pub(super) fn schedule_fast(&mut self, refresh_pending: bool) -> Option<Pick> {
         // Refresh the per-(class, bank group) channel floor table where the
         // last issued commands invalidated it (column and activate floors
         // shift independently; precharge floors are always 0).  O(bank
@@ -308,12 +312,9 @@ impl Controller {
         }
 
         if best_bank == usize::MAX {
-            // No queued work (and no refresh owed, by precondition): one idle
-            // cycle, exactly like the reference engine.
-            self.now += 1;
-            return false;
+            // No queued work (and no refresh owed, by precondition).
+            return None;
         }
-        let at = (best_key >> 64) as u64;
         let command = match refresh_command {
             Some(command) => command,
             None => {
@@ -326,20 +327,10 @@ impl Controller {
                 }
             }
         };
-        if at > self.now {
-            // Never jump past a refresh deadline: crossing it changes the
-            // candidate set, so stop there and rescan.
-            let due = self.refresh.next_due();
-            if due <= at {
-                self.stats.stall_cycles += due - self.now;
-                self.now = due;
-                return true;
-            }
-            self.stats.stall_cycles += at - self.now;
-            self.now = at;
-        }
-        self.issue(command, best_bank);
-        self.now += 1;
-        !self.queues.is_empty() || self.refresh.is_pending()
+        Some(Pick {
+            at: (best_key >> 64) as u64,
+            command,
+            flat_bank: best_bank,
+        })
     }
 }

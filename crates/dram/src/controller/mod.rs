@@ -11,18 +11,25 @@
 //!
 //! Time can be advanced in two ways (see [`TimingEngine`]):
 //!
-//! * **Event-driven** ([`Controller::advance`], the default) — one scheduling
-//!   decision per *state transition*: the controller computes the earliest
-//!   cycle at which any command becomes issuable (across per-bank timing
-//!   expiries, channel-level constraints and the next refresh deadline) and
-//!   jumps the clock directly to it, issuing the winning command in the same
-//!   step.
-//! * **Cycle-accurate** ([`Controller::tick`]) — the classic reference loop
-//!   that advances exactly one device clock cycle per call, re-evaluating the
-//!   scheduler every cycle.  It is kept as the ground truth for tests that
-//!   pin cycle-level behaviour.
+//! Every scheduling decision is one **pick**: among the candidate commands
+//! (refresh work, then each bank's head request, then closed-page
+//! precharges) the one with the smallest `(max(ready, now), priority, seq)`,
+//! the first candidate considered winning a tie.  The pick names the cycle
+//! `at` at which that command becomes issuable.
 //!
-//! Both engines call the *same* scheduling and issue functions; the only
+//! Time can be advanced in two ways (see [`TimingEngine`]):
+//!
+//! * **Event-driven** ([`Controller::advance`], the default) — one pick per
+//!   *state transition*, from the incremental scheduler of the `event`
+//!   module or, where that does not apply, from the full scan.  One step
+//!   acts on either pick: it jumps the clock to `at` and issues the command,
+//!   or stops at a refresh deadline that comes first.
+//! * **Cycle-accurate** ([`Controller::tick`]) — the classic reference loop
+//!   that spends exactly one device clock cycle per call: it takes the full
+//!   scan's pick every cycle and issues it only when `at` is that cycle.  It
+//!   is kept as the ground truth for tests that pin cycle-level behaviour.
+//!
+//! Both engines share the pick rule and the issue function; the only
 //! difference is how the clock reaches the next decision point.  Because the
 //! candidate set can only change when a command issues, when a refresh
 //! deadline passes, or when a request arrives, the two engines make identical
@@ -41,7 +48,7 @@ mod refresh;
 pub use queue::{CommandQueues, QueuedRequest};
 pub use refresh::{RefreshEngine, RefreshMode};
 
-use crate::bank::{BankArray, BankId, BankState};
+use crate::bank::BankArray;
 use crate::command::{Command, CommandKind};
 use crate::error::ConfigError;
 use crate::request::{Request, RequestKind};
@@ -139,23 +146,15 @@ impl Default for ControllerConfig {
     }
 }
 
-/// What the scheduler decided at the current cycle.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum ScheduleDecision {
-    /// Issue this command for the request queued on `flat_bank` (if a column
-    /// command, the head request of that bank is retired).
-    Issue { command: Command, flat_bank: usize },
-    /// Nothing is issuable right now; the earliest candidate becomes ready
-    /// at `at` and, barring a refresh deadline before then, `command` is the
-    /// one the scheduler will pick at that cycle (the best `(priority, seq)`
-    /// among candidates ready exactly at `at`).
-    WaitIssue {
-        at: u64,
-        command: Command,
-        flat_bank: usize,
-    },
-    /// Nothing to do at all (queues empty, no refresh owed).
-    Idle,
+/// The scheduler's pick: the candidate with the smallest
+/// `(max(ready, now), priority, seq)`.  Barring a refresh deadline before
+/// `at`, `command` is what the controller issues at cycle `at` (`>= now`);
+/// if it is a column command, the head request of `flat_bank` retires.
+#[derive(Debug, Clone, Copy)]
+struct Pick {
+    at: u64,
+    command: Command,
+    flat_bank: usize,
 }
 
 /// The last column command on the channel; `group` is the **rank-qualified**
@@ -358,18 +357,6 @@ impl Controller {
         self.completion_log.drain(..)
     }
 
-    /// State of the bank identified by `bank`, reassembled by value from
-    /// the controller's structure-of-arrays bank lanes ([`BankState`] is
-    /// `Copy`, so this is a handful of loads).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bank` is out of range for the configured geometry.
-    #[must_use]
-    pub fn bank_state(&self, bank: BankId) -> BankState {
-        self.banks.get(bank.index() as usize)
-    }
-
     /// Resets the statistics window to the current cycle.  Bank and queue
     /// state are preserved, so a write phase can be followed by a read phase
     /// with an independent measurement.
@@ -425,14 +412,9 @@ impl Controller {
     pub fn tick(&mut self) -> bool {
         self.refresh.tick(self.now);
         match self.schedule() {
-            ScheduleDecision::Issue { command, flat_bank } => {
-                self.issue(command, flat_bank);
-            }
-            ScheduleDecision::WaitIssue { at, .. } => {
-                debug_assert!(at > self.now);
-                self.stats.stall_cycles += 1;
-            }
-            ScheduleDecision::Idle => {}
+            Some(pick) if pick.at == self.now => self.issue(pick.command, pick.flat_bank),
+            Some(_) => self.stats.stall_cycles += 1,
+            None => {}
         }
         self.now += 1;
         !self.queues.is_empty() || self.refresh.is_pending()
@@ -443,70 +425,66 @@ impl Controller {
     ///
     /// If a command is issuable at the current cycle it is issued, exactly as
     /// under [`Self::tick`].  Otherwise the clock jumps directly to the
-    /// earlier of (a) the earliest cycle at which any candidate command
-    /// becomes ready and (b) the next refresh deadline.  In case (a) the
-    /// winning candidate is issued in the same step — the scheduler already
-    /// knows it is the best `(priority, seq)` among the candidates maturing
-    /// at that cycle, and nothing else can change the candidate set before
-    /// then.  In case (b) the step ends without issuing so the next decision
-    /// sees the refresh obligation, exactly like the per-cycle engine would.
+    /// earlier of (a) the cycle at which the pick becomes issuable and (b)
+    /// the next refresh deadline.  In case (a) the pick is issued in the
+    /// same step — nothing can change the candidate set before then.  In
+    /// case (b) the step ends without issuing so the next decision sees the
+    /// refresh obligation, exactly like the per-cycle engine would.
     ///
     /// Returns `true` if any work remains (queued requests or owed refresh).
     pub fn advance(&mut self) -> bool {
         self.refresh.tick(self.now);
-        if self.fast_path_ok {
-            // Incremental scheduler: O(1)-maintained per-bank candidates
-            // combined with per-step channel floors (see `event`).  An owed
-            // *per-bank* refresh is a single extra O(1) candidate; only
-            // all-bank refresh drains need the full scan.
-            let pending = self.refresh.is_pending();
-            if !pending || self.refresh.mode() == RefreshMode::PerBank {
-                return self.advance_fast(pending);
-            }
-        }
-        self.advance_slow()
+        // Incremental scheduler: O(1)-maintained per-bank candidates
+        // combined with per-step channel floors (see `event`).  An owed
+        // *per-bank* refresh is a single extra O(1) candidate; only
+        // all-bank refresh drains need the full scan.
+        let pending = self.refresh.is_pending();
+        let pick = if self.fast_path_ok && (!pending || self.refresh.mode() == RefreshMode::PerBank)
+        {
+            self.schedule_fast(pending)
+        } else {
+            self.schedule()
+        };
+        self.act_on(pick)
     }
 
-    /// One event-engine step via the full scheduler scan (refresh windows,
-    /// FCFS, closed-page and exotic geometries take this path).
-    pub(crate) fn advance_slow(&mut self) -> bool {
-        match self.schedule() {
-            ScheduleDecision::Issue { command, flat_bank } => {
-                self.issue(command, flat_bank);
+    /// The event engine's one step on a pick of either scheduler: an idle
+    /// cycle without a pick, otherwise a jump to the pick's cycle and its
+    /// issue, or a stop at a refresh deadline that comes first.
+    fn act_on(&mut self, pick: Option<Pick>) -> bool {
+        let Some(Pick {
+            at,
+            command,
+            flat_bank,
+        }) = pick
+        else {
+            // Nothing queued or owed: one idle cycle, like the cycle engine.
+            self.now += 1;
+            return false;
+        };
+        if at > self.now {
+            if self.queues.is_empty() && !self.refresh.is_pending() {
+                // No work remains (the pick is a proactive closed-page
+                // precharge): the cycle engine's drive loop stops after one
+                // more cycle without reaching it, so mirror that final cycle
+                // instead of jump-issuing.
+                self.stats.stall_cycles += 1;
                 self.now += 1;
+                return false;
             }
-            ScheduleDecision::WaitIssue {
-                at,
-                command,
-                flat_bank,
-            } => {
-                debug_assert!(at > self.now);
-                if self.queues.is_empty() && !self.refresh.is_pending() {
-                    // No work remains (the candidate is a proactive
-                    // closed-page precharge): the cycle engine's drive loop
-                    // stops after one more cycle without reaching it, so
-                    // mirror that final cycle instead of jump-issuing.
-                    self.stats.stall_cycles += 1;
-                    self.now += 1;
-                    return false;
-                }
-                // Between `now` and `at` the candidate set can only change at
-                // a refresh deadline; never jump past one.
-                let due = self.refresh.next_due();
-                if due <= at {
-                    self.stats.stall_cycles += due - self.now;
-                    self.now = due;
-                } else {
-                    self.stats.stall_cycles += at - self.now;
-                    self.now = at;
-                    self.issue(command, flat_bank);
-                    self.now += 1;
-                }
+            // Between `now` and `at` the candidate set can only change at a
+            // refresh deadline: never jump past one, stop there and rescan.
+            let due = self.refresh.next_due();
+            if due <= at {
+                self.stats.stall_cycles += due - self.now;
+                self.now = due;
+                return true;
             }
-            ScheduleDecision::Idle => {
-                self.now += 1;
-            }
+            self.stats.stall_cycles += at - self.now;
+            self.now = at;
         }
+        self.issue(command, flat_bank);
+        self.now += 1;
         !self.queues.is_empty() || self.refresh.is_pending()
     }
 
@@ -550,40 +528,24 @@ impl Controller {
     // Scheduling
     // ----------------------------------------------------------------- //
 
-    fn schedule(&self) -> ScheduleDecision {
-        let mut best_issue: Option<(u8, u64, Command, usize)> = None; // (priority, seq, cmd, bank)
-                                                                      // (ready_at, priority, seq, cmd, bank): the best candidate at the
-                                                                      // earliest future ready cycle — what the scheduler will pick there
-                                                                      // unless a refresh deadline intervenes.
-        let mut best_wait: Option<(u64, u8, u64, Command, usize)> = None;
-
-        let consider =
-            |priority: u8,
-             seq: u64,
-             ready_at: u64,
-             command: Command,
-             flat_bank: usize,
-             now: u64,
-             best_issue: &mut Option<(u8, u64, Command, usize)>,
-             best_wait: &mut Option<(u64, u8, u64, Command, usize)>| {
-                if ready_at <= now {
-                    let better = match best_issue {
-                        None => true,
-                        Some((p, s, _, _)) => (priority, seq) < (*p, *s),
-                    };
-                    if better {
-                        *best_issue = Some((priority, seq, command, flat_bank));
-                    }
-                } else {
-                    let better = match best_wait {
-                        None => true,
-                        Some((a, p, s, _, _)) => (ready_at, priority, seq) < (*a, *p, *s),
-                    };
-                    if better {
-                        *best_wait = Some((ready_at, priority, seq, command, flat_bank));
-                    }
-                }
-            };
+    /// The full scheduler scan: the pick over every candidate, or `None`
+    /// when nothing is queued or owed.
+    fn schedule(&self) -> Option<Pick> {
+        let now = self.now;
+        // `(at, priority, seq)` of the best candidate so far, and its pick;
+        // the strict `<` keeps the first candidate considered on a tie.
+        let mut best: Option<((u64, u8, u64), Pick)> = None;
+        let mut consider = |priority: u8, seq: u64, ready: u64, command: Command, flat_bank| {
+            let at = ready.max(now);
+            if best.map_or(true, |(key, _)| (at, priority, seq) < key) {
+                let pick = Pick {
+                    at,
+                    command,
+                    flat_bank,
+                };
+                best = Some(((at, priority, seq), pick));
+            }
+        };
 
         // Refresh handling gets dedicated candidates.
         let (block_all_acts, blocked_bank) = match (self.refresh.is_pending(), self.refresh.mode())
@@ -598,35 +560,17 @@ impl Controller {
                 RefreshMode::AllBank => {
                     // Precharge any open bank, then refresh when everything is idle.
                     if self.banks.all_idle() {
-                        let ready = self.banks.max_act_allowed_at().unwrap_or(self.now);
+                        let ready = self.banks.max_act_allowed_at().unwrap_or(now);
                         let cmd = Command {
                             kind: CommandKind::RefreshAll,
                             address: Default::default(),
                         };
-                        consider(
-                            0,
-                            0,
-                            ready,
-                            cmd,
-                            0,
-                            self.now,
-                            &mut best_issue,
-                            &mut best_wait,
-                        );
+                        consider(0, 0, ready, cmd, 0);
                     } else {
                         for i in 0..self.banks.len() {
                             if !self.banks.is_idle(i) {
-                                let addr = self.bank_address(i);
-                                consider(
-                                    0,
-                                    i as u64,
-                                    self.banks.pre_allowed_at(i),
-                                    Command::precharge(addr),
-                                    i,
-                                    self.now,
-                                    &mut best_issue,
-                                    &mut best_wait,
-                                );
+                                let pre = Command::precharge(self.bank_address(i));
+                                consider(0, i as u64, self.banks.pre_allowed_at(i), pre, i);
                             }
                         }
                     }
@@ -639,27 +583,10 @@ impl Controller {
                             kind: CommandKind::RefreshBank,
                             address: addr,
                         };
-                        consider(
-                            0,
-                            0,
-                            self.banks.act_allowed_at(target),
-                            cmd,
-                            target,
-                            self.now,
-                            &mut best_issue,
-                            &mut best_wait,
-                        );
+                        consider(0, 0, self.banks.act_allowed_at(target), cmd, target);
                     } else {
-                        consider(
-                            0,
-                            0,
-                            self.banks.pre_allowed_at(target),
-                            Command::precharge(addr),
-                            target,
-                            self.now,
-                            &mut best_issue,
-                            &mut best_wait,
-                        );
+                        let pre = Command::precharge(addr);
+                        consider(0, 0, self.banks.pre_allowed_at(target), pre, target);
                     }
                 }
                 RefreshMode::Disabled => {}
@@ -688,45 +615,18 @@ impl Controller {
                 } else {
                     Command::read(addr)
                 };
-                consider(
-                    1,
-                    head.seq,
-                    ready,
-                    cmd,
-                    flat_bank,
-                    self.now,
-                    &mut best_issue,
-                    &mut best_wait,
-                );
+                consider(1, head.seq, ready, cmd, flat_bank);
             } else if bank.is_idle() {
                 if blocked_bank == Some(flat_bank) {
                     // This bank is about to be refreshed; do not reopen it.
                     continue;
                 }
                 let ready = self.earliest_activate(flat_bank, self.qualified_group(&addr));
-                consider(
-                    2,
-                    head.seq,
-                    ready,
-                    Command::activate(addr),
-                    flat_bank,
-                    self.now,
-                    &mut best_issue,
-                    &mut best_wait,
-                );
+                consider(2, head.seq, ready, Command::activate(addr), flat_bank);
             } else {
                 // Row conflict: precharge first.
-                let ready = bank.pre_allowed_at;
-                consider(
-                    3,
-                    head.seq,
-                    ready,
-                    Command::precharge(addr),
-                    flat_bank,
-                    self.now,
-                    &mut best_issue,
-                    &mut best_wait,
-                );
+                let pre = Command::precharge(addr);
+                consider(3, head.seq, bank.pre_allowed_at, pre, flat_bank);
             }
         }
 
@@ -734,37 +634,17 @@ impl Controller {
         if self.ctrl.page_policy == PagePolicy::Closed {
             for i in 0..self.banks.len() {
                 if !self.banks.is_idle(i) && self.queues.head(i).is_none() {
-                    let addr = self.bank_address(i);
-                    consider(
-                        4,
-                        u64::MAX,
-                        self.banks.pre_allowed_at(i),
-                        Command::precharge(addr),
-                        i,
-                        self.now,
-                        &mut best_issue,
-                        &mut best_wait,
-                    );
+                    let pre = Command::precharge(self.bank_address(i));
+                    consider(4, u64::MAX, self.banks.pre_allowed_at(i), pre, i);
                 }
             }
         }
 
-        if let Some((_, _, command, flat_bank)) = best_issue {
-            ScheduleDecision::Issue { command, flat_bank }
-        } else if let Some((at, _, _, command, flat_bank)) = best_wait {
-            ScheduleDecision::WaitIssue {
-                at: at.max(self.now + 1),
-                command,
-                flat_bank,
-            }
-        } else {
-            // Work pending always yields at least one candidate: every
-            // active bank produces a hit/activate/precharge candidate and a
-            // pending refresh produces a refresh or drain-precharge
-            // candidate.  Only truly idle controllers land here.
-            debug_assert!(self.queues.is_empty() && !self.refresh.is_pending());
-            ScheduleDecision::Idle
-        }
+        // Work pending always yields at least one candidate: every active
+        // bank produces a hit/activate/precharge candidate and a pending
+        // refresh produces a refresh or drain-precharge candidate.
+        debug_assert!(best.is_some() || (self.queues.is_empty() && !self.refresh.is_pending()));
+        best.map(|(_, pick)| pick)
     }
 
     fn bank_address(&self, flat_bank: usize) -> crate::address::PhysicalAddress {
@@ -882,10 +762,6 @@ impl Controller {
                     head.caused_conflict = true;
                 }
             }
-            CommandKind::PrechargeAll => {
-                self.banks.precharge_all_open(now, t);
-                self.stats.precharges += 1;
-            }
             CommandKind::Read | CommandKind::Write => {
                 let is_write = command.kind == CommandKind::Write;
                 if is_write {
@@ -950,13 +826,14 @@ impl Controller {
             }
         }
         // Keep the event engine's head-candidate cache in sync: single-bank
-        // commands only mutate their own bank, all-bank commands mutate
+        // commands only mutate their own bank, an all-bank refresh mutates
         // every bank.  Channel-level state is not cached per candidate, but
         // the per-class floor table derived from it is — mark the classes
         // this command shifted.
-        match command.kind {
-            CommandKind::PrechargeAll | CommandKind::RefreshAll => self.reclassify_all_banks(),
-            _ => self.reclassify_bank(flat_bank),
+        if command.kind == CommandKind::RefreshAll {
+            self.reclassify_all_banks();
+        } else {
+            self.reclassify_bank(flat_bank);
         }
         match command.kind {
             CommandKind::Read | CommandKind::Write => self.floors_col_dirty = true,
@@ -1222,7 +1099,7 @@ mod tests {
         for _ in 0..200 {
             c.tick();
         }
-        assert!(c.bank_state(BankId(0)).is_idle());
+        assert!(c.banks.is_idle(0));
     }
 
     #[test]

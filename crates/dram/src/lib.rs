@@ -90,7 +90,7 @@ pub mod stats;
 pub mod timing;
 
 pub use address::{DecodeScheme, PhysicalAddress};
-pub use bank::{BankArray, BankId, BankState};
+pub use bank::{BankArray, BankState};
 pub use batch::{AddressBatch, AddressLanesMut};
 pub use builder::DramConfigBuilder;
 pub use channel::{ChannelRouter, CombinedStats};

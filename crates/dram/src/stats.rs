@@ -22,7 +22,7 @@ pub struct Stats {
     pub write_bursts: u64,
     /// Activate commands issued.
     pub activates: u64,
-    /// Precharge commands issued (including precharge-all, counted once).
+    /// Precharge commands issued.
     pub precharges: u64,
     /// All-bank refresh commands issued.
     pub refreshes_all_bank: u64,

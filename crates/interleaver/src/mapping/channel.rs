@@ -40,9 +40,8 @@ use tbi_dram::{
     AddressBatch, ChannelTopology, DramConfig, PhysicalAddress, Request, RequestKind, RequestSource,
 };
 
-use crate::config::InterleaverSpec;
 use crate::mapping::permuted::Linearization;
-use crate::mapping::{DramMapping, MappingKind, PermutedMapping, BATCH_CHUNK};
+use crate::mapping::{BuiltMapping, DramMapping, MappingKind, PermutedMapping, BATCH_CHUNK};
 use crate::trace::AccessPhase;
 use crate::triangular::TriangularInterleaver;
 use crate::InterleaverError;
@@ -134,29 +133,10 @@ impl ChannelMapping {
     pub fn new(kind: MappingKind, config: &DramConfig, n: u32) -> Result<Self, InterleaverError> {
         config.topology.validate()?;
         let topology = config.topology;
-        let router = match kind {
-            MappingKind::RowMajor => Router::Linear {
-                mapping: Box::new(PermutedMapping::for_config(config, n)?),
-            },
-            MappingKind::Permutation(permutation) => Router::Linear {
-                mapping: Box::new(PermutedMapping::new(
-                    config.geometry,
-                    topology,
-                    permutation,
-                    n,
-                )?),
-            },
-            MappingKind::XorFolded(permutation, fold) => Router::Linear {
-                mapping: Box::new(PermutedMapping::with_fold(
-                    config.geometry,
-                    topology,
-                    permutation,
-                    fold,
-                    n,
-                )?),
-            },
-            _ => Router::TileRotate {
-                inner: kind.build(config, n)?,
+        let router = match kind.build_on(config, topology, n)? {
+            BuiltMapping::Linear(mapping) => Router::Linear { mapping },
+            BuiltMapping::Coordinates(inner) => Router::TileRotate {
+                inner,
                 shifts: StripeShifts {
                     tile: stripe_tile(n, topology.units()).trailing_zeros(),
                     channels: topology.channels.trailing_zeros(),
@@ -641,20 +621,6 @@ impl<'a> ChannelTraceGenerator<'a> {
     pub fn requests_per_phase(&self) -> u64 {
         self.len
     }
-}
-
-/// Builds a [`ChannelMapping`] sized for `spec` on `config`.
-///
-/// # Errors
-///
-/// Returns [`InterleaverError`] if the index space does not fit the
-/// subsystem.
-pub fn channel_mapping_for_spec(
-    kind: MappingKind,
-    config: &DramConfig,
-    spec: &InterleaverSpec,
-) -> Result<ChannelMapping, InterleaverError> {
-    ChannelMapping::new(kind, config, spec.dimension())
 }
 
 #[cfg(test)]

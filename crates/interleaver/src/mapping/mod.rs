@@ -22,9 +22,7 @@ mod optimized;
 mod permuted;
 mod simple;
 
-pub use channel::{
-    channel_mapping_for_spec, ChannelCursor, ChannelMapping, ChannelTrace, ChannelTraceGenerator,
-};
+pub use channel::{ChannelCursor, ChannelMapping, ChannelTrace, ChannelTraceGenerator};
 pub use general_tiled::GeneralTiledMapping;
 pub use optimized::OptimizedMapping;
 pub use permuted::PermutedMapping;
@@ -263,40 +261,62 @@ impl MappingKind {
         config: &DramConfig,
         dimension: u32,
     ) -> Result<Box<dyn DramMapping>, InterleaverError> {
+        Ok(
+            match self.build_on(config, ChannelTopology::default(), dimension)? {
+                BuiltMapping::Linear(mapping) => mapping,
+                BuiltMapping::Coordinates(mapping) => mapping,
+            },
+        )
+    }
+
+    /// Builds this kind for `config`'s geometry and dimension `n`: a
+    /// linear-decode kind scaled out to `topology`, a coordinate kind on
+    /// one channel and rank.
+    pub(crate) fn build_on(
+        self,
+        config: &DramConfig,
+        topology: ChannelTopology,
+        n: u32,
+    ) -> Result<BuiltMapping, InterleaverError> {
+        use BuiltMapping::{Coordinates, Linear};
         let geometry = config.geometry;
+        let scheme = config.decode_scheme;
         Ok(match self {
-            MappingKind::RowMajor => Box::new(PermutedMapping::row_major(
+            MappingKind::RowMajor => Linear(Box::new(PermutedMapping::row_major(
+                geometry, topology, scheme, n,
+            )?)),
+            MappingKind::Permutation(permutation) => Linear(Box::new(PermutedMapping::new(
                 geometry,
-                ChannelTopology::default(),
-                config.decode_scheme,
-                dimension,
-            )?),
+                topology,
+                permutation,
+                n,
+            )?)),
+            MappingKind::XorFolded(permutation, fold) => Linear(Box::new(
+                PermutedMapping::with_fold(geometry, topology, permutation, fold, n)?,
+            )),
             MappingKind::BankRoundRobin => {
-                Box::new(BankRoundRobinMapping::new(geometry, dimension)?)
+                Coordinates(Box::new(BankRoundRobinMapping::new(geometry, n)?))
             }
-            MappingKind::Tiled => Box::new(GeneralTiledMapping::page_square(geometry, dimension)?),
+            MappingKind::Tiled => {
+                Coordinates(Box::new(GeneralTiledMapping::page_square(geometry, n)?))
+            }
             MappingKind::OptimizedNoStagger => {
-                Box::new(OptimizedMapping::without_stagger(geometry, dimension)?)
+                Coordinates(Box::new(OptimizedMapping::without_stagger(geometry, n)?))
             }
-            MappingKind::Optimized => Box::new(OptimizedMapping::new(geometry, dimension)?),
-            MappingKind::Permutation(permutation) => Box::new(PermutedMapping::new(
-                geometry,
-                ChannelTopology::default(),
-                permutation,
-                dimension,
-            )?),
-            MappingKind::XorFolded(permutation, fold) => Box::new(PermutedMapping::with_fold(
-                geometry,
-                ChannelTopology::default(),
-                permutation,
-                fold,
-                dimension,
-            )?),
-            MappingKind::GeneralTiled { tile_h, tile_w } => Box::new(GeneralTiledMapping::new(
-                geometry, dimension, tile_h, tile_w,
-            )?),
+            MappingKind::Optimized => Coordinates(Box::new(OptimizedMapping::new(geometry, n)?)),
+            MappingKind::GeneralTiled { tile_h, tile_w } => Coordinates(Box::new(
+                GeneralTiledMapping::new(geometry, n, tile_h, tile_w)?,
+            )),
         })
     }
+}
+
+/// A [`MappingKind`] built by [`MappingKind::build_on`].
+pub(crate) enum BuiltMapping {
+    /// A linear decode spanning the requested topology.
+    Linear(Box<PermutedMapping>),
+    /// A single-channel, single-rank coordinate mapping.
+    Coordinates(Box<dyn DramMapping>),
 }
 
 impl std::fmt::Display for MappingKind {

@@ -42,7 +42,7 @@ use tbi_dram::{
     AddressBatch, ChannelRouter, CombinedStats, ControllerConfig, DeviceGeometry, DramConfig,
     Request,
 };
-use tbi_interleaver::mapping::{channel_mapping_for_spec, ChannelCursor, ChannelMapping};
+use tbi_interleaver::mapping::{ChannelCursor, ChannelMapping};
 use tbi_interleaver::AccessPhase;
 
 /// Target queue depth (requests) a per-channel refill generates at once.
@@ -257,7 +257,7 @@ impl StreamScheduler {
             .iter()
             .enumerate()
             .map(|(index, spec)| {
-                let mapping = channel_mapping_for_spec(spec.mapping, &config, &spec.spec)?;
+                let mapping = ChannelMapping::new(spec.mapping, &config, spec.spec.dimension())?;
                 Ok(StreamState {
                     mapping,
                     row_offset: (index as u32).wrapping_mul(stride) % geometry.rows,

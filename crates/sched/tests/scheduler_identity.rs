@@ -10,7 +10,7 @@ use tbi_dram::{
     ChannelRouter, ChannelTopology, CombinedStats, ControllerConfig, DramConfig, DramStandard,
     IteratorSource, TimingEngine,
 };
-use tbi_interleaver::mapping::{channel_mapping_for_spec, ChannelTraceGenerator};
+use tbi_interleaver::mapping::{ChannelMapping, ChannelTraceGenerator};
 use tbi_interleaver::{AccessPhase, InterleaverSpec, MappingKind};
 use tbi_sched::{
     ArrivalModel, QosClass, SchedConfig, SchedPolicyKind, StreamScheduler, StreamSpec,
@@ -38,7 +38,7 @@ fn reference_stats(
     kind: MappingKind,
     phase: AccessPhase,
 ) -> CombinedStats {
-    let mapping = channel_mapping_for_spec(kind, config, spec).unwrap();
+    let mapping = ChannelMapping::new(kind, config, spec.dimension()).unwrap();
     let generator = ChannelTraceGenerator::new(&mapping);
     let mut router = ChannelRouter::new(config.clone(), ctrl).unwrap();
     let traces: Vec<_> = (0..router.channels())
@@ -96,7 +96,7 @@ fn single_stream_blocks_follow_each_other_like_chained_traces() {
     let spec = InterleaverSpec::from_burst_count(2_000);
     let config = config(2, 2);
     for kind in MappingKind::TABLE1 {
-        let mapping = channel_mapping_for_spec(kind, &config, &spec).unwrap();
+        let mapping = ChannelMapping::new(kind, &config, spec.dimension()).unwrap();
         let generator = ChannelTraceGenerator::new(&mapping);
         let mut router = ChannelRouter::new(config.clone(), ctrl(TimingEngine::Event)).unwrap();
         let chained: Vec<_> = (0..router.channels())
@@ -280,7 +280,8 @@ fn threaded_drive_preserves_per_channel_completion_log_order() {
     let spec = InterleaverSpec::from_burst_count(2_000);
     let config = config(4, 1);
     let run_completions = |threads: usize| -> (CombinedStats, Vec<Vec<tbi_dram::Completion>>) {
-        let mapping = channel_mapping_for_spec(MappingKind::Optimized, &config, &spec).unwrap();
+        let mapping =
+            ChannelMapping::new(MappingKind::Optimized, &config, spec.dimension()).unwrap();
         let generator = ChannelTraceGenerator::new(&mapping);
         let mut router = ChannelRouter::new(config.clone(), ctrl(TimingEngine::Event)).unwrap();
         for channel in 0..router.channels() {
