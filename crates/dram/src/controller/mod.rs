@@ -9,8 +9,6 @@
 //!
 //! ## Timing engines
 //!
-//! Time can be advanced in two ways (see [`TimingEngine`]):
-//!
 //! Every scheduling decision is one **pick**: among the candidate commands
 //! (refresh work, then each bank's head request, then closed-page
 //! precharges) the one with the smallest `(max(ready, now), priority, seq)`,
@@ -452,17 +450,12 @@ impl Controller {
     /// cycle without a pick, otherwise a jump to the pick's cycle and its
     /// issue, or a stop at a refresh deadline that comes first.
     fn act_on(&mut self, pick: Option<Pick>) -> bool {
-        let Some(Pick {
-            at,
-            command,
-            flat_bank,
-        }) = pick
-        else {
+        let Some(pick) = pick else {
             // Nothing queued or owed: one idle cycle, like the cycle engine.
             self.now += 1;
             return false;
         };
-        if at > self.now {
+        if pick.at > self.now {
             if self.queues.is_empty() && !self.refresh.is_pending() {
                 // No work remains (the pick is a proactive closed-page
                 // precharge): the cycle engine's drive loop stops after one
@@ -475,15 +468,15 @@ impl Controller {
             // Between `now` and `at` the candidate set can only change at a
             // refresh deadline: never jump past one, stop there and rescan.
             let due = self.refresh.next_due();
-            if due <= at {
+            if due <= pick.at {
                 self.stats.stall_cycles += due - self.now;
                 self.now = due;
                 return true;
             }
-            self.stats.stall_cycles += at - self.now;
-            self.now = at;
+            self.stats.stall_cycles += pick.at - self.now;
+            self.now = pick.at;
         }
-        self.issue(command, flat_bank);
+        self.issue(pick.command, pick.flat_bank);
         self.now += 1;
         !self.queues.is_empty() || self.refresh.is_pending()
     }
