@@ -173,6 +173,11 @@ fn full_scan_cases() -> Vec<(&'static str, DramConfig, ControllerConfig)> {
         scheduling: SchedulingPolicy::Fcfs,
         ..default
     };
+    let fcfs_per_bank = ControllerConfig {
+        scheduling: SchedulingPolicy::Fcfs,
+        refresh_mode: Some(RefreshMode::PerBank),
+        ..default
+    };
     let closed = ControllerConfig {
         page_policy: PagePolicy::Closed,
         ..default
@@ -186,6 +191,7 @@ fn full_scan_cases() -> Vec<(&'static str, DramConfig, ControllerConfig)> {
     vec![
         ("ddr4", ddr4.clone(), default),
         ("ddr4-fcfs", ddr4.clone(), fcfs),
+        ("ddr4-fcfs-perbank", ddr4.clone(), fcfs_per_bank),
         ("ddr4-closed", ddr4.clone(), closed),
         (
             "ddr4-closed-fcfs-perbank",
@@ -297,11 +303,13 @@ fn check_full_scan_golden(mappings: &[MappingKind], bursts: u64, golden: &[(&str
 /// Recorded from the scheduler that kept separate issue and wait
 /// accumulators; the single-pick scheduler must reproduce every row.
 #[rustfmt::skip]
-const FULL_SCAN_GOLDEN: [(&str, &str, u64); 16] = [
+const FULL_SCAN_GOLDEN: [(&str, &str, u64); 18] = [
     ("ddr4", "row-major", 0x00c0f38d82b16b63),
     ("ddr4", "optimized", 0xc48f12431bd8a979),
     ("ddr4-fcfs", "row-major", 0xfb2c920e05a114fd),
     ("ddr4-fcfs", "optimized", 0x0fb80f2b90d5244d),
+    ("ddr4-fcfs-perbank", "row-major", 0xa1f9001396cd034b),
+    ("ddr4-fcfs-perbank", "optimized", 0x65b71bb6c4e655ef),
     ("ddr4-closed", "row-major", 0x7be5386ef0665c27),
     ("ddr4-closed", "optimized", 0x2f08a350bb1241f3),
     ("ddr4-closed-fcfs-perbank", "row-major", 0x3ea2f609a5972815),
@@ -324,7 +332,7 @@ fn full_scan_configurations_reproduce_their_golden_stats() {
 /// The ignored run's golden: every case × `MappingKind::ALL` at 30,000
 /// bursts, recorded with `FULL_SCAN_GOLDEN`.
 #[rustfmt::skip]
-const FULL_SCAN_GOLDEN_ALL: [(&str, &str, u64); 40] = [
+const FULL_SCAN_GOLDEN_ALL: [(&str, &str, u64); 45] = [
     ("ddr4", "row-major", 0x3c5f5267a7f999a3),
     ("ddr4", "bank-round-robin", 0x9d7ebd5abd16b9ed),
     ("ddr4", "tiled", 0x99e3b5b5c38018b7),
@@ -335,6 +343,11 @@ const FULL_SCAN_GOLDEN_ALL: [(&str, &str, u64); 40] = [
     ("ddr4-fcfs", "tiled", 0x50c378faf6bced3b),
     ("ddr4-fcfs", "optimized-no-stagger", 0xb2ce0ceb5a8b0a73),
     ("ddr4-fcfs", "optimized", 0xacc31f2b49467de9),
+    ("ddr4-fcfs-perbank", "row-major", 0x4750b33e1b023397),
+    ("ddr4-fcfs-perbank", "bank-round-robin", 0x38c9f372e7813a67),
+    ("ddr4-fcfs-perbank", "tiled", 0x32194628cfaa86db),
+    ("ddr4-fcfs-perbank", "optimized-no-stagger", 0x647b62de1ecb3ced),
+    ("ddr4-fcfs-perbank", "optimized", 0x51af82743798ab6b),
     ("ddr4-closed", "row-major", 0x03e0b2e083271ef9),
     ("ddr4-closed", "bank-round-robin", 0x2122ec5e8c04aac9),
     ("ddr4-closed", "tiled", 0x3962c74bd88054d1),
