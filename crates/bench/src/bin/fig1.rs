@@ -22,7 +22,7 @@
 //! and the utilization footer comes from running the scenarios as one
 //! [`tbi_exp::Experiment`].
 
-use tbi_dram::{DramConfig, DramConfigBuilder, DramStandard};
+use tbi_dram::{DramConfig, DramStandard};
 use tbi_exp::{Experiment, Scenario};
 use tbi_interleaver::mapping::render_grid;
 use tbi_interleaver::{InterleaverSpec, MappingKind};
@@ -32,15 +32,16 @@ use tbi_bench::HarnessOptions;
 /// The miniature configuration behind the paper's Figure 1: two banks (in
 /// two bank groups) and four-burst pages on an otherwise DDR4-like device.
 fn figure_config() -> DramConfig {
-    DramConfigBuilder::from_preset(DramStandard::Ddr4, 1600)
-        .expect("DDR4-1600 is a paper preset")
-        .bank_groups(2)
-        .banks_per_group(1)
-        .rows(1 << 10)
-        .columns_per_row(4)
-        .bus_width_bits(64)
-        .build()
-        .expect("miniature figure geometry is valid")
+    let mut config =
+        DramConfig::preset(DramStandard::Ddr4, 1600).expect("DDR4-1600 is a paper preset");
+    let geometry = &mut config.geometry;
+    geometry.bank_groups = 2;
+    geometry.banks_per_group = 1;
+    geometry.rows = 1 << 10;
+    geometry.columns_per_row = 4;
+    geometry.bus_width_bits = 64;
+    config.validate().expect("valid miniature geometry");
+    config
 }
 
 /// The schemes of Fig. 1a–1d, with their panel letter and caption.

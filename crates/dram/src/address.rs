@@ -16,7 +16,6 @@ use crate::geometry::DeviceGeometry;
 /// `column` counts bursts within the row (not individual beats), matching the
 /// granularity used throughout the crate.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, PartialOrd, Ord)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct PhysicalAddress {
     /// Rank index within the channel (0 on single-rank channels).
     pub rank: u32,
@@ -97,7 +96,6 @@ impl std::fmt::Display for PhysicalAddress {
 /// The scheme names follow the usual controller convention: the right-most
 /// field changes fastest under a sequential access pattern.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum DecodeScheme {
     /// `row | bank | bank group | column`: an open-page friendly mapping in
     /// which sequential bursts stream through one row of one bank before

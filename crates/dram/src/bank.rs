@@ -68,11 +68,10 @@ impl BankState {
         self.act_allowed_at = self.act_allowed_at.max(now + t.t_rp);
     }
 
-    /// Records a RD command issued at `now` (burst of `burst_cycles`).
-    pub fn record_read(&mut self, now: u64, burst_cycles: u64, t: &TimingParams) {
+    /// Records a RD command issued at `now`.
+    pub fn record_read(&mut self, now: u64, t: &TimingParams) {
         debug_assert!(self.open_row.is_some(), "read on an idle bank");
         debug_assert!(now >= self.col_allowed_at, "read issued too early");
-        let _ = burst_cycles;
         self.pre_allowed_at = self.pre_allowed_at.max(now + t.t_rtp);
     }
 
@@ -95,12 +94,11 @@ impl BankState {
 /// Structure-of-arrays bank state for a whole channel.
 ///
 /// The controller's hottest loops — the event engine's head
-/// classification, the all-bank refresh idle scan, the closed-page
-/// precharge sweep — each read **one** field of every bank.  Storing the
-/// banks as parallel lanes instead of an array of [`BankState`] structs
-/// keeps those scans on densely packed cache lines (e.g. the
-/// `open_row` lane of a 32-bank channel is two cache lines instead of
-/// thirteen).
+/// classification, the all-bank refresh idle scan — each read **one** field
+/// of every bank.  Storing the banks as parallel lanes instead of an array
+/// of [`BankState`] structs keeps those scans on densely packed cache lines
+/// (e.g. the `open_row` lane of a 32-bank channel is two cache lines instead
+/// of thirteen).
 ///
 /// The open row is packed as a `u32` lane with [`BankArray::CLOSED`]
 /// (`u32::MAX`) marking a precharged bank; JEDEC row counts are far below
@@ -224,10 +222,9 @@ impl BankArray {
     }
 
     /// Mirror of [`BankState::record_read`] for bank `i`.
-    pub fn record_read(&mut self, i: usize, now: u64, burst_cycles: u64, t: &TimingParams) {
+    pub fn record_read(&mut self, i: usize, now: u64, t: &TimingParams) {
         debug_assert!(!self.is_idle(i), "read on an idle bank");
         debug_assert!(now >= self.col_allowed_at[i], "read issued too early");
-        let _ = burst_cycles;
         self.pre_allowed_at[i] = self.pre_allowed_at[i].max(now + t.t_rtp);
     }
 
@@ -300,7 +297,7 @@ mod tests {
         rd_bank.record_activate(0, 1, &t);
         wr_bank.record_activate(0, 1, &t);
         let when = rd_bank.col_allowed_at;
-        rd_bank.record_read(when, 4, &t);
+        rd_bank.record_read(when, &t);
         wr_bank.record_write(when, 4, &t);
         assert!(
             wr_bank.pre_allowed_at > rd_bank.pre_allowed_at,
@@ -360,8 +357,8 @@ mod tests {
         for i in 0..banks {
             let when = soa.col_allowed_at(i).max(now);
             if i % 2 == 0 {
-                soa.record_read(i, when, 4, &t);
-                aos[i].record_read(when, 4, &t);
+                soa.record_read(i, when, &t);
+                aos[i].record_read(when, &t);
             } else {
                 soa.record_write(i, when, 4, &t);
                 aos[i].record_write(when, 4, &t);

@@ -21,21 +21,21 @@
 //! The fast path picks by the same rule as the full scan: the candidate with
 //! the smallest `(max(ready, now), priority, seq)`, packed into one `u128`
 //! key.  It is only taken in states where it provably reproduces the full
-//! scan's pick: FR-FCFS scheduling, open-page policy, at most 8
-//! **rank-qualified** bank groups (`ranks × bank_groups`, so dual-rank DDR4
-//! still qualifies), and no owed refresh other than the per-bank kind (an
-//! owed per-bank refresh adds exactly one priority-0 candidate for its
-//! target bank, which the fast path models directly).  Everything else —
-//! all-bank refresh drains, FCFS, closed-page, exotic geometries — takes the
-//! full scan that the cycle engine uses.  Either pick goes through the same
-//! step of [`Controller::advance`](super::Controller::advance), which jumps
-//! the clock, stops at a refresh deadline or issues.  The cross-engine
-//! golden tests pin the equivalence.
+//! scan's pick: FR-FCFS scheduling, at most 8 **rank-qualified** bank groups
+//! (`ranks × bank_groups`, so dual-rank DDR4 still qualifies), and no owed
+//! refresh other than the per-bank kind (an owed per-bank refresh adds
+//! exactly one priority-0 candidate for its target bank, which the fast path
+//! models directly).  Everything else — all-bank refresh drains, FCFS, more
+//! than 8 rank-qualified bank groups — takes the full scan that the cycle
+//! engine uses.  Either pick goes through the same step of
+//! [`Controller::advance`](super::Controller::advance), which jumps the
+//! clock, stops at a refresh deadline or issues.  The cross-engine golden
+//! tests pin the equivalence.
 
 use crate::address::PhysicalAddress;
 use crate::command::Command;
 
-use super::{Controller, PagePolicy, Pick, SchedulingPolicy};
+use super::{Controller, Pick, SchedulingPolicy};
 
 /// Command-class indices of the floor table (`floor_idx = class * 8 + bank
 /// group`).
@@ -82,9 +82,7 @@ impl Controller {
     /// checked in [`Controller::advance`]).
     #[inline]
     pub(super) fn fast_path_configured(&self) -> bool {
-        self.ctrl.scheduling == SchedulingPolicy::FrFcfs
-            && self.ctrl.page_policy == PagePolicy::Open
-            && self.last_act_per_group.len() <= 8
+        self.ctrl.scheduling == SchedulingPolicy::FrFcfs && self.last_act_per_group.len() <= 8
     }
 
     /// Derives the candidate for `flat_bank`'s head request from the current

@@ -3,17 +3,18 @@
 //!
 //! The controller models a single-channel DRAM controller with per-bank
 //! transaction queues, an FR-FCFS (first-ready, first-come-first-served)
-//! scheduler with an open-page policy by default, and a refresh engine.  It
+//! scheduler under an open-page policy (a row stays open until a request to
+//! another row of its bank or a refresh closes it), and a refresh engine.  It
 //! issues at most one command per cycle while enforcing the JEDEC constraints
 //! defined in [`TimingParams`](crate::TimingParams).
 //!
 //! ## Timing engines
 //!
 //! Every scheduling decision is one **pick**: among the candidate commands
-//! (refresh work, then each bank's head request, then closed-page
-//! precharges) the one with the smallest `(max(ready, now), priority, seq)`,
-//! the first candidate considered winning a tie.  The pick names the cycle
-//! `at` at which that command becomes issuable.
+//! (refresh work, then each bank's head request) the one with the smallest
+//! `(max(ready, now), priority, seq)`, the first candidate considered winning
+//! a tie.  The pick names the cycle `at` at which that command becomes
+//! issuable.
 //!
 //! Time can be advanced in two ways (see [`TimingEngine`]):
 //!
@@ -53,21 +54,8 @@ use crate::request::{Request, RequestKind};
 use crate::standards::DramConfig;
 use crate::stats::Stats;
 
-/// Row-buffer management policy.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
-pub enum PagePolicy {
-    /// Keep rows open after an access (best for access streams with
-    /// row-buffer locality).
-    #[default]
-    Open,
-    /// Precharge a bank as soon as its queue runs dry.
-    Closed,
-}
-
 /// Command scheduling policy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum SchedulingPolicy {
     /// First-ready, first-come-first-served: the oldest *issuable* command
     /// wins, allowing reordering across banks.
@@ -85,7 +73,6 @@ pub enum SchedulingPolicy {
 /// which the cycle engine would find nothing to do.  See the
 /// [module documentation](self) for the invariants behind this guarantee.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum TimingEngine {
     /// Cycle-accurate reference: one device clock cycle per step
     /// ([`Controller::tick`]).
@@ -114,14 +101,22 @@ impl std::fmt::Display for TimingEngine {
 }
 
 /// Controller configuration knobs.
+///
+/// The controller always runs the open-page policy.  Each option below is
+/// one that a run, an oracle or a reference selects:
+///
+/// * `scheduling`: FCFS is the order under which the row-buffer oracle
+///   (`tbi_interleaver::analysis`) is exact;
+/// * `engine`: the cycle engine is the reference that `engine_speed` and
+///   the differential tests compare the event engine against;
+/// * `refresh_mode`: all three modes run (the presets' defaults and refresh
+///   switched off);
+/// * `queue_capacity`: a number, not a code path.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct ControllerConfig {
     /// Total number of outstanding requests accepted by the transaction
     /// queues.
     pub queue_capacity: usize,
-    /// Row-buffer policy.
-    pub page_policy: PagePolicy,
     /// Scheduling policy.
     pub scheduling: SchedulingPolicy,
     /// Refresh mode; `None` selects the standard's default
@@ -136,7 +131,6 @@ impl Default for ControllerConfig {
     fn default() -> Self {
         Self {
             queue_capacity: 64,
-            page_policy: PagePolicy::Open,
             scheduling: SchedulingPolicy::FrFcfs,
             refresh_mode: None,
             engine: TimingEngine::Event,
@@ -456,15 +450,6 @@ impl Controller {
             return false;
         };
         if pick.at > self.now {
-            if self.queues.is_empty() && !self.refresh.is_pending() {
-                // No work remains (the pick is a proactive closed-page
-                // precharge): the cycle engine's drive loop stops after one
-                // more cycle without reaching it, so mirror that final cycle
-                // instead of jump-issuing.
-                self.stats.stall_cycles += 1;
-                self.now += 1;
-                return false;
-            }
             // Between `now` and `at` the candidate set can only change at a
             // refresh deadline: never jump past one, stop there and rescan.
             let due = self.refresh.next_due();
@@ -492,9 +477,8 @@ impl Controller {
     /// Advances a controller with no queued requests to cycle `target`,
     /// exactly as repeated [`Self::step`] calls would: while nothing is
     /// owed it jumps to the earlier of `target` and the next refresh
-    /// deadline, and it steps through owed refreshes and closed-page
-    /// precharges.  Like those calls, a step that issues may end past
-    /// `target`.
+    /// deadline, and it steps through owed refreshes.  Like those calls, a
+    /// step that issues may end past `target`.
     pub fn advance_idle_to(&mut self, target: u64) {
         debug_assert!(
             self.queues.is_empty(),
@@ -502,9 +486,7 @@ impl Controller {
         );
         while self.now < target {
             self.refresh.tick(self.now);
-            let owed = self.refresh.is_pending()
-                || (self.ctrl.page_policy == PagePolicy::Closed && !self.banks.all_idle());
-            if owed {
+            if self.refresh.is_pending() {
                 self.step();
             } else {
                 self.now = target.min(self.refresh.next_due());
@@ -620,16 +602,6 @@ impl Controller {
                 // Row conflict: precharge first.
                 let pre = Command::precharge(addr);
                 consider(3, head.seq, bank.pre_allowed_at, pre, flat_bank);
-            }
-        }
-
-        // Closed-page policy: proactively close banks whose queues ran dry.
-        if self.ctrl.page_policy == PagePolicy::Closed {
-            for i in 0..self.banks.len() {
-                if !self.banks.is_idle(i) && self.queues.head(i).is_none() {
-                    let pre = Command::precharge(self.bank_address(i));
-                    consider(4, u64::MAX, self.banks.pre_allowed_at(i), pre, i);
-                }
             }
         }
 
@@ -760,7 +732,7 @@ impl Controller {
                 if is_write {
                     self.banks.record_write(flat_bank, now, burst, t);
                 } else {
-                    self.banks.record_read(flat_bank, now, burst, t);
+                    self.banks.record_read(flat_bank, now, t);
                 }
                 let group = self.qualified_group(&command.address);
                 let latency = t.column_latency(is_write);
@@ -1078,24 +1050,6 @@ mod tests {
     }
 
     #[test]
-    fn closed_page_policy_precharges_idle_banks() {
-        let config = DramConfig::preset(DramStandard::Ddr4, 1600).unwrap();
-        let ctrl = ControllerConfig {
-            page_policy: PagePolicy::Closed,
-            refresh_mode: Some(RefreshMode::Disabled),
-            ..ControllerConfig::default()
-        };
-        let mut c = Controller::new(config, ctrl).unwrap();
-        c.enqueue(Request::read(PhysicalAddress::new(0, 0, 3, 0)));
-        c.drain();
-        // Run a few more cycles so the proactive precharge gets issued.
-        for _ in 0..200 {
-            c.tick();
-        }
-        assert!(c.banks.is_idle(0));
-    }
-
-    #[test]
     fn advance_idle_to_matches_repeated_steps() {
         let config = DramConfig::preset(DramStandard::Ddr4, 3200).unwrap();
         let traffic = |c: &mut Controller| {
@@ -1110,36 +1064,33 @@ mod tests {
                 RefreshMode::PerBank,
                 RefreshMode::Disabled,
             ] {
-                for page_policy in [PagePolicy::Open, PagePolicy::Closed] {
-                    let ctrl = ControllerConfig {
-                        engine,
-                        refresh_mode: Some(refresh),
-                        page_policy,
-                        ..ControllerConfig::default()
-                    };
-                    let mut jumped = Controller::new(config.clone(), ctrl).unwrap();
-                    traffic(&mut jumped);
-                    // Right after traffic (closed-page precharges owed),
-                    // a short gap, and a gap across several refreshes.
-                    for gap in [3, 40, 3 * config.timing.t_refi + 17] {
-                        let target = jumped.now() + gap;
-                        let mut stepped = jumped.clone();
-                        while stepped.now() < target {
-                            stepped.step();
-                        }
-                        jumped.advance_idle_to(target);
-                        let case = format!("{engine:?} {refresh:?} {page_policy:?} gap {gap}");
-                        assert_eq!(jumped.now(), stepped.now(), "{case}");
-                        assert_eq!(jumped.stats(), stepped.stats(), "{case}");
-                        traffic(&mut jumped);
-                        traffic(&mut stepped);
-                        assert_eq!(jumped.now(), stepped.now(), "{case}");
-                        assert_eq!(jumped.stats(), stepped.stats(), "{case}");
+                let ctrl = ControllerConfig {
+                    engine,
+                    refresh_mode: Some(refresh),
+                    ..ControllerConfig::default()
+                };
+                let mut jumped = Controller::new(config.clone(), ctrl).unwrap();
+                traffic(&mut jumped);
+                // Right after traffic, a short gap, and a gap across several
+                // refreshes.
+                for gap in [3, 40, 3 * config.timing.t_refi + 17] {
+                    let target = jumped.now() + gap;
+                    let mut stepped = jumped.clone();
+                    while stepped.now() < target {
+                        stepped.step();
                     }
-                    let stats = jumped.stats();
-                    let refreshes = stats.refreshes_all_bank + stats.refreshes_per_bank;
-                    assert_eq!(refreshes > 0, refresh != RefreshMode::Disabled);
+                    jumped.advance_idle_to(target);
+                    let case = format!("{engine:?} {refresh:?} gap {gap}");
+                    assert_eq!(jumped.now(), stepped.now(), "{case}");
+                    assert_eq!(jumped.stats(), stepped.stats(), "{case}");
+                    traffic(&mut jumped);
+                    traffic(&mut stepped);
+                    assert_eq!(jumped.now(), stepped.now(), "{case}");
+                    assert_eq!(jumped.stats(), stepped.stats(), "{case}");
                 }
+                let stats = jumped.stats();
+                let refreshes = stats.refreshes_all_bank + stats.refreshes_per_bank;
+                assert_eq!(refreshes > 0, refresh != RefreshMode::Disabled);
             }
         }
     }

@@ -16,7 +16,6 @@ use crate::timing::TimingParams;
 
 /// Refresh policy of the controller.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum RefreshMode {
     /// All-bank refresh (REFab) every `t_refi`.
     #[default]

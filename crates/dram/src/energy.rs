@@ -11,7 +11,6 @@ use crate::stats::Stats;
 
 /// Per-command and background energy parameters, in nanojoules and milliwatts.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct EnergyParams {
     /// Energy of one ACT + PRE pair (row cycle), in nJ.
     pub act_pre_nj: f64,

@@ -29,7 +29,6 @@ use crate::error::ConfigError;
 /// assert!(ChannelTopology::default().is_single());
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct ChannelTopology {
     /// Number of independent channels (each with its own controller and bus).
     pub channels: u32,
@@ -117,7 +116,6 @@ impl ChannelTopology {
 /// assert_eq!(geom.page_bytes(), 8192);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct DeviceGeometry {
     /// Number of bank groups (1 for standards without bank groups).
     pub bank_groups: u32,

@@ -66,7 +66,7 @@
 //! | [`command`] | the DRAM command set issued by the controller |
 //! | [`bank`] | per-bank state machine with earliest-issue bookkeeping |
 //! | [`request`] | read/write burst requests |
-//! | [`controller`] | transaction queues, FR-FCFS scheduler, page policies, refresh, the two timing engines |
+//! | [`controller`] | transaction queues, the open-page FR-FCFS scheduler, refresh, the two timing engines |
 //! | [`stats`] | bandwidth and page hit/miss statistics |
 //! | [`energy`] | a DRAMPower-style energy estimate |
 
@@ -76,7 +76,6 @@
 pub mod address;
 pub mod bank;
 pub mod batch;
-pub mod builder;
 pub mod channel;
 pub mod command;
 pub mod controller;
@@ -92,12 +91,10 @@ pub mod timing;
 pub use address::{DecodeScheme, PhysicalAddress};
 pub use bank::{BankArray, BankState};
 pub use batch::{AddressBatch, AddressLanesMut};
-pub use builder::DramConfigBuilder;
 pub use channel::{ChannelRouter, CombinedStats};
 pub use command::{Command, CommandKind};
 pub use controller::{
-    Completion, Controller, ControllerConfig, PagePolicy, RefreshMode, SchedulingPolicy,
-    TimingEngine,
+    Completion, Controller, ControllerConfig, RefreshMode, SchedulingPolicy, TimingEngine,
 };
 pub use energy::{EnergyParams, EnergyReport};
 pub use error::ConfigError;

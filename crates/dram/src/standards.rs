@@ -22,7 +22,6 @@ use crate::timing::{ns_to_cycles, TimingParams};
 
 /// The five DRAM standards evaluated in the paper.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum DramStandard {
     /// DDR3 SDRAM (no bank groups, BL8).
     Ddr3,
@@ -146,7 +145,6 @@ pub const MODERN_CONFIGS: &[(DramStandard, u32)] = &[
 /// # }
 /// ```
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct DramConfig {
     /// The JEDEC standard family.
     pub standard: DramStandard,
@@ -166,7 +164,7 @@ pub struct DramConfig {
     /// presets default to a single-channel, single-rank device; the modern
     /// presets ([`MODERN_CONFIGS`]) bake their native scale-out (HBM2
     /// pseudo-channels, GDDR6 dual channels, DDR5-3DS stacked ranks).  Use
-    /// [`DramConfig::with_topology`] (or the builder) to override.
+    /// [`DramConfig::with_topology`] to override.
     pub topology: ChannelTopology,
 }
 
@@ -211,6 +209,42 @@ impl DramConfig {
     #[must_use]
     pub fn with_topology(mut self, topology: ChannelTopology) -> Self {
         self.topology = topology;
+        self
+    }
+
+    /// Returns a copy of this configuration at `data_rate_mtps`, as a faster
+    /// or slower speed grade of the same die: every timing parameter except
+    /// the clock-constant ones (tCCD, tRTRS, the bus turnaround and the burst
+    /// length) keeps its nanosecond value and is re-derived in cycles of the
+    /// new clock.  The geometry, topology and refresh mode are unchanged.
+    #[must_use]
+    pub fn scaled_to(mut self, data_rate_mtps: u32) -> Self {
+        let from_clock = self.clock_mhz();
+        let to_clock = f64::from(data_rate_mtps) / 2.0;
+        let rescale = |cycles: u64| -> u64 {
+            let ns = cycles as f64 / from_clock * 1000.0;
+            ns_to_cycles(ns, to_clock).max(1)
+        };
+        let t = &mut self.timing;
+        t.cl = rescale(t.cl);
+        t.cwl = rescale(t.cwl);
+        t.t_rcd = rescale(t.t_rcd);
+        t.t_rp = rescale(t.t_rp);
+        t.t_ras = rescale(t.t_ras);
+        // Independent ceil-rounding can leave t_rc one cycle short of
+        // t_ras + t_rp; keep the invariant explicitly.
+        t.t_rc = rescale(t.t_rc).max(t.t_ras + t.t_rp);
+        t.t_rrd_s = rescale(t.t_rrd_s);
+        t.t_rrd_l = rescale(t.t_rrd_l);
+        t.t_faw = rescale(t.t_faw);
+        t.t_wr = rescale(t.t_wr);
+        t.t_wtr_s = rescale(t.t_wtr_s);
+        t.t_wtr_l = rescale(t.t_wtr_l);
+        t.t_rtp = rescale(t.t_rtp);
+        t.t_rfc_ab = rescale(t.t_rfc_ab);
+        t.t_rfc_pb = rescale(t.t_rfc_pb);
+        t.t_refi = rescale(t.t_refi);
+        self.data_rate_mtps = data_rate_mtps;
         self
     }
 
@@ -664,6 +698,19 @@ mod tests {
         for config in invalid {
             assert!(config.linear_decoder().is_err(), "{:?}", config.topology);
         }
+    }
+
+    #[test]
+    fn scaling_core_timings_keeps_nanosecond_values() {
+        let base = DramConfig::preset(DramStandard::Ddr4, 1600).unwrap();
+        let scaled = base.clone().scaled_to(3200);
+        scaled.validate().unwrap();
+        assert_eq!(scaled.data_rate_mtps, 3200);
+        // Doubling the clock roughly doubles the cycle counts of
+        // nanosecond-constant parameters.
+        assert!(scaled.timing.t_rcd >= base.timing.t_rcd * 2 - 1);
+        assert!(scaled.timing.t_rcd <= base.timing.t_rcd * 2 + 1);
+        assert!(scaled.timing.t_rfc_ab >= base.timing.t_rfc_ab * 2 - 2);
     }
 
     #[test]

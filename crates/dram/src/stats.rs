@@ -7,7 +7,6 @@
 /// clock cycles during which the data bus carried a burst.  100 % means the
 /// channel sustains its theoretical peak bandwidth.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Stats {
     /// Device clock cycles elapsed between the statistics window start and the
     /// completion of the last request.

@@ -26,7 +26,6 @@ use crate::error::ConfigError;
 /// # }
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct TimingParams {
     /// CAS read latency (RL): clock cycles from RD command to first data beat.
     pub cl: u64,

@@ -20,7 +20,7 @@ use rand::{Rng, SeedableRng};
 
 use tbi_dram::{
     ChannelRouter, ChannelTopology, Controller, ControllerConfig, DramConfig, DramStandard,
-    IteratorSource, PagePolicy, RefreshMode, Request, SchedulingPolicy, Stats, TimingEngine,
+    IteratorSource, RefreshMode, Request, SchedulingPolicy, Stats, TimingEngine,
 };
 
 /// Builds a small, valid DRAM configuration from sampled axis indices: a
@@ -109,7 +109,7 @@ fn run(
 proptest! {
     /// The headline differential property: identical `Stats` from both
     /// engines for random (geometry × topology × refresh × scheduling ×
-    /// page-policy × queue × pattern) combinations.
+    /// queue × pattern) combinations.
     #[test]
     fn cycle_and_event_engines_agree_on_random_configurations(
         preset_idx in 0usize..16,
@@ -120,7 +120,6 @@ proptest! {
         ranks_log2 in 0u32..4,
         refresh_idx in 0usize..4,
         scheduling_idx in 0usize..2,
-        page_idx in 0usize..2,
         queue_idx in 0usize..3,
         seed in 0u64..u64::MAX,
     ) {
@@ -140,7 +139,6 @@ proptest! {
                 Some(RefreshMode::Disabled),
             ][refresh_idx],
             scheduling: [SchedulingPolicy::FrFcfs, SchedulingPolicy::Fcfs][scheduling_idx],
-            page_policy: [PagePolicy::Open, PagePolicy::Closed][page_idx],
             queue_capacity: [2, 8, 64][queue_idx],
             ..ControllerConfig::default()
         };

@@ -24,7 +24,7 @@ use rand::{Rng, SeedableRng};
 
 use tbi_dram::{
     ChannelRouter, ChannelTopology, CombinedStats, ControllerConfig, DramConfig, IteratorSource,
-    PagePolicy, RefreshMode, Request, SchedulingPolicy, TimingEngine,
+    RefreshMode, Request, SchedulingPolicy, TimingEngine,
 };
 
 /// Builds a small, valid multi-channel DRAM configuration from sampled axis
@@ -153,9 +153,9 @@ fn run(
 proptest! {
     /// The headline differential property: identical `CombinedStats` from
     /// the laggard-first oracle and the per-channel drive for random
-    /// (geometry × channel topology × refresh × scheduling × page-policy ×
-    /// queue × engine × pattern × thread-count) combinations, including
-    /// thread counts that are odd or exceed the channel count.
+    /// (geometry × channel topology × refresh × scheduling × queue × engine
+    /// × pattern × thread-count) combinations, including thread counts that
+    /// are odd or exceed the channel count.
     #[test]
     fn threaded_drive_matches_sequential_on_random_configurations(
         preset_idx in 0usize..10,
@@ -167,7 +167,6 @@ proptest! {
         ranks_log2 in 0u32..2,
         refresh_idx in 0usize..4,
         scheduling_idx in 0usize..2,
-        page_idx in 0usize..2,
         queue_idx in 0usize..3,
         engine_idx in 0usize..2,
         threads_idx in 0usize..4,
@@ -190,7 +189,6 @@ proptest! {
                 Some(RefreshMode::Disabled),
             ][refresh_idx],
             scheduling: [SchedulingPolicy::FrFcfs, SchedulingPolicy::Fcfs][scheduling_idx],
-            page_policy: [PagePolicy::Open, PagePolicy::Closed][page_idx],
             queue_capacity: [2, 8, 64][queue_idx],
             engine: [TimingEngine::Cycle, TimingEngine::Event][engine_idx],
         };

@@ -114,8 +114,8 @@ impl CampaignConfig {
         Ok(self)
     }
 
-    /// Adds an arbitrary (e.g. builder-produced) DRAM configuration to the
-    /// device axis.
+    /// Adds an arbitrary (e.g. hand-edited and validated) DRAM configuration
+    /// to the device axis.
     #[must_use]
     pub fn config(mut self, dram: DramConfig) -> Self {
         self.presets.push(dram);

@@ -468,12 +468,9 @@ mod tests {
 
     #[test]
     fn label_collisions_get_deterministic_suffixes() {
-        use tbi_dram::DramConfigBuilder;
         let base = DramConfig::preset(DramStandard::Ddr4, 3200).unwrap();
-        let variant = DramConfigBuilder::from_config(base.clone())
-            .rows(1 << 14)
-            .build()
-            .unwrap();
+        let mut variant = base.clone();
+        variant.geometry.rows = 1 << 14;
         let grid = SweepGrid::new()
             .dram(base)
             .dram(variant)

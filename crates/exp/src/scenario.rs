@@ -242,8 +242,8 @@ impl Scenario {
         ))
     }
 
-    /// Creates a scenario on an arbitrary (e.g. builder-produced) DRAM
-    /// configuration.
+    /// Creates a scenario on an arbitrary (e.g. hand-edited and validated)
+    /// DRAM configuration.
     #[must_use]
     pub fn custom(dram: DramConfig, mapping: MappingKind, spec: InterleaverSpec) -> Self {
         Self {
@@ -615,7 +615,7 @@ impl Scenario {
 
 /// The full grid-axis value set of the scenario, one line: DRAM label,
 /// channel/rank topology, interleaver size and dimension, mapping, refresh
-/// mode, scheduling/page policy, queue capacity and timing engine.
+/// mode, scheduling policy, queue capacity and timing engine.
 /// Experiment errors embed this so a failing sweep cell is diagnosable from
 /// the log alone.
 impl std::fmt::Display for Scenario {
@@ -623,7 +623,7 @@ impl std::fmt::Display for Scenario {
         write!(
             f,
             "dram={} channels={} ranks={} bursts={} dimension={} mapping={} refresh={} \
-             scheduling={:?} page_policy={:?} queue_capacity={} engine={}",
+             scheduling={:?} queue_capacity={} engine={}",
             self.dram.label(),
             self.dram.topology.channels,
             self.dram.topology.ranks,
@@ -632,7 +632,6 @@ impl std::fmt::Display for Scenario {
             self.mapping.label(),
             refresh_tag(self.controller.refresh_mode),
             self.controller.scheduling,
-            self.controller.page_policy,
             self.controller.queue_capacity,
             self.controller.engine,
         )?;
@@ -710,7 +709,6 @@ mod tests {
             "mapping=optimized",
             "refresh=off",
             "scheduling=FrFcfs",
-            "page_policy=Open",
             "queue_capacity=64",
             "engine=event",
         ] {

@@ -21,7 +21,7 @@
 //!   preset devices provide for the paper's 12.5 M-element interleaver.
 
 use tbi_dram::{
-    AddressBatch, BitPermutation, ChannelTopology, DecodeScheme, DeviceGeometry, DramConfig,
+    AddressBatch, BitPermutation, ChannelTopology, DecodeScheme, DeviceGeometry,
     PermutationMapping, PhysicalAddress, XorFold,
 };
 
@@ -145,29 +145,6 @@ impl PermutedMapping {
             n,
             linearization: Linearization::Packed(triangle),
         })
-    }
-
-    /// The row-major baseline for a full DRAM configuration, honouring the
-    /// configuration's decode scheme and topology.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use tbi_dram::{DramConfig, DramStandard};
-    /// use tbi_interleaver::mapping::{DramMapping, PermutedMapping};
-    ///
-    /// let config = DramConfig::preset(DramStandard::Ddr4, 3200)?;
-    /// let mapping = PermutedMapping::for_config(&config, 1000)?;
-    /// assert_eq!(mapping.name(), "row-major");
-    /// assert_eq!(mapping.linear_index(1, 0), 1000); // row 0 holds 1000 positions
-    /// # Ok::<(), Box<dyn std::error::Error>>(())
-    /// ```
-    ///
-    /// # Errors
-    ///
-    /// See [`PermutedMapping::row_major`].
-    pub fn for_config(config: &DramConfig, n: u32) -> Result<Self, InterleaverError> {
-        Self::row_major(config.geometry, config.topology, config.decode_scheme, n)
     }
 
     /// Creates the padded mapping for an index space of dimension `n` on
@@ -310,7 +287,7 @@ impl DramMapping for PermutedMapping {
 mod tests {
     use super::*;
     use std::collections::HashSet;
-    use tbi_dram::DramStandard;
+    use tbi_dram::{DramConfig, DramStandard};
 
     fn ddr4() -> DeviceGeometry {
         DramConfig::preset(DramStandard::Ddr4, 3200)
@@ -448,20 +425,16 @@ mod tests {
     }
 
     #[test]
-    fn for_config_honours_the_config_decode_scheme() {
-        let mut config = DramConfig::preset(DramStandard::Ddr4, 3200).unwrap();
-        config.decode_scheme = DecodeScheme::BankBankGroupRowColumn;
-        let by_config = PermutedMapping::for_config(&config, 64).unwrap();
+    fn row_major_honours_the_decode_scheme() {
         let by_scheme = PermutedMapping::row_major(
-            config.geometry,
+            ddr4(),
             ChannelTopology::default(),
-            config.decode_scheme,
+            DecodeScheme::BankBankGroupRowColumn,
             64,
         )
         .unwrap();
-        let default_scheme = row_major(config.geometry, 64).unwrap();
-        assert_eq!(by_config.map(5, 3), by_scheme.map(5, 3));
-        assert_ne!(by_config.map(5, 3), default_scheme.map(5, 3));
+        let default_scheme = row_major(ddr4(), 64).unwrap();
+        assert_ne!(by_scheme.map(5, 3), default_scheme.map(5, 3));
     }
 
     #[test]

@@ -52,8 +52,8 @@ pub use tbi_sched as sched;
 
 pub use tbi_dram::{
     AddressField, BitPermutation, ChannelRouter, ChannelTopology, CombinedStats, ControllerConfig,
-    DramConfig, DramStandard, PagePolicy, PermutationMapping, PhysicalAddress, RefreshMode,
-    Request, SchedulingPolicy, Stats, TimingEngine,
+    DramConfig, DramStandard, PermutationMapping, PhysicalAddress, RefreshMode, Request,
+    SchedulingPolicy, Stats, TimingEngine,
 };
 pub use tbi_exp::{
     Campaign, CampaignConfig, CampaignReport, ExpError, Experiment, FrontierPoint, LinkRecord,

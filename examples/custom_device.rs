@@ -1,24 +1,23 @@
 //! Custom-device exploration: the paper's mapping applies to *any*
-//! JEDEC-compliant DRAM, so this example builds a hypothetical device with the
-//! `DramConfigBuilder` (a wider-page, higher-clocked DDR4-class part), then
-//! checks that the optimized mapping still keeps both phases fast enough for
-//! a 100 Gbit/s downlink.
+//! JEDEC-compliant DRAM, so this example builds a hypothetical device (a
+//! wider-page, higher-clocked DDR4-class part) by rescaling a preset with
+//! `DramConfig::scaled_to` and setting its geometry fields, then checks that
+//! the optimized mapping still keeps both phases fast enough for a 100 Gbit/s
+//! downlink.
 //!
 //! ```text
 //! cargo run --release -p tbi --example custom_device
 //! ```
 
-use tbi::dram::DramConfigBuilder;
-use tbi::{BandwidthBudget, DramStandard, InterleaverSpec, MappingKind, Scenario};
+use tbi::{BandwidthBudget, DramConfig, DramStandard, InterleaverSpec, MappingKind, Scenario};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // A hypothetical next-generation part: DDR4 core timings scaled to
     // 4266 MT/s with 256-burst pages.
-    let custom = DramConfigBuilder::from_preset(DramStandard::Ddr4, 3200)?
-        .scale_core_timings(3200, 4266)
-        .columns_per_row(256)
-        .rows(1 << 15)
-        .build()?;
+    let mut custom = DramConfig::preset(DramStandard::Ddr4, 3200)?.scaled_to(4266);
+    custom.geometry.columns_per_row = 256;
+    custom.geometry.rows = 1 << 15;
+    custom.validate()?;
     println!(
         "custom device: {} MT/s, {} banks, {} KiB pages, {:.1} Gbit/s peak",
         custom.data_rate_mtps,

@@ -9,8 +9,8 @@ use tbi::interleaver::analysis::{row_buffer_counts, RowBufferCounts};
 use tbi::interleaver::InterleaverError;
 use tbi::{
     AccessPhase, AddressField, BitPermutation, ChannelMapping, ChannelTopology, ControllerConfig,
-    DramConfig, DramStandard, InterleaverSpec, MappingKind, PagePolicy, PhysicalAddress,
-    RefreshMode, Scenario, SchedulingPolicy, TraceGenerator, TriangularInterleaver,
+    DramConfig, DramStandard, InterleaverSpec, MappingKind, PhysicalAddress, RefreshMode, Scenario,
+    SchedulingPolicy, TraceGenerator, TriangularInterleaver,
 };
 
 const DIMENSION: u32 = 300;
@@ -210,7 +210,6 @@ fn check_oracle(dram: &DramConfig, kind: MappingKind) -> usize {
     let phase_stats = |scheduling| {
         let controller = ControllerConfig {
             scheduling,
-            page_policy: PagePolicy::Open,
             refresh_mode: Some(RefreshMode::Disabled),
             ..ControllerConfig::default()
         };

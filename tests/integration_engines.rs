@@ -11,12 +11,12 @@
 //! * identical raw per-channel [`tbi::Stats`] (including diagnostic counters
 //!   such as `stall_cycles`) for a write-then-read phase pair, where any
 //!   divergence in absolute time would shift refresh deadlines and show up;
-//! * identical stats under every refresh mode and scheduling/page-policy
-//!   ablation, where the scheduler takes its rarer code paths;
+//! * identical stats under every refresh mode, FCFS scheduling and a small
+//!   queue, where the scheduler takes its rarer code paths;
 //! * recorded statistics for configurations that never reach the event
-//!   engine's fast path (all-bank refresh drains, FCFS, closed page, more
-//!   than 8 rank-qualified bank groups).  There both engines run the same
-//!   full scheduler scan, so equivalence alone cannot see a change to it:
+//!   engine's fast path (all-bank refresh drains, FCFS, more than 8
+//!   rank-qualified bank groups).  There both engines run the same full
+//!   scheduler scan, so equivalence alone cannot see a change to it:
 //!   the full-scan goldens hash every `Stats` field of both phases and
 //!   every channel.  The default run covers the Table I pair at 4,000
 //!   bursts; the ignored run every mapping at 30,000 bursts.
@@ -25,8 +25,8 @@ use tbi::dram::controller::TimingEngine;
 use tbi::dram::{ChannelTopology, CombinedStats, DramConfig, Stats};
 use tbi::exp::SweepGrid;
 use tbi::{
-    ControllerConfig, DramStandard, InterleaverSpec, MappingKind, PagePolicy, Record, RefreshMode,
-    Scenario, SchedulingPolicy,
+    ControllerConfig, DramStandard, InterleaverSpec, MappingKind, Record, RefreshMode, Scenario,
+    SchedulingPolicy,
 };
 
 const REDUCED_BURSTS: u64 = 6_000;
@@ -127,10 +127,6 @@ fn engines_agree_across_controller_ablations() {
             ..ControllerConfig::default()
         },
         ControllerConfig {
-            page_policy: PagePolicy::Closed,
-            ..ControllerConfig::default()
-        },
-        ControllerConfig {
             queue_capacity: 4,
             ..ControllerConfig::default()
         },
@@ -161,10 +157,9 @@ const FULL_GOLDEN_BURSTS: u64 = 30_000;
 /// Configurations that never reach the event engine's fast path, plus
 /// LPDDR4-4266 as a fast-path control: `(label, DRAM, controller)`.
 ///
-/// All-bank refresh drains, FCFS, closed page and more than 8
-/// rank-qualified bank groups run the full scheduler scan on both
-/// engines, so no cycle ≡ event comparison can see a change to that scan;
-/// only recorded statistics can.
+/// All-bank refresh drains, FCFS and more than 8 rank-qualified bank
+/// groups run the full scheduler scan on both engines, so no cycle ≡ event
+/// comparison can see a change to that scan; only recorded statistics can.
 fn full_scan_cases() -> Vec<(&'static str, DramConfig, ControllerConfig)> {
     let preset = |standard, rate| DramConfig::preset(standard, rate).expect("preset exists");
     let ddr4 = preset(DramStandard::Ddr4, 3200);
@@ -178,26 +173,10 @@ fn full_scan_cases() -> Vec<(&'static str, DramConfig, ControllerConfig)> {
         refresh_mode: Some(RefreshMode::PerBank),
         ..default
     };
-    let closed = ControllerConfig {
-        page_policy: PagePolicy::Closed,
-        ..default
-    };
-    let closed_fcfs_per_bank = ControllerConfig {
-        page_policy: PagePolicy::Closed,
-        scheduling: SchedulingPolicy::Fcfs,
-        refresh_mode: Some(RefreshMode::PerBank),
-        ..default
-    };
     vec![
         ("ddr4", ddr4.clone(), default),
         ("ddr4-fcfs", ddr4.clone(), fcfs),
         ("ddr4-fcfs-perbank", ddr4.clone(), fcfs_per_bank),
-        ("ddr4-closed", ddr4.clone(), closed),
-        (
-            "ddr4-closed-fcfs-perbank",
-            ddr4.clone(),
-            closed_fcfs_per_bank,
-        ),
         (
             "ddr4-1x4",
             ddr4.with_topology(ChannelTopology::new(1, 4)),
@@ -301,19 +280,17 @@ fn check_full_scan_golden(mappings: &[MappingKind], bursts: u64, golden: &[(&str
 }
 
 /// Recorded from the scheduler that kept separate issue and wait
-/// accumulators; the single-pick scheduler must reproduce every row.
+/// accumulators, except the `ddr4-fcfs-perbank` rows, recorded from the
+/// single-pick scheduler while it still had a closed-page policy; the
+/// current scheduler must reproduce every row.
 #[rustfmt::skip]
-const FULL_SCAN_GOLDEN: [(&str, &str, u64); 18] = [
+const FULL_SCAN_GOLDEN: [(&str, &str, u64); 14] = [
     ("ddr4", "row-major", 0x00c0f38d82b16b63),
     ("ddr4", "optimized", 0xc48f12431bd8a979),
     ("ddr4-fcfs", "row-major", 0xfb2c920e05a114fd),
     ("ddr4-fcfs", "optimized", 0x0fb80f2b90d5244d),
     ("ddr4-fcfs-perbank", "row-major", 0xa1f9001396cd034b),
     ("ddr4-fcfs-perbank", "optimized", 0x65b71bb6c4e655ef),
-    ("ddr4-closed", "row-major", 0x7be5386ef0665c27),
-    ("ddr4-closed", "optimized", 0x2f08a350bb1241f3),
-    ("ddr4-closed-fcfs-perbank", "row-major", 0x3ea2f609a5972815),
-    ("ddr4-closed-fcfs-perbank", "optimized", 0x9479b60ddbbcc073),
     ("ddr4-1x4", "row-major", 0xe298c4cfc359c305),
     ("ddr4-1x4", "optimized", 0xccede717ee8ef50d),
     ("ddr5-3ds", "row-major", 0x7cc3fc72eac9e309),
@@ -332,7 +309,7 @@ fn full_scan_configurations_reproduce_their_golden_stats() {
 /// The ignored run's golden: every case × `MappingKind::ALL` at 30,000
 /// bursts, recorded with `FULL_SCAN_GOLDEN`.
 #[rustfmt::skip]
-const FULL_SCAN_GOLDEN_ALL: [(&str, &str, u64); 45] = [
+const FULL_SCAN_GOLDEN_ALL: [(&str, &str, u64); 35] = [
     ("ddr4", "row-major", 0x3c5f5267a7f999a3),
     ("ddr4", "bank-round-robin", 0x9d7ebd5abd16b9ed),
     ("ddr4", "tiled", 0x99e3b5b5c38018b7),
@@ -348,16 +325,6 @@ const FULL_SCAN_GOLDEN_ALL: [(&str, &str, u64); 45] = [
     ("ddr4-fcfs-perbank", "tiled", 0x32194628cfaa86db),
     ("ddr4-fcfs-perbank", "optimized-no-stagger", 0x647b62de1ecb3ced),
     ("ddr4-fcfs-perbank", "optimized", 0x51af82743798ab6b),
-    ("ddr4-closed", "row-major", 0x03e0b2e083271ef9),
-    ("ddr4-closed", "bank-round-robin", 0x2122ec5e8c04aac9),
-    ("ddr4-closed", "tiled", 0x3962c74bd88054d1),
-    ("ddr4-closed", "optimized-no-stagger", 0xa991dc7fdfd0e119),
-    ("ddr4-closed", "optimized", 0xd90f78883370be3b),
-    ("ddr4-closed-fcfs-perbank", "row-major", 0xb64cad9e748b65d4),
-    ("ddr4-closed-fcfs-perbank", "bank-round-robin", 0x934b03b4b510a375),
-    ("ddr4-closed-fcfs-perbank", "tiled", 0x7ee9d5d1c1450995),
-    ("ddr4-closed-fcfs-perbank", "optimized-no-stagger", 0xa067f2b804170981),
-    ("ddr4-closed-fcfs-perbank", "optimized", 0xad717dee03941997),
     ("ddr4-1x4", "row-major", 0x97285fb2c0e2c7ef),
     ("ddr4-1x4", "bank-round-robin", 0xd1a4129729f87395),
     ("ddr4-1x4", "tiled", 0xd7d8696977543f2b),

@@ -6,7 +6,7 @@ use tbi::dram::IteratorSource;
 use tbi::interleaver::trace::{AccessPhase, TraceGenerator};
 use tbi::{
     ChannelRouter, ControllerConfig, DramConfig, DramStandard, InterleaverSpec, MappingKind,
-    PagePolicy, RefreshMode, Scenario, SchedulingPolicy,
+    RefreshMode, Scenario, SchedulingPolicy,
 };
 
 #[test]
@@ -60,9 +60,9 @@ fn optimized_mapping_never_loses_to_row_major_on_the_limiting_phase() {
     }
 }
 
-/// The default controller followed by the six refresh, scheduling, page and
-/// queue ablations of `integration_engines.rs`.
-fn controller_ablations() -> [ControllerConfig; 7] {
+/// The default controller followed by the five refresh, scheduling and queue
+/// ablations of `integration_engines.rs`.
+fn controller_ablations() -> [ControllerConfig; 6] {
     let default = ControllerConfig::default();
     [
         default,
@@ -80,10 +80,6 @@ fn controller_ablations() -> [ControllerConfig; 7] {
         },
         ControllerConfig {
             scheduling: SchedulingPolicy::Fcfs,
-            ..default
-        },
-        ControllerConfig {
-            page_policy: PagePolicy::Closed,
             ..default
         },
         ControllerConfig {
